@@ -1,0 +1,39 @@
+"""Definitions shared by several modules: input validation, the cache bound
+and the position-wise map over a pair of paths."""
+
+from __future__ import annotations
+
+# Entries kept by each per-input cache (paths.heights, matching.tri_heights,
+# matching.match_faces). Every map builds each profile or matching it needs
+# once per call, so the caches only serve repeats across nearby calls, as in
+# the exhaustive sweeps; a bound keeps a stream of distinct inputs from
+# growing the process.
+CACHE_SIZE = 64
+
+
+def require(cond: bool, msg: str, *args) -> None:
+    """Raise ValueError(msg.format(*args)) unless cond holds.
+
+    The message is formatted only when it is raised, so a passing check
+    costs no string building.
+    """
+    if not cond:
+        raise ValueError(msg.format(*args))
+
+
+def step_pair_table(images: dict[str, str]) -> bytes:
+    """Table for map_step_pairs from {"UU": c, "UD": c, "DU": c, "DD": c}."""
+    codes = bytes(2 * ord(a) + ord(b) for a, b in images)
+    return bytes.maketrans(codes, "".join(images.values()).encode())
+
+
+def map_step_pairs(p: str, q: str, table: bytes) -> str:
+    """Replace each step pair (P_a, Q_a) of two checked, equal-length U/D
+    paths by its image under a step_pair_table.
+
+    A pair is coded as the byte 2*ord(P_a) + ord(Q_a), at most 0xFF, so one
+    big-integer sum codes every position at once, with no carry between
+    bytes, and the lookup is a bytes.translate.
+    """
+    code = 2 * int.from_bytes(p.encode(), "big") + int.from_bytes(q.encode(), "big")
+    return code.to_bytes(len(p), "big").translate(table).decode()

@@ -102,6 +102,8 @@ def _family_spec(args):
 
 
 def _run_count(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.method == "brute":
         spec = _family_spec(args)
         value = (

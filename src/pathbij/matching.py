@@ -11,19 +11,22 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._base import CACHE_SIZE
+
+_STEP = {"U": 1, "D": -1, "H": 0}
+
 
 def check_tripath(t: str) -> str:
-    if set(t) - {"U", "D", "H"}:
+    if t.strip("UDH"):
         raise ValueError(f"not a U/D/H path: {t!r}")
     return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tri_heights(t: str) -> tuple[int, ...]:
     """Running heights with U = +1, D = -1, H = 0."""
     check_tripath(t)
-    steps = {"U": 1, "D": -1, "H": 0}
-    return tuple(itertools.accumulate(steps[c] for c in t))
+    return tuple(itertools.accumulate(map(_STEP.__getitem__, t)))
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,20 @@ class Matching:
     unmatched_u: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def match_faces(t: str) -> Matching:
     """Stack scan: U pushes, D pops a match if possible, H is skipped."""
     check_tripath(t)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []
     unmatched_d: list[int] = []
+    push, pop, match = stack.append, stack.pop, pairs.append
     for a, c in enumerate(t, start=1):
         if c == "U":
-            stack.append(a)
+            push(a)
         elif c == "D":
             if stack:
-                pairs.append((stack.pop(), a))
+                match((pop(), a))
             else:
                 unmatched_d.append(a)
     pairs.sort()

@@ -16,15 +16,12 @@ agreement path in both coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
+from ._base import map_step_pairs, require, step_pair_table
 from .matching import match_faces, tri_heights
-from .paths import check_ij, end_height, flip_steps, heights, is_prefix, min_height
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+from .paths import check_ij, check_path, flip_steps, heights
 
 
 def _same_length(p: str, q: str) -> int:
@@ -33,18 +30,50 @@ def _same_length(p: str, q: str) -> int:
     return len(p)
 
 
+def _profiles(p: str, q: str):
+    """(n, h(P) profile, h(Q) profile) of an equal-length pair."""
+    return _same_length(p, q), heights(p), heights(q)
+
+
+def _end(h: tuple[int, ...]) -> int:
+    return h[-1] if h else 0
+
+
+def _read_ij(hp: tuple[int, ...], hq: tuple[int, ...]) -> tuple[int, int]:
+    """(i, j) with h(P) = i+j and h(Q) = i-j."""
+    ep, eq = _end(hp), _end(hq)
+    return (ep + eq) // 2, (ep - eq) // 2
+
+
+def _require_nested(hp: tuple[int, ...], hq: tuple[int, ...]) -> None:
+    require(all(map(operator.le, hq, hp)), "Q is not weakly below P")
+
+
+# step pair (P, Q) -> step of (P-Q)/2 and of (P+Q)/2
+_DISAGREE = step_pair_table({"UD": "U", "DU": "D", "UU": "H", "DD": "H"})
+_AGREE = step_pair_table({"UU": "U", "DD": "D", "UD": "H", "DU": "H"})
+
+
+def _disagreement(p: str, q: str) -> str:
+    return map_step_pairs(p, q, _DISAGREE)
+
+
+def _agreement(p: str, q: str) -> str:
+    return map_step_pairs(p, q, _AGREE)
+
+
 def disagreement(p: str, q: str) -> str:
     """The path (P-Q)/2: U where (U,D), D where (D,U), H where the steps agree."""
     _same_length(p, q)
-    heights(p), heights(q)
-    return "".join("H" if a == b else ("U" if a == "U" else "D") for a, b in zip(p, q))
+    check_path(p), check_path(q)
+    return _disagreement(p, q)
 
 
 def agreement(p: str, q: str) -> str:
     """The path (P+Q)/2: the common step where P and Q agree, H elsewhere."""
     _same_length(p, q)
-    heights(p), heights(q)
-    return "".join(a if a == b else "H" for a, b in zip(p, q))
+    check_path(p), check_path(q)
+    return _agreement(p, q)
 
 
 def ell(p: str, q: str) -> int:
@@ -54,32 +83,45 @@ def ell(p: str, q: str) -> int:
 
 def infer_ij(p: str, q: str) -> tuple[int, int]:
     """Read (i, j) off the ending heights: h(P) = i+j, h(Q) = i-j."""
-    _same_length(p, q)
-    hp, hq = end_height(p), end_height(q)
-    return (hp + hq) // 2, (hp - hq) // 2
+    _, hp, hq = _profiles(p, q)
+    return _read_ij(hp, hq)
+
+
+def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
+    check_ij(n, i, j)
+    ep, eq = _end(hp), _end(hq)
+    require(ep == i + j, "h(P) = {}, need i+j = {}", ep, i + j)
+    require(eq == i - j, "h(Q) = {}, need i-j = {}", eq, i - j)
+    _require_nested(hp, hq)
+    require(all(map(operator.le, map(operator.neg, hp), hq)), "-P is not weakly below Q")
 
 
 def check_m2(p: str, q: str, i: int, j: int) -> None:
     """Raise naming the first violated M2(n,i;j) predicate."""
-    n = _same_length(p, q)
+    _check_m2(*_profiles(p, q), i, j)
+
+
+def _m2_i(p: str, q: str) -> int:
+    """i of an M2 pair, read off its ending heights, after checking membership."""
+    n, hp, hq = _profiles(p, q)
+    i, j = _read_ij(hp, hq)
+    _check_m2(n, hp, hq, i, j)
+    return i
+
+
+def _check_p2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
     check_ij(n, i, j)
-    _require(end_height(p) == i + j, f"h(P) = {end_height(p)}, need i+j = {i + j}")
-    _require(end_height(q) == i - j, f"h(Q) = {end_height(q)}, need i-j = {i - j}")
-    hp, hq = heights(p), heights(q)
-    _require(all(b <= a for a, b in zip(hp, hq)), "Q is not weakly below P")
-    _require(all(-a <= b for a, b in zip(hp, hq)), "-P is not weakly below Q")
+    require(min(hq, default=0) >= 0, "Q goes below the x-axis")
+    _require_nested(hp, hq)
+    ep, eq = _end(hp), _end(hq)
+    require(i - j <= eq, "h(Q) = {}, need at least i-j = {}", eq, i - j)
+    require(eq <= i + j, "h(Q) = {}, need at most i+j = {}", eq, i + j)
+    require(i + j <= ep, "h(P) = {}, need at least i+j = {}", ep, i + j)
 
 
 def check_p2(p: str, q: str, i: int, j: int) -> None:
     """Raise naming the first violated P2(n,i;j) predicate."""
-    n = _same_length(p, q)
-    check_ij(n, i, j)
-    _require(min_height(q) >= 0, "Q goes below the x-axis")
-    hp, hq = heights(p), heights(q)
-    _require(all(b <= a for a, b in zip(hp, hq)), "Q is not weakly below P")
-    _require(i - j <= end_height(q), f"h(Q) = {end_height(q)}, need at least i-j = {i - j}")
-    _require(end_height(q) <= i + j, f"h(Q) = {end_height(q)}, need at most i+j = {i + j}")
-    _require(i + j <= end_height(p), f"h(P) = {end_height(p)}, need at least i+j = {i + j}")
+    _check_p2(*_profiles(p, q), i, j)
 
 
 @dataclass(frozen=True)
@@ -95,17 +137,41 @@ class FlipRecord:
     r: int
 
 
+def _lower_returns(q: str, h: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a for a, (c, hh) in enumerate(zip(q, h), 1) if c == "U" and hh == 0)
+
+
+def _flip_below(q: str, h: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """Q' and the lower returns of Q, from the profile of Q."""
+    end = _end(h)
+    require(end >= 0, "flip_below needs h(Q) >= 0, got {}", end)
+    flips = [a for a, hh in enumerate(h, 1) if hh < 0]
+    return flip_steps(q, flips), _lower_returns(q, h)
+
+
 def flip_below(q: str) -> tuple[str, FlipRecord]:
     """Flip the steps of Q that end strictly below the x-axis.
 
     Requires h(Q) >= 0. The result is a prefix with h = h(Q) + 2r, where the
     r lower returns of Q are its U steps ending at height 0 exactly.
     """
-    h = heights(q)
-    _require(end_height(q) >= 0, f"flip_below needs h(Q) >= 0, got {end_height(q)}")
-    flips = tuple(a for a, hh in enumerate(h, 1) if hh < 0)
-    returns = tuple(a for a, (c, hh) in enumerate(zip(q, h), 1) if c == "U" and hh == 0)
-    return flip_steps(q, flips), FlipRecord((), returns, len(returns))
+    qp, returns = _flip_below(q, heights(q))
+    return qp, FlipRecord((), returns, len(returns))
+
+
+def _flip_below_inv(qp: str, h: tuple[int, ...], r: int) -> str:
+    require(min(h, default=0) >= 0, "flip_below_inv needs a prefix")
+    end = _end(h)
+    require(end >= 2 * r, "need h(Q') >= 2r, got h(Q') = {}, r = {}", end, r)
+    # last[v]: the rightmost point at height v, for every v below 2r
+    last = [0] * (2 * r)
+    for a, hh in enumerate(h, 1):
+        if hh < 2 * r:
+            last[hh] = a
+    flips: list[int] = []
+    for l in range(r):
+        flips.extend(range(last[2 * l] + 1, last[2 * l + 1] + 1))
+    return flip_steps(qp, flips)
 
 
 def flip_below_inv(qp: str, r: int) -> str:
@@ -115,19 +181,12 @@ def flip_below_inv(qp: str, r: int) -> str:
     height 2l and the rightmost point at height 2l+1; those fragments are
     disjoint and in left-to-right order.
     """
-    _require(r >= 0, f"need r >= 0, got {r}")
-    _require(is_prefix(qp), "flip_below_inv needs a prefix")
-    _require(
-        end_height(qp) >= 2 * r,
-        f"need h(Q') >= 2r, got h(Q') = {end_height(qp)}, r = {r}",
-    )
-    profile = (0,) + heights(qp)
-    flips: list[int] = []
-    for l in range(r):
-        a = max(x for x, h in enumerate(profile) if h == 2 * l)
-        b = max(x for x, h in enumerate(profile) if h == 2 * l + 1)
-        flips.extend(range(a + 1, b + 1))
-    return flip_steps(qp, flips)
+    require(r >= 0, "need r >= 0, got {}", r)
+    return _flip_below_inv(qp, heights(qp), r)
+
+
+def _flip_both(p: str, q: str, flips: tuple[int, ...]):
+    return flip_steps(p, flips), flip_steps(q, flips), flips
 
 
 def phi(p: str, q: str, i: int | None = None, j: int | None = None):
@@ -138,16 +197,13 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
     (P~, Q~, record). i and j are inferred from the ending heights when
     omitted.
     """
+    n, hp, hq = _profiles(p, q)
     if i is None and j is None:
-        i, j = infer_ij(p, q)
-    check_m2(p, q, i, j)
-    qp, rec = flip_below(q)
-    chi = match_faces(disagreement(p, qp)).unmatched_d
-    return (
-        flip_steps(p, chi),
-        flip_steps(qp, chi),
-        FlipRecord(chi, rec.lower_returns, rec.r),
-    )
+        i, j = _read_ij(hp, hq)
+    _check_m2(n, hp, hq, i, j)
+    qp, returns = _flip_below(q, hq)
+    chi = match_faces(_disagreement(p, qp)).unmatched_d
+    return flip_steps(p, chi), flip_steps(qp, chi), FlipRecord(chi, returns, len(returns))
 
 
 def phi_inv(pt: str, qt: str, i: int, j: int):
@@ -157,20 +213,23 @@ def phi_inv(pt: str, qt: str, i: int, j: int):
     flipping it in both coordinates, Q is recovered by undoing r fragment
     flips with r = (h(Q') - i + j)/2. Returns (P, Q, record).
     """
-    check_p2(pt, qt, i, j)
-    c = (end_height(pt) - i - j) // 2
-    unmatched_u = match_faces(disagreement(pt, qt)).unmatched_u
-    _require(
+    n, hp, hq = _profiles(pt, qt)
+    _check_p2(n, hp, hq, i, j)
+    c = (_end(hp) - i - j) // 2
+    unmatched_u = match_faces(_disagreement(pt, qt)).unmatched_u
+    require(
         len(unmatched_u) >= c,
-        f"need {c} unmatched U steps in the disagreement path, found {len(unmatched_u)}",
+        "need {} unmatched U steps in the disagreement path, found {}",
+        c,
+        len(unmatched_u),
     )
     chi = unmatched_u[:c]
     p = flip_steps(pt, chi)
     qp = flip_steps(qt, chi)
-    r = (end_height(qp) - i + j) // 2
-    q = flip_below_inv(qp, r)
-    _, rec = flip_below(q)
-    return p, q, FlipRecord(chi, rec.lower_returns, r)
+    hqp = heights(qp)
+    r = (_end(hqp) - i + j) // 2
+    q = _flip_below_inv(qp, hqp, r)
+    return p, q, FlipRecord(chi, _lower_returns(q, heights(q)), r)
 
 
 def psi(p: str, q: str):
@@ -179,10 +238,8 @@ def psi(p: str, q: str):
     Flips, in both coordinates, the leftmost floor(i/2) unmatched U steps of
     the agreement path (P+Q)/2. Returns (P^, Q^, flipped positions).
     """
-    i, j = infer_ij(p, q)
-    check_m2(p, q, i, j)
-    flips = match_faces(agreement(p, q)).unmatched_u[: i // 2]
-    return flip_steps(p, flips), flip_steps(q, flips), flips
+    i = _m2_i(p, q)
+    return _flip_both(p, q, match_faces(_agreement(p, q)).unmatched_u[: i // 2])
 
 
 def psi_inv(ph: str, qh: str):
@@ -191,18 +248,15 @@ def psi_inv(ph: str, qh: str):
     i = 2 * (-ell) + d, where d is the agreement path's ending height (0 or
     1); the flips are all unmatched D steps of the agreement path.
     """
-    n = _same_length(ph, qh)
-    hp, hq = end_height(ph), end_height(qh)
-    d = (hp + hq) // 2
-    j = (hp - hq) // 2
-    _require(d in (0, 1), f"agreement path must end at 0 or 1, got {d}")
-    _require(j >= 0, "Q must end weakly below P")
-    hsp, hsq = heights(ph), heights(qh)
-    _require(all(b <= a for a, b in zip(hsp, hsq)), "Q is not weakly below P")
-    i = 2 * (-ell(ph, qh)) + d
-    check_ij(n, i, j)
-    flips = match_faces(agreement(ph, qh)).unmatched_d
-    return flip_steps(ph, flips), flip_steps(qh, flips), flips
+    n, hp, hq = _profiles(ph, qh)
+    d, j = _read_ij(hp, hq)
+    require(d in (0, 1), "agreement path must end at 0 or 1, got {}", d)
+    require(j >= 0, "Q must end weakly below P")
+    _require_nested(hp, hq)
+    # the agreement path's unmatched D steps are its new minima: -ell of them
+    flips = match_faces(_agreement(ph, qh)).unmatched_d
+    check_ij(n, 2 * len(flips) + d, j)
+    return _flip_both(ph, qh, flips)
 
 
 def psi_s(p: str, q: str, s: int):
@@ -212,13 +266,11 @@ def psi_s(p: str, q: str, s: int):
     coordinates; the images end at heights s+j and s-j and their agreement
     path has minimum -(i-s)/2.
     """
-    i, j = infer_ij(p, q)
-    check_m2(p, q, i, j)
-    _require(s >= 0, f"need s >= 0, got s={s}")
-    _require(i >= s, f"need i >= s, got i={i}, s={s}")
-    _require((i - s) % 2 == 0, f"need i = s (mod 2), got i={i}, s={s}")
-    flips = match_faces(agreement(p, q)).unmatched_u[: (i - s) // 2]
-    return flip_steps(p, flips), flip_steps(q, flips), flips
+    i = _m2_i(p, q)
+    require(s >= 0, "need s >= 0, got s={}", s)
+    require(i >= s, "need i >= s, got i={}, s={}", i, s)
+    require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
+    return _flip_both(p, q, match_faces(_agreement(p, q)).unmatched_u[: (i - s) // 2])
 
 
 def psi_s_inv(ps: str, qs: str):
@@ -227,13 +279,9 @@ def psi_s_inv(ps: str, qs: str):
     s is the agreement path's ending height, i = s + 2 * (-ell), and the
     flips are all unmatched D steps of the agreement path.
     """
-    _same_length(ps, qs)
-    hp, hq = end_height(ps), end_height(qs)
-    s = (hp + hq) // 2
-    j = (hp - hq) // 2
-    _require(s >= 0, f"agreement path must end at height >= 0, got {s}")
-    _require(j >= 0, "Q must end weakly below P")
-    hsp, hsq = heights(ps), heights(qs)
-    _require(all(b <= a for a, b in zip(hsp, hsq)), "Q is not weakly below P")
-    flips = match_faces(agreement(ps, qs)).unmatched_d
-    return flip_steps(ps, flips), flip_steps(qs, flips), flips
+    _, hp, hq = _profiles(ps, qs)
+    s, j = _read_ij(hp, hq)
+    require(s >= 0, "agreement path must end at height >= 0, got {}", s)
+    require(j >= 0, "Q must end weakly below P")
+    _require_nested(hp, hq)
+    return _flip_both(ps, qs, match_faces(_agreement(ps, qs)).unmatched_d)

@@ -9,14 +9,10 @@ the top path holding the smallest diagram.
 
 from __future__ import annotations
 
+from ._base import require
 from .paths import check_path, is_weakly_below
 
 PlanePartition = tuple[tuple[int, ...], ...]
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 def path_to_diagram(path: str, p: int, q: int) -> tuple[int, ...]:
@@ -25,10 +21,9 @@ def path_to_diagram(path: str, p: int, q: int) -> tuple[int, ...]:
     The path must have exactly p U steps and q D steps. Lower paths give
     containing diagrams.
     """
-    check_path(path)
-    _require(
-        path.count("U") == p and path.count("D") == q,
-        f"need {p} U steps and {q} D steps, got {path.count('U')} and {path.count('D')}",
+    ups, downs = check_path(path).count("U"), path.count("D")
+    require(
+        ups == p and downs == q, "need {} U steps and {} D steps, got {} and {}", p, q, ups, downs
     )
     parts: list[int] = []
     seen_u = 0
@@ -42,10 +37,10 @@ def path_to_diagram(path: str, p: int, q: int) -> tuple[int, ...]:
 
 def diagram_to_path(parts: tuple[int, ...], p: int, q: int) -> str:
     """Boundary path of a diagram inside the p x q rectangle."""
-    _require(len(parts) == q, f"need {q} parts, got {len(parts)}")
-    _require(all(x >= 0 for x in parts), "parts must be nonnegative")
-    _require(all(parts[t] >= parts[t + 1] for t in range(q - 1)), "parts must weakly decrease")
-    _require(q == 0 or parts[0] <= p, f"parts must be at most {p}")
+    require(len(parts) == q, "need {} parts, got {}", q, len(parts))
+    require(all(x >= 0 for x in parts), "parts must be nonnegative")
+    require(all(parts[t] >= parts[t + 1] for t in range(q - 1)), "parts must weakly decrease")
+    require(q == 0 or parts[0] <= p, "parts must be at most {}", p)
     pieces = []
     prev = p
     for part in parts:
@@ -61,16 +56,16 @@ def check_pp(a: PlanePartition, k: int | None = None) -> PlanePartition:
     q = len(a)
     p = len(a[0]) if q else 0
     for row in a:
-        _require(len(row) == p, "rows must all have the same length")
-        _require(all(x >= 0 for x in row), "entries must be nonnegative")
-        _require(
+        require(len(row) == p, "rows must all have the same length")
+        require(all(x >= 0 for x in row), "entries must be nonnegative")
+        require(
             all(row[c] >= row[c + 1] for c in range(p - 1)),
             "rows must weakly decrease",
         )
         if k is not None:
-            _require(all(x <= k for x in row), f"entries must be at most {k}")
+            require(all(x <= k for x in row), "entries must be at most {}", k)
     for r in range(q - 1):
-        _require(
+        require(
             all(a[r][c] >= a[r + 1][c] for c in range(p)),
             "columns must weakly decrease",
         )
@@ -85,9 +80,11 @@ def tuple_to_pp(paths: tuple[str, ...], p: int, q: int) -> PlanePartition:
     """
     diagrams = [path_to_diagram(path, p, q) for path in paths]
     for t in range(len(paths) - 1):
-        _require(
+        require(
             is_weakly_below(paths[t + 1], paths[t]),
-            f"path {t + 2} is not weakly below path {t + 1}",
+            "path {} is not weakly below path {}",
+            t + 2,
+            t + 1,
         )
     return tuple(
         tuple(sum(1 for d in diagrams if d[r] >= c) for c in range(1, p + 1))

@@ -8,33 +8,38 @@ order, and exhaustive enumeration of every path family used elsewhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+
+from ._base import CACHE_SIZE
 
 UP = "U"
 DOWN = "D"
 
 _NEGATE = str.maketrans("UD", "DU")
 _LEXKEY = str.maketrans("UD", "01")
+_STEP = {UP: 1, DOWN: -1}
 
 
 def check_path(path: str) -> str:
     """Validate the U/D text encoding and return the path unchanged."""
-    if set(path) - {"U", "D"}:
+    # strip stops at the first foreign character from either side
+    if path.strip("UD"):
         raise ValueError(f"not a U/D path: {path!r}")
     return path
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def heights(path: str) -> tuple[int, ...]:
     """Height profile (h_1(P), ..., h_n(P)): running sum of +1 per U, -1 per D."""
     check_path(path)
-    return tuple(itertools.accumulate(1 if c == UP else -1 for c in path))
+    return tuple(itertools.accumulate(map(_STEP.__getitem__, path)))
 
 
 def end_height(path: str) -> int:
-    h = heights(path)
-    return h[-1] if h else 0
+    # U steps minus D steps; needs no profile
+    return 2 * check_path(path).count(UP) - len(path)
 
 
 def min_height(path: str) -> int:
@@ -245,28 +250,29 @@ def _nested_tuples(
     if k < 1:
         raise ValueError("k must be at least 1")
     out: list[tuple[str, ...]] = []
-    cols: list[list[str]] = [[] for _ in range(k)]
-    deltas = tuple(itertools.product((1, -1), repeat=k))
+    # (height change per layer, step letter per layer) for every joint step
+    moves = [
+        (dv, tuple(UP if d == 1 else DOWN for d in dv))
+        for dv in itertools.product((1, -1), repeat=k)
+    ]
+    add, ge, sub = operator.add, operator.ge, operator.sub
 
-    def walk(h: tuple[int, ...], m: int) -> None:
-        if ends is not None and any(abs(t - a) > m for t, a in zip(ends, h)):
-            return
+    def reachable(h: tuple[int, ...], m: int) -> bool:
+        return ends is None or max(map(abs, map(sub, ends, h))) <= m
+
+    def walk(h: tuple[int, ...], words: tuple[str, ...], m: int) -> None:
         if m == 0:
-            out.append(tuple("".join(c) for c in cols))
+            out.append(words)
             return
-        for dv in deltas:
-            nh = tuple(a + d for a, d in zip(h, dv))
-            if any(nh[t] > nh[t - 1] for t in range(1, k)):
-                continue
-            if floor and nh[-1] < 0:
-                continue
-            for c, d in zip(cols, dv):
-                c.append(UP if d == 1 else DOWN)
-            walk(nh, m - 1)
-            for c in cols:
-                c.pop()
+        m -= 1
+        for dv, letters in moves:
+            nh = tuple(map(add, h, dv))
+            # each layer stays weakly below the one above; with floor, the bottom one stays >= 0
+            if all(map(ge, nh, nh[1:])) and not (floor and nh[-1] < 0) and reachable(nh, m):
+                walk(nh, tuple(map(add, words, letters)), m)
 
-    walk((0,) * k, n)
+    if reachable((0,) * k, n):
+        walk((0,) * k, ("",) * k, n)
     out.sort(key=_tuple_key)
     return tuple(out)
 

@@ -10,6 +10,7 @@ reachable sector endpoints.
 
 from __future__ import annotations
 
+from ._base import require
 from .matching import check_tripath, match_faces, tri_heights
 from .pairs import disagreement
 from .paths import check_path, heights
@@ -40,11 +41,6 @@ VALID_DECORATIONS = {
     "pair": ("show-matching", "show-flips"),
     "walk": ("show-shadow",),
 }
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 class _Canvas:
@@ -148,7 +144,7 @@ def _render_single(word, kind, show_matching, show_flips):
 def _render_pair(p, q, show_matching, show_flips):
     """Markers sit where the paths disagree; filled ones are the unmatched
     descents of the disagreement word, the sites the pair maps may flip."""
-    _require(len(p) == len(q), "paths in a pair must have equal length")
+    require(len(p) == len(q), "paths in a pair must have equal length")
     cv = _profile_canvas([p, q])
     _draw_profile(cv, q, _Q_COLOR, (), show_matching)
     _draw_profile(cv, p, _P_COLOR, (), show_matching)
@@ -169,7 +165,7 @@ def _render_walk(w, show_shadow, i, j):
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     if show_shadow:
-        _require(i is not None and j is not None, "show-shadow needs i and j")
+        require(i is not None and j is not None, "show-shadow needs i and j")
         xs.extend((i, i + j))
         ys.append(0)
     xmin, xmax = min(xs + [0]), max(xs + [1])
@@ -206,7 +202,7 @@ def render_svg(
     j: int | None = None,
 ) -> str:
     """Render one object, given in its text encoding, as an SVG document."""
-    _require(kind in VALID_DECORATIONS, f"unknown render kind: {kind!r}")
+    require(kind in VALID_DECORATIONS, "unknown render kind: {!r}", kind)
     asked = [
         name
         for name, on in (
@@ -217,16 +213,14 @@ def render_svg(
         if on
     ]
     for name in asked:
-        _require(
-            name in VALID_DECORATIONS[kind], f"{name} does not apply to a {kind}"
-        )
+        require(name in VALID_DECORATIONS[kind], "{} does not apply to a {}", name, kind)
     if kind == "path":
         return _render_single(check_path(text), kind, show_matching, show_flips)
     if kind == "tripath":
         return _render_single(check_tripath(text), kind, show_matching, show_flips)
     if kind == "pair":
         parts = text.split(",")
-        _require(len(parts) == 2, "a pair is encoded as two paths joined by a comma")
+        require(len(parts) == 2, "a pair is encoded as two paths joined by a comma")
         p, q = check_path(parts[0]), check_path(parts[1])
         return _render_pair(p, q, show_matching, show_flips)
     return _render_walk(check_walk(text), show_shadow, i, j)

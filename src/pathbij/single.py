@@ -8,22 +8,18 @@ codomain is documented as "ends at -(n mod 2)" throughout.
 
 from __future__ import annotations
 
-from .matching import match_faces
-from .paths import (
-    check_path,
-    end_height,
-    flip_steps,
-    heights,
-    is_grand,
-    is_prefix,
-    min_height,
-    negate,
-)
+from ._base import require
+from .matching import Matching, match_faces
+from .paths import check_path, flip_steps, heights, negate
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+def _prefix_matching(p: str, name: str) -> Matching:
+    """Matching of a prefix P; its unmatched U steps number h(P)."""
+    check_path(p)
+    m = match_faces(p)
+    # an unmatched D step is a new minimum below the start
+    require(not m.unmatched_d, "{} needs a Dyck path prefix", name)
+    return m
 
 
 def xi(p: str) -> str:
@@ -32,14 +28,17 @@ def xi(p: str) -> str:
     Maps prefixes of length n onto Grand Dyck paths (ending height n mod 2)
     and keeps the set of facing pairs unchanged.
     """
-    _require(is_prefix(p), "xi needs a Dyck path prefix")
-    return xi_s(p, end_height(p) % 2)
+    unmatched_u = _prefix_matching(p, "xi").unmatched_u
+    return flip_steps(p, unmatched_u[: len(unmatched_u) // 2])
 
 
 def xi_inv(g: str) -> str:
     """Flip every unmatched D step; inverse of xi on Grand Dyck paths."""
-    _require(is_grand(g), f"xi_inv needs a Grand Dyck path, got end height {end_height(g)}")
-    return flip_steps(g, match_faces(g).unmatched_d)
+    check_path(g)
+    m = match_faces(g)
+    end = len(m.unmatched_u) - len(m.unmatched_d)
+    require(end == len(g) % 2, "xi_inv needs a Grand Dyck path, got end height {}", end)
+    return flip_steps(g, m.unmatched_d)
 
 
 def xi_s(p: str, s: int) -> str:
@@ -47,13 +46,12 @@ def xi_s(p: str, s: int) -> str:
 
     The image ends at height s and has minimum height -(i-s)/2.
     """
-    _require(is_prefix(p), "xi_s needs a Dyck path prefix")
-    i = end_height(p)
-    _require(s >= 0, f"need s >= 0, got s={s}")
-    _require(i >= s, f"need h(P) >= s, got h(P)={i}, s={s}")
-    _require((i - s) % 2 == 0, f"need h(P) = s (mod 2), got h(P)={i}, s={s}")
-    flips = match_faces(p).unmatched_u[: (i - s) // 2]
-    return flip_steps(p, flips)
+    unmatched_u = _prefix_matching(p, "xi_s").unmatched_u
+    i = len(unmatched_u)
+    require(s >= 0, "need s >= 0, got s={}", s)
+    require(i >= s, "need h(P) >= s, got h(P)={}, s={}", i, s)
+    require((i - s) % 2 == 0, "need h(P) = s (mod 2), got h(P)={}, s={}", i, s)
+    return flip_steps(p, unmatched_u[: (i - s) // 2])
 
 
 def xi_s_inv(r: str) -> str:
@@ -74,21 +72,18 @@ def _reflect(piece: str) -> str:
 def nu(p: str) -> str:
     """Split at the last point at height floor(h(P)/2), reflect the right
     piece and put it in front."""
-    _require(is_prefix(p), "nu needs a Dyck path prefix")
-    half = end_height(p) // 2
     profile = (0,) + heights(p)
-    cut = max(a for a, h in enumerate(profile) if h == half)
+    require(min(profile) >= 0, "nu needs a Dyck path prefix")
+    half = profile[-1] // 2
+    cut = len(p) - profile[::-1].index(half)
     return _reflect(p[cut:]) + p[:cut]
 
 
 def nu_inv(g: str) -> str:
     """Split at the leftmost lowest point, reflect the left piece and
     append it; inverse of nu on paths ending at -(n mod 2)."""
-    check_path(g)
-    _require(
-        end_height(g) == -(len(g) % 2),
-        f"nu_inv needs end height {-(len(g) % 2)}, got {end_height(g)}",
-    )
     profile = (0,) + heights(g)
-    cut = profile.index(min_height(g))
+    target = -(len(g) % 2)
+    require(profile[-1] == target, "nu_inv needs end height {}, got {}", target, profile[-1])
+    cut = profile.index(min(profile))
     return g[cut:] + _reflect(g[:cut])

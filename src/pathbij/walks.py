@@ -12,22 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._base import map_step_pairs, require, step_pair_table
 from .paths import check_path
 from .single import xi, xi_inv, xi_s, xi_s_inv
 
-_PAIR_TO_STEP = {"UU": "E", "UD": "N", "DU": "S", "DD": "W"}
-_STEP_TO_PAIR = {"E": ("U", "U"), "N": ("U", "D"), "S": ("D", "U"), "W": ("D", "D")}
+_PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
+_STEP_TO_P = str.maketrans("ENSW", "UUDD")
+_STEP_TO_Q = str.maketrans("ENSW", "UDUD")
 _DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
-_SWAP_DIAG = str.maketrans("NESW", "ENWS")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+_SWAP_DIAG = {"N": "E", "E": "N", "S": "W", "W": "S"}
 
 
 def check_walk(w: str) -> str:
-    if set(w) - {"N", "S", "E", "W"}:
+    if w.strip("NSEW"):
         raise ValueError(f"not an N/S/E/W walk: {w!r}")
     return w
 
@@ -38,14 +35,13 @@ def omega(p: str, q: str) -> str:
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     check_path(p)
     check_path(q)
-    return "".join(_PAIR_TO_STEP[a + b] for a, b in zip(p, q))
+    return map_step_pairs(p, q, _PAIR_TO_STEP)
 
 
 def omega_inv(w: str) -> tuple[str, str]:
     """Decode a plane walk back into its path pair."""
     check_walk(w)
-    steps = [_STEP_TO_PAIR[c] for c in w]
-    return "".join(a for a, _ in steps), "".join(b for _, b in steps)
+    return w.translate(_STEP_TO_P), w.translate(_STEP_TO_Q)
 
 
 def positions(w: str) -> tuple[tuple[int, int], ...]:
@@ -100,7 +96,7 @@ def walk_geometry(w: str) -> WalkGeometry:
 def _check_quadrant_domain(w: str) -> tuple[int, int]:
     """Validate that w stays in the first quadrant; any endpoint is allowed."""
     geo = walk_geometry(w)
-    _require(geo.stays_quadrant, "walk leaves the first quadrant")
+    require(geo.stays_quadrant, "walk leaves the first quadrant")
     return geo.endpoint
 
 
@@ -110,21 +106,25 @@ def phi_tilde(w: str) -> str:
     Step 1 swaps N with E and S with W on every step ending strictly above
     the diagonal, positions taken in the original walk. Step 2 turns the S
     steps of the result that reach a new minimum y-coordinate into N steps.
+    Both steps run in one pass.
     """
-    _check_quadrant_domain(w)
-    wp = "".join(
-        c.translate(_SWAP_DIAG) if y > x else c for c, (x, y) in zip(w, positions(w))
-    )
+    check_walk(w)
     out = []
-    y = min_y = 0
-    for c in wp:
-        y += _DXY[c][1]
-        if c == "S" and y < min_y:
-            out.append("N")
-        else:
-            out.append(c)
-        if y < min_y:
-            min_y = y
+    x = y = 0  # position in w
+    y1 = min_y1 = 0  # height in the step-1 walk
+    for c in w:
+        dx, dy = _DXY[c]
+        x += dx
+        y += dy
+        if x < 0 or y < 0:
+            raise ValueError("walk leaves the first quadrant")
+        if y > x:
+            c = _SWAP_DIAG[c]
+        y1 += _DXY[c][1]
+        if y1 < min_y1:  # only an S step reaches a new minimum
+            min_y1 = y1
+            c = "N"
+        out.append(c)
     return "".join(out)
 
 
@@ -148,34 +148,43 @@ def ns_ew_split(w: str) -> tuple[str, str, str]:
 
 def interleave(ns: str, ew: str, mask: str) -> str:
     """Rebuild a walk from its split; inverse of ns_ew_split."""
-    _require(
+    require(
         len(ns) + len(ew) == len(mask),
-        f"mask length {len(mask)} does not cover {len(ns)} + {len(ew)} steps",
+        "mask length {} does not cover {} + {} steps",
+        len(mask),
+        len(ns),
+        len(ew),
     )
-    _require(set(mask) <= {"V", "H"}, "mask must be over 'V'/'H'")
-    _require(len(ns) == mask.count("V"), "vertical step count does not match mask")
+    require(set(mask) <= {"V", "H"}, "mask must be over 'V'/'H'")
+    require(len(ns) == mask.count("V"), "vertical step count does not match mask")
     it_ns, it_ew = iter(ns), iter(ew)
     return "".join(next(it_ns) if m == "V" else next(it_ew) for m in mask)
 
 
-_EW_TO_PATH = str.maketrans("EW", "UD")
+# the EW-subsequence of a walk as a path, E as U and W as D
+_EW_AS_PATH = str.maketrans("EW", "UD", "NS")
 _PATH_TO_EW = str.maketrans("UD", "EW")
+
+
+def _map_ew(w: str, path_map) -> str:
+    """Apply a path map to the EW-subsequence of a checked walk, leaving
+    the N and S steps in place."""
+    image = iter(path_map(w.translate(_EW_AS_PATH)).translate(_PATH_TO_EW))
+    return "".join(next(image) if c in "EW" else c for c in w)
 
 
 def psi_tilde(w: str) -> str:
     """Walk-level psi: apply xi to the EW-subsequence, E as U and W as D."""
     _check_quadrant_domain(w)
-    ns, ew, mask = ns_ew_split(w)
-    return interleave(ns, xi(ew.translate(_EW_TO_PATH)).translate(_PATH_TO_EW), mask)
+    return _map_ew(w, xi)
 
 
 def psi_tilde_inv(wh: str) -> str:
     """Inverse of psi_tilde: apply xi_inv to the EW-subsequence."""
     geo = walk_geometry(wh)
-    _require(geo.stays_upper_half, "walk leaves the upper half-plane")
-    _require(geo.endpoint[0] in (0, 1), f"walk must end at x = 0 or 1, got {geo.endpoint}")
-    ns, ew, mask = ns_ew_split(wh)
-    return interleave(ns, xi_inv(ew.translate(_EW_TO_PATH)).translate(_PATH_TO_EW), mask)
+    require(geo.stays_upper_half, "walk leaves the upper half-plane")
+    require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
+    return _map_ew(wh, xi_inv)
 
 
 def psi_tilde_s(w: str, s: int) -> str:
@@ -184,22 +193,20 @@ def psi_tilde_s(w: str, s: int) -> str:
     The image ends at (s, j) and its leftmost point lies on x = -(i-s)/2.
     """
     _check_quadrant_domain(w)
-    ns, ew, mask = ns_ew_split(w)
-    return interleave(ns, xi_s(ew.translate(_EW_TO_PATH), s).translate(_PATH_TO_EW), mask)
+    return _map_ew(w, lambda ew: xi_s(ew, s))
 
 
 def psi_tilde_s_inv(wh: str) -> str:
     """Inverse of psi_tilde_s; s and i are read off the walk itself."""
     geo = walk_geometry(wh)
-    _require(geo.stays_upper_half, "walk leaves the upper half-plane")
-    _require(geo.endpoint[0] >= 0, f"walk must end at x >= 0, got {geo.endpoint}")
-    ns, ew, mask = ns_ew_split(wh)
-    return interleave(ns, xi_s_inv(ew.translate(_EW_TO_PATH)).translate(_PATH_TO_EW), mask)
+    require(geo.stays_upper_half, "walk leaves the upper half-plane")
+    require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
+    return _map_ew(wh, xi_s_inv)
 
 
 def shadow_contains(i: int, j: int, x: int, y: int) -> bool:
     """Membership of (x, y) in sh(i,j) = {i-j <= x-y <= i+j <= x+y}."""
-    _require(i >= j >= 0, f"need i >= j >= 0, got i={i}, j={j}")
+    require(i >= j >= 0, "need i >= j >= 0, got i={}, j={}", i, j)
     return i - j <= x - y <= i + j <= x + y
 
 
@@ -276,7 +283,7 @@ def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
         return _walk_search(n, octant, None, lambda x, y, m: x == y)
     if f == "Osh":
         i, j = _need_ij(spec)
-        _require(i >= j >= 0, f"need i >= j >= 0, got i={i}, j={j}")
+        require(i >= j >= 0, "need i >= j >= 0, got i={}, j={}", i, j)
         return _walk_search(n, octant, None, lambda x, y, m: shadow_contains(i, j, x, y))
     if f == "Q":
         return _walk_search(n, quadrant, None, None)
@@ -290,7 +297,7 @@ def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
         return _walk_search(n, upper, _need_ij(spec), None)
     if f == "Hij":
         i, j = _need_ij(spec)
-        _require(i >= 0 and j >= 0, f"need i, j >= 0, got i={i}, j={j}")
+        require(i >= 0 and j >= 0, "need i, j >= 0, got i={}, j={}", i, j)
         lo = -(i // 2)
         return _walk_search(
             n,

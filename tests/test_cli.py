@@ -244,6 +244,24 @@ def test_exit_codes(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--family", "A"),
+        ("--family", "P"),
+        ("--family", "G"),
+        ("--family", "D"),
+        ("--family", "Odiag"),
+        ("--family", "Qend", "--i", "0", "--j", "0"),
+    ],
+    ids=lambda flags: flags[1],
+)
+def test_count_formula_rejects_negative_n(capsys, flags):
+    code, out, err = run(capsys, "count", *flags, "--n", "-1", "--method", "formula")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_budget_override(capsys):
     assert run(capsys, "count", "--family", "A", "--n", "13", "--max-n", "13")[:2] == (
         0,

@@ -1,0 +1,85 @@
+"""Memory stays bounded while one process maps a long stream of distinct
+inputs: the per-input caches keep at most CACHE_SIZE entries each, and
+nothing else accumulates across calls."""
+
+import random
+import tracemalloc
+
+from pathbij import (
+    heights,
+    infer_ij,
+    match_faces,
+    omega,
+    omega_inv,
+    phi,
+    phi_inv,
+    phi_tilde,
+    psi,
+    psi_inv,
+    psi_tilde,
+    tri_heights,
+    xi,
+    xi_inv,
+)
+from pathbij._base import CACHE_SIZE
+
+LENGTH = 256
+COUNT = 2000
+GROWTH_LIMIT_BYTES = 4 * 2**20
+
+_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
+_MIRROR = str.maketrans("ENWS", "NESW")
+
+
+def _quadrant_walks(seed: int) -> list[str]:
+    """COUNT seeded quadrant walks of length LENGTH that end weakly below
+    the diagonal and whose upper paths P are pairwise distinct.
+
+    Under omega_inv each walk is an M2 pair (P, Q) with (i, j) its
+    endpoint, and P is a prefix, so one walk feeds every map under test.
+    """
+    rng = random.Random(seed)
+    walks: list[str] = []
+    seen: set[str] = set()
+    while len(walks) < COUNT:
+        x = y = 0
+        steps = []
+        for _ in range(LENGTH):
+            c = rng.choice([c for c, (dx, dy) in _MOVES.items() if x + dx >= 0 and y + dy >= 0])
+            steps.append(c)
+            x += _MOVES[c][0]
+            y += _MOVES[c][1]
+        w = "".join(steps)
+        if y > x:
+            w = w.translate(_MIRROR)
+        p = omega_inv(w)[0]
+        if p not in seen:
+            seen.add(p)
+            walks.append(w)
+    return walks
+
+
+def test_stream_of_distinct_inputs_keeps_memory_bounded():
+    walks = _quadrant_walks(seed=20140606)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for w in walks:
+            p, q = omega_inv(w)
+            i, j = infer_ij(p, q)
+            assert xi_inv(xi(p)) == p
+            pt, qt, _ = phi(p, q)
+            assert phi_inv(pt, qt, i, j)[:2] == (p, q)
+            ph, qh, _ = psi(p, q)
+            assert psi_inv(ph, qh)[:2] == (p, q)
+            # the walk maps are phi and psi conjugated by omega
+            assert phi_tilde(w) == omega(pt, qt)
+            assert psi_tilde(w) == omega(ph, qh)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for cache in (heights, tri_heights, match_faces):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
+    assert growth < GROWTH_LIMIT_BYTES, f"grew by {growth / 2**20:.1f} MiB"
