@@ -10,6 +10,9 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
+from dataclasses import asdict
+from functools import lru_cache
 
 from .counting import (
     binom,
@@ -24,7 +27,7 @@ from .counting import (
 )
 from .pairs import FlipRecord, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
 from .partitions import parse_pp, pp_to_tuple, tuple_to_pp
-from .paths import FamilySpec
+from .paths import FamilySpec, end_height
 from .render import render_svg
 from .single import nu, nu_inv, xi, xi_inv, xi_s, xi_s_inv
 from .verify import format_report, verify_suite
@@ -38,6 +41,7 @@ from .walks import (
     psi_tilde_inv,
     psi_tilde_s,
     psi_tilde_s_inv,
+    walk_geometry,
 )
 
 _PATH_TAGS = ("A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", "Gk")
@@ -52,27 +56,23 @@ def _ambient(args):
     return args.n
 
 
-# closed-form counts, keyed by (family, method)
+# closed-form counts, keyed by (family, method); P, P2 and Pk are counted as
+# G, G2 and Gk, the sets the bijections map them onto
 _COUNTS = {
     ("A", "formula"): lambda a: 2**a.n,
     ("D", "formula"): lambda a: catalan(a.n // 2) if a.n % 2 == 0 else 0,
-    ("P", "formula"): lambda a: binom(a.n, a.n // 2),
     ("G", "formula"): lambda a: binom(a.n, a.n // 2),
     ("G2", "det"): lambda a: count_grand_tuples_det(_ambient(a), 2),
     ("G2", "product"): lambda a: count_macmahon((a.n + 1) // 2, _ambient(a) // 2, 2),
     ("G2", "sum"): lambda a: count_g2_sum(_ambient(a)),
-    ("P2", "det"): lambda a: count_grand_tuples_det(_ambient(a), 2),
-    ("P2", "product"): lambda a: count_macmahon((a.n + 1) // 2, _ambient(a) // 2, 2),
-    ("P2", "sum"): lambda a: count_g2_sum(_ambient(a)),
     ("Gk", "det"): lambda a: count_grand_tuples_det(a.n, _need(a, "k")),
     ("Gk", "product"): lambda a: count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
-    ("Pk", "det"): lambda a: count_grand_tuples_det(a.n, _need(a, "k")),
-    ("Pk", "product"): lambda a: count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
     ("O", "formula"): lambda a: count_octant_total(a.n),
     ("Ox", "formula"): lambda a: count_octant_xaxis(a.n),
     ("Odiag", "formula"): lambda a: count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0,
     ("Qend", "formula"): lambda a: _qend(a),
 }
+_SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
 
 
 def _need(args, name):
@@ -112,11 +112,10 @@ def _run_count(args) -> int:
             else brute_count(spec)
         )
     else:
-        fn = _COUNTS.get((args.family, args.method))
+        family = _SAME_COUNT.get(args.family, args.family)
+        fn = _COUNTS.get((family, args.method))
         if fn is None:
-            have = sorted(
-                {m for f, m in _COUNTS if f == args.family} | {"brute"}
-            )
+            have = sorted({m for f, m in _COUNTS if f == family} | {"brute"})
             raise ValueError(
                 f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
             )
@@ -132,91 +131,90 @@ def _run_count(args) -> int:
     return 0
 
 
-def _one_path(text, args):
-    return (text,)
+# how a map's input is read from text, and the parameters an inverse reads
+# off the object it must give back (the forward map's input)
+_Kind = namedtuple("_Kind", "parse params")
 
 
-def _two_paths(text, args):
+def _parse_pair(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("a pair is encoded as two paths joined by a comma")
     return tuple(parts)
 
 
-def _pp_args(text, args):
-    a = parse_pp(text)
-    if a:
-        return (a, len(a[0]), len(a))
-    if args.n is None:
-        raise ValueError("--n (the path length) is needed when the array has no rows")
-    return (a, args.n, 0)
+def _walk_params(w):
+    x, y = walk_geometry(w).endpoint
+    return {"s": x, "i": x, "j": y}
 
 
-# map name -> (input parser, callable(args) -> extra positional args, output kind)
+_PATH = _Kind(str, lambda p: {"s": end_height(p)})
+_PAIR = _Kind(_parse_pair, lambda pq: {"s": (end_height(pq[0]) + end_height(pq[1])) // 2})
+_WALK = _Kind(str, _walk_params)
+_PATHS = _Kind(lambda t: tuple(t.split(",")), lambda ps: {"k": len(ps), "n": len(ps[0])})
+_PP = _Kind(parse_pp, lambda a: {})
+
+
+def _tuple_to_pp(ps):
+    return tuple_to_pp(ps, ps[0].count("U"), ps[0].count("D"))
+
+
+def _pp_to_tuple(a, args):
+    # tuple_to_pp reads the box sides off the first path, so there must be one;
+    # an array without rows leaves the path length to --n
+    k = _need(args, "k")
+    if k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
+    return pp_to_tuple(a, k, p=args.n if a else _need(args, "n"))
+
+
+def _ij(args):
+    return _need(args, "i"), _need(args, "j")
+
+
+# map name -> (input kind, call(input, args), name of the inverse)
 _MAPS = {
-    "xi": (_one_path, lambda a: (), "path"),
-    "xi_inv": (_one_path, lambda a: (), "path"),
-    "xi_s": (_one_path, lambda a: (_need(a, "s"),), "path"),
-    "xi_s_inv": (_one_path, lambda a: (), "path"),
-    "nu": (_one_path, lambda a: (), "path"),
-    "nu_inv": (_one_path, lambda a: (), "path"),
-    "phi": (_two_paths, lambda a: (_need(a, "i"), _need(a, "j")), "pair"),
-    "phi_inv": (_two_paths, lambda a: (_need(a, "i"), _need(a, "j")), "pair"),
-    "psi": (_two_paths, lambda a: (), "pair"),
-    "psi_inv": (_two_paths, lambda a: (), "pair"),
-    "psi_s": (_two_paths, lambda a: (_need(a, "s"),), "pair"),
-    "psi_s_inv": (_two_paths, lambda a: (), "pair"),
-    "omega": (_two_paths, lambda a: (), "walk"),
-    "omega_inv": (lambda t, a: (t,), lambda a: (), "pair"),
-    "phi_tilde": (lambda t, a: (t,), lambda a: (), "walk"),
-    "phi_tilde_inv": (lambda t, a: (t,), lambda a: (_need(a, "i"), _need(a, "j")), "walk"),
-    "psi_tilde": (lambda t, a: (t,), lambda a: (), "walk"),
-    "psi_tilde_inv": (lambda t, a: (t,), lambda a: (), "walk"),
-    "psi_tilde_s": (lambda t, a: (t,), lambda a: (_need(a, "s"),), "walk"),
-    "psi_tilde_s_inv": (lambda t, a: (t,), lambda a: (), "walk"),
-    "tuple_to_pp": (
-        lambda t, a: (lambda ps: (ps, ps[0].count("U"), ps[0].count("D")))(
-            tuple(t.split(","))
-        ),
-        lambda a: (),
-        "pp",
-    ),
-    "pp_to_tuple": (_pp_args, lambda a: (), "paths"),
-}
-
-_FUNCS = {
-    "xi": xi, "xi_inv": xi_inv, "xi_s": xi_s, "xi_s_inv": xi_s_inv,
-    "nu": nu, "nu_inv": nu_inv,
-    "phi": phi, "phi_inv": phi_inv, "psi": psi, "psi_inv": psi_inv,
-    "psi_s": psi_s, "psi_s_inv": psi_s_inv,
-    "omega": omega, "omega_inv": omega_inv,
-    "phi_tilde": phi_tilde, "phi_tilde_inv": phi_tilde_inv,
-    "psi_tilde": psi_tilde, "psi_tilde_inv": psi_tilde_inv,
-    "psi_tilde_s": psi_tilde_s, "psi_tilde_s_inv": psi_tilde_s_inv,
-    "tuple_to_pp": lambda ps, p, q: tuple_to_pp(ps, p, q),
-    "pp_to_tuple": lambda a, p, q, k: pp_to_tuple(a, k, p=p),
+    "xi": (_PATH, lambda p, a: xi(p), "xi_inv"),
+    "xi_inv": (_PATH, lambda g, a: xi_inv(g), "xi"),
+    "xi_s": (_PATH, lambda p, a: xi_s(p, _need(a, "s")), "xi_s_inv"),
+    "xi_s_inv": (_PATH, lambda r, a: xi_s_inv(r), "xi_s"),
+    "nu": (_PATH, lambda p, a: nu(p), "nu_inv"),
+    "nu_inv": (_PATH, lambda g, a: nu_inv(g), "nu"),
+    "phi": (_PAIR, lambda pq, a: phi(*pq, *_ij(a)), "phi_inv"),
+    "phi_inv": (_PAIR, lambda pq, a: phi_inv(*pq, *_ij(a)), "phi"),
+    "psi": (_PAIR, lambda pq, a: psi(*pq), "psi_inv"),
+    "psi_inv": (_PAIR, lambda pq, a: psi_inv(*pq), "psi"),
+    "psi_s": (_PAIR, lambda pq, a: psi_s(*pq, _need(a, "s")), "psi_s_inv"),
+    "psi_s_inv": (_PAIR, lambda pq, a: psi_s_inv(*pq), "psi_s"),
+    "omega": (_PAIR, lambda pq, a: omega(*pq), "omega_inv"),
+    "omega_inv": (_WALK, lambda w, a: omega_inv(w), "omega"),
+    "phi_tilde": (_WALK, lambda w, a: phi_tilde(w), "phi_tilde_inv"),
+    "phi_tilde_inv": (_WALK, lambda w, a: phi_tilde_inv(w, *_ij(a)), "phi_tilde"),
+    "psi_tilde": (_WALK, lambda w, a: psi_tilde(w), "psi_tilde_inv"),
+    "psi_tilde_inv": (_WALK, lambda w, a: psi_tilde_inv(w), "psi_tilde"),
+    "psi_tilde_s": (_WALK, lambda w, a: psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv"),
+    "psi_tilde_s_inv": (_WALK, lambda w, a: psi_tilde_s_inv(w), "psi_tilde_s"),
+    "tuple_to_pp": (_PATHS, lambda ps, a: _tuple_to_pp(ps), "pp_to_tuple"),
+    "pp_to_tuple": (_PP, _pp_to_tuple, "tuple_to_pp"),
 }
 
 
-def _format_result(out):
-    if isinstance(out, str):
-        return out, {}
-    if isinstance(out, tuple) and out and all(isinstance(x, str) for x in out):
-        return ",".join(out), {}
-    if isinstance(out, tuple) and all(isinstance(r, tuple) for r in out):
-        return "; ".join(" ".join(str(x) for x in row) for row in out), {}
-    # pair plus flip data
-    first, second, extra = out
-    text = f"{first},{second}"
+def _split(out):
+    """The map's image, and the side outputs a pair map returns with it."""
+    extra = out[-1] if isinstance(out, tuple) and len(out) == 3 else None
     if isinstance(extra, FlipRecord):
-        info = {
-            "chi": list(extra.chi),
-            "lower_returns": list(extra.lower_returns),
-            "r": extra.r,
-        }
-    else:
-        info = {"flips": list(extra)}
-    return text, info
+        return out[:2], asdict(extra)
+    if isinstance(extra, tuple) and isinstance(out[0], str):  # flipped positions
+        return out[:2], {"flips": list(extra)}
+    return out, {}
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if all(isinstance(x, str) for x in value):
+        return ",".join(value)
+    return "; ".join(" ".join(str(x) for x in row) for row in value)
 
 
 def _run_apply(args) -> int:
@@ -225,14 +223,21 @@ def _run_apply(args) -> int:
         raise ValueError(
             f"unknown map {args.map!r}; available: {', '.join(sorted(_MAPS))}"
         )
-    parse, extras, _kind = entry
-    fn = _FUNCS[args.map]
-    if args.map == "pp_to_tuple":
-        a, p, q = _pp_args(args.input, args)
-        out = fn(a, p, q, _need(args, "k"))
-    else:
-        out = fn(*parse(args.input, args), *extras(args))
-    text, info = _format_result(out)
+    kind, call, inverse = entry
+    x = kind.parse(args.input)
+    image, info = _split(call(x, args))
+    # the round trip: the inverse reads what it cannot read off the image
+    # from x, the object it must give back
+    back_args = argparse.Namespace(**{**vars(args), **kind.params(x)})
+    back, _ = _split(_MAPS[inverse][1](image, back_args))
+    if back != x:
+        print(
+            f"error: {inverse} sends the image {_text(image)!r} to {_text(back)!r}, "
+            f"not to the input",
+            file=sys.stderr,
+        )
+        return 1
+    text = _text(image)
     if args.json:
         print(json.dumps({"map": args.map, "input": args.input, "result": text, **info}))
     else:
@@ -246,16 +251,11 @@ def _run_verify(args) -> int:
     elapsed = time.perf_counter() - start
     if args.json:
         for r in results:
-            print(
-                json.dumps(
-                    {
-                        "name": r.name,
-                        "range": r.range_text,
-                        "passed": r.passed,
-                        "counterexample": r.counterexample,
-                    }
-                )
-            )
+            record = {
+                "name": r.name, "range": r.range_text, "passed": r.passed,
+                "counterexample": r.counterexample, "seconds": round(r.seconds, 6),
+            }
+            print(json.dumps(record))
         print(f"total runtime: {elapsed:.1f}s", file=sys.stderr)
     else:
         print(format_report(results))
@@ -281,6 +281,8 @@ def _run_render(args) -> int:
     return 0
 
 
+# building the parser costs about as much as a small apply call; build it once
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pathbij",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import match_faces, tri_heights
 from .paths import check_ij, check_path, flip_steps, heights
+from .single import _up_flips
 
 
 def _same_length(p: str, q: str) -> int:
@@ -99,14 +100,6 @@ def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) 
 def check_m2(p: str, q: str, i: int, j: int) -> None:
     """Raise naming the first violated M2(n,i;j) predicate."""
     _check_m2(*_profiles(p, q), i, j)
-
-
-def _m2_i(p: str, q: str) -> int:
-    """i of an M2 pair, read off its ending heights, after checking membership."""
-    n, hp, hq = _profiles(p, q)
-    i, j = _read_ij(hp, hq)
-    _check_m2(n, hp, hq, i, j)
-    return i
 
 
 def _check_p2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
@@ -232,14 +225,40 @@ def phi_inv(pt: str, qt: str, i: int, j: int):
     return p, q, FlipRecord(chi, _lower_returns(q, heights(q)), r)
 
 
+def _psi_s(p: str, q: str, s: int | None):
+    """psi_s, and psi when s is None: the flip kernel on the agreement path,
+    a prefix ending at height i for an M2(n,i;j) pair."""
+    n, hp, hq = _profiles(p, q)
+    _check_m2(n, hp, hq, *_read_ij(hp, hq))
+    return _flip_both(p, q, _up_flips(_agreement(p, q), s))
+
+
+def _psi_s_inv(ps: str, qs: str, bottom: bool):
+    """Flip every unmatched D step of the agreement path in both coordinates.
+
+    The agreement path ends at s and has -ell unmatched D steps, its new
+    minima, so i = s + 2 * (-ell).
+    """
+    n, hp, hq = _profiles(ps, qs)
+    s, j = _read_ij(hp, hq)
+    require(s >= 0, "agreement path must end at height >= 0, got {}", s)
+    require(j >= 0, "Q must end weakly below P")
+    _require_nested(hp, hq)
+    flips = match_faces(_agreement(ps, qs)).unmatched_d
+    if bottom:  # a psi image: s = i mod 2 and (i, j) a sector
+        require(s <= 1, "agreement path must end at 0 or 1, got {}", s)
+        check_ij(n, 2 * len(flips) + s, j)
+    return _flip_both(ps, qs, flips)
+
+
 def psi(p: str, q: str):
     """Map an M2(n,i;j) pair to its G2(n,i;j) image.
 
     Flips, in both coordinates, the leftmost floor(i/2) unmatched U steps of
-    the agreement path (P+Q)/2. Returns (P^, Q^, flipped positions).
+    the agreement path (P+Q)/2: psi is psi_s with s = i mod 2. Returns
+    (P^, Q^, flipped positions).
     """
-    i = _m2_i(p, q)
-    return _flip_both(p, q, match_faces(_agreement(p, q)).unmatched_u[: i // 2])
+    return _psi_s(p, q, None)
 
 
 def psi_inv(ph: str, qh: str):
@@ -248,15 +267,7 @@ def psi_inv(ph: str, qh: str):
     i = 2 * (-ell) + d, where d is the agreement path's ending height (0 or
     1); the flips are all unmatched D steps of the agreement path.
     """
-    n, hp, hq = _profiles(ph, qh)
-    d, j = _read_ij(hp, hq)
-    require(d in (0, 1), "agreement path must end at 0 or 1, got {}", d)
-    require(j >= 0, "Q must end weakly below P")
-    _require_nested(hp, hq)
-    # the agreement path's unmatched D steps are its new minima: -ell of them
-    flips = match_faces(_agreement(ph, qh)).unmatched_d
-    check_ij(n, 2 * len(flips) + d, j)
-    return _flip_both(ph, qh, flips)
+    return _psi_s_inv(ph, qh, True)
 
 
 def psi_s(p: str, q: str, s: int):
@@ -266,11 +277,7 @@ def psi_s(p: str, q: str, s: int):
     coordinates; the images end at heights s+j and s-j and their agreement
     path has minimum -(i-s)/2.
     """
-    i = _m2_i(p, q)
-    require(s >= 0, "need s >= 0, got s={}", s)
-    require(i >= s, "need i >= s, got i={}, s={}", i, s)
-    require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
-    return _flip_both(p, q, match_faces(_agreement(p, q)).unmatched_u[: (i - s) // 2])
+    return _psi_s(p, q, s)
 
 
 def psi_s_inv(ps: str, qs: str):
@@ -279,9 +286,4 @@ def psi_s_inv(ps: str, qs: str):
     s is the agreement path's ending height, i = s + 2 * (-ell), and the
     flips are all unmatched D steps of the agreement path.
     """
-    _, hp, hq = _profiles(ps, qs)
-    s, j = _read_ij(hp, hq)
-    require(s >= 0, "agreement path must end at height >= 0, got {}", s)
-    require(j >= 0, "Q must end weakly below P")
-    _require_nested(hp, hq)
-    return _flip_both(ps, qs, match_faces(_agreement(ps, qs)).unmatched_d)
+    return _psi_s_inv(ps, qs, False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ._base import require
 from .matching import check_tripath, match_faces, tri_heights
 from .pairs import disagreement
-from .paths import check_path, heights
+from .paths import check_path
 from .walks import check_walk, positions, shadow_contains
 
 UNIT = 20

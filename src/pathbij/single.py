@@ -9,36 +9,48 @@ codomain is documented as "ends at -(n mod 2)" throughout.
 from __future__ import annotations
 
 from ._base import require
-from .matching import Matching, match_faces
+from .matching import match_faces
 from .paths import check_path, flip_steps, heights, negate
 
 
-def _prefix_matching(p: str, name: str) -> Matching:
-    """Matching of a prefix P; its unmatched U steps number h(P)."""
-    check_path(p)
-    m = match_faces(p)
+def _up_flips(word: str, s: int | None) -> tuple[int, ...]:
+    """The flip kernel: the leftmost (i-s)/2 of the i unmatched U steps of a
+    word with no unmatched D; s = i mod 2 when None. xi_s flips them in a
+    prefix, psi_s in a pair's agreement path, psi_tilde_s in a walk's
+    EW-subsequence; the inverses flip every unmatched D step."""
+    m = match_faces(word)
     # an unmatched D step is a new minimum below the start
-    require(not m.unmatched_d, "{} needs a Dyck path prefix", name)
-    return m
+    require(not m.unmatched_d, "need a Dyck path prefix, got {!r}", word)
+    i = len(m.unmatched_u)
+    if s is None:
+        s = i % 2
+    require(s >= 0, "need s >= 0, got s={}", s)
+    require(i >= s, "need i >= s, got i={}, s={}", i, s)
+    require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
+    return m.unmatched_u[: (i - s) // 2]
+
+
+def _xi_s_inv(r: str, grand: bool) -> str:
+    """Flip every unmatched D step of r; with grand, r must end at n mod 2."""
+    m = match_faces(check_path(r))
+    if grand:
+        end = len(m.unmatched_u) - len(m.unmatched_d)
+        require(end == len(r) % 2, "xi_inv needs a Grand Dyck path, got end height {}", end)
+    return flip_steps(r, m.unmatched_d)
 
 
 def xi(p: str) -> str:
     """Flip the leftmost floor(j/2) unmatched U steps, j = h(P).
 
     Maps prefixes of length n onto Grand Dyck paths (ending height n mod 2)
-    and keeps the set of facing pairs unchanged.
+    and keeps the set of facing pairs unchanged; xi is xi_s with s = j mod 2.
     """
-    unmatched_u = _prefix_matching(p, "xi").unmatched_u
-    return flip_steps(p, unmatched_u[: len(unmatched_u) // 2])
+    return flip_steps(check_path(p), _up_flips(p, None))
 
 
 def xi_inv(g: str) -> str:
     """Flip every unmatched D step; inverse of xi on Grand Dyck paths."""
-    check_path(g)
-    m = match_faces(g)
-    end = len(m.unmatched_u) - len(m.unmatched_d)
-    require(end == len(g) % 2, "xi_inv needs a Grand Dyck path, got end height {}", end)
-    return flip_steps(g, m.unmatched_d)
+    return _xi_s_inv(g, True)
 
 
 def xi_s(p: str, s: int) -> str:
@@ -46,12 +58,7 @@ def xi_s(p: str, s: int) -> str:
 
     The image ends at height s and has minimum height -(i-s)/2.
     """
-    unmatched_u = _prefix_matching(p, "xi_s").unmatched_u
-    i = len(unmatched_u)
-    require(s >= 0, "need s >= 0, got s={}", s)
-    require(i >= s, "need h(P) >= s, got h(P)={}, s={}", i, s)
-    require((i - s) % 2 == 0, "need h(P) = s (mod 2), got h(P)={}, s={}", i, s)
-    return flip_steps(p, unmatched_u[: (i - s) // 2])
+    return flip_steps(check_path(p), _up_flips(p, s))
 
 
 def xi_s_inv(r: str) -> str:
@@ -60,8 +67,7 @@ def xi_s_inv(r: str) -> str:
     The ending height s and the minimum height of r pin down i, so the
     preimage under xi_s is the prefix returned here.
     """
-    check_path(r)
-    return flip_steps(r, match_faces(r).unmatched_d)
+    return _xi_s_inv(r, False)
 
 
 def _reflect(piece: str) -> str:

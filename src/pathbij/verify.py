@@ -1,16 +1,17 @@
-"""Self-contained identity suite over every module, with bounded budgets.
+"""The identity suite: one check per published identity, each defined once.
 
-verify_suite(max_n, max_k) re-derives each published identity from scratch
-inside the given budgets and reports one result per identity. Element sweeps
-(bijections, conjugations, flip-record identities) run up to max_n; counting
-identities get a small bonus range, capped so the whole suite stays
-proportionate; pure-arithmetic identities run to twice max_n. Each check
-reports the exact range it covered, and the first counterexample on failure.
+Each _check_* function sweeps exactly the range its arguments give and
+returns None or the first counterexample. verify_suite(max_n, max_k)
+derives every bound from its two budgets: element sweeps run to max_n (the
+4^n ones capped), counting identities a little beyond, arithmetic ones to
+2 * max_n. tests/test_acceptance.py runs the same checks at larger bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import time
 from dataclasses import dataclass
 
 from .counting import (
@@ -29,6 +30,7 @@ from .pairs import ell, flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, 
 from .partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
 from .paths import (
     FamilySpec,
+    _nested_tuples,
     all_paths,
     dyck_paths,
     end_height,
@@ -63,6 +65,7 @@ class CheckResult:
     range_text: str
     passed: bool
     counterexample: str | None = None
+    seconds: float = 0.0
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -74,38 +77,25 @@ def format_report(results) -> str:
     return "\n".join(r.line() for r in results)
 
 
-def _count_cap(max_n: int) -> int:
-    return min(max_n + 2, 14)
-
-
-# Each check returns None on success or a short counterexample string.
-
-
-def _check_families(max_n):
-    for n in range(min(max_n, 8) + 1):
-        for fam, members in (
-            ("A", all_paths(n)),
-            ("D", dyck_paths(n)),
-            ("G", grand_paths(n)),
-            ("P", prefix_paths(n)),
+def _check_families(n_max):
+    for n in range(n_max + 1):
+        central = binom(n, n // 2)
+        for fam, members, size in (
+            ("A", all_paths(n), 2**n),
+            ("D", dyck_paths(n), catalan(n // 2) if n % 2 == 0 else 0),
+            ("G", grand_paths(n), central),
+            ("P", prefix_paths(n), central),
         ):
             keys = [lexkey(p) for p in members]
             if keys != sorted(keys) or len(set(members)) != len(members):
                 return f"family {fam}, n={n}: unsorted or duplicated"
-        if len(all_paths(n)) != 2**n:
-            return f"|A_{n}| != 2^{n}"
-        if len(prefix_paths(n)) != binom(n, n // 2):
-            return f"|P_{n}| != binom"
-        if len(grand_paths(n)) != binom(n, n // 2):
-            return f"|G_{n}| != binom"
-        expected = catalan(n // 2) if n % 2 == 0 else 0
-        if len(dyck_paths(n)) != expected:
-            return f"|D_{n}| != Catalan"
+            if len(members) != size:
+                return f"|{fam}_{n}| = {len(members)}, expected {size}"
     return None
 
 
-def _check_matching(max_n):
-    for n in range(min(max_n, 10) + 1):
+def _check_matching(n_max):
+    for n in range(n_max + 1):
         for t in itertools.product("UDH", repeat=n):
             w = "".join(t)
             m = match_faces(w)
@@ -117,8 +107,8 @@ def _check_matching(max_n):
     return None
 
 
-def _check_xi(max_n):
-    for n in range(max_n + 1):
+def _check_xi(n_max):
+    for n in range(n_max + 1):
         image = set()
         for p in prefix_paths(n):
             g = xi(p)
@@ -132,8 +122,8 @@ def _check_xi(max_n):
     return None
 
 
-def _check_xi_s(max_n):
-    for n in range(max_n + 1):
+def _check_xi_s(n_max):
+    for n in range(n_max + 1):
         for p in prefix_paths(n):
             i = end_height(p)
             for s in range(i % 2, i + 1, 2):
@@ -145,8 +135,8 @@ def _check_xi_s(max_n):
     return None
 
 
-def _check_nu(max_n):
-    for n in range(max_n + 1):
+def _check_nu(n_max):
+    for n in range(n_max + 1):
         image = set()
         for p in prefix_paths(n):
             g = nu(p)
@@ -159,16 +149,14 @@ def _check_nu(max_n):
     return None
 
 
-def _check_phi_sector(max_n):
-    for n in range(max_n + 1):
+def _check_phi_sector(n_max):
+    for n in range(n_max + 1):
         for i, j in valid_ij(n):
             image = set()
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
                 pt, qt, _ = phi(p, q, i, j)
                 image.add((pt, qt))
-                if min_height(qt) < 0 or not all(
-                    b <= a for a, b in zip(heights(pt), heights(qt))
-                ):
+                if min_height(qt) < 0 or not all(map(operator.le, heights(qt), heights(pt))):
                     return f"phi image not nested: {p}/{q}"
                 if not (i - j <= end_height(qt) <= i + j <= end_height(pt)):
                     return f"phi image outside sector: {p}/{q}"
@@ -180,8 +168,8 @@ def _check_phi_sector(max_n):
     return None
 
 
-def _check_flip_heights(max_n):
-    for n in range(_count_cap(max_n) + 1):
+def _check_flip_heights(n_max):
+    for n in range(n_max + 1):
         for q in all_paths(n):
             if end_height(q) < 0:
                 continue
@@ -198,8 +186,8 @@ def _check_flip_heights(max_n):
     return None
 
 
-def _check_flip_records(max_n):
-    for n in range(max_n + 1):
+def _check_flip_records(n_max):
+    for n in range(n_max + 1):
         for i, j in valid_ij(n):
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
                 qp, _ = flip_below(q)
@@ -218,8 +206,8 @@ def _check_flip_records(max_n):
     return None
 
 
-def _check_psi_sector(max_n):
-    for n in range(max_n + 1):
+def _check_psi_sector(n_max):
+    for n in range(n_max + 1):
         for i, j in valid_ij(n):
             d = i % 2
             image = set()
@@ -237,23 +225,21 @@ def _check_psi_sector(max_n):
     return None
 
 
-def _check_composed_map(max_n):
-    for n in range(max_n + 1):
+def _check_composed_map(n_max):
+    for n in range(n_max + 1):
         p2 = enumerate_family(FamilySpec("P2", n))
         image = set()
         for pt, qt in p2:
             i = end_height(qt)
             p, q, _ = phi_inv(pt, qt, i, 0)
             image.add(psi(p, q)[:2])
-        if len(image) != len(p2) or image != set(
-            enumerate_family(FamilySpec("G2", n))
-        ):
+        if len(image) != len(p2) or image != set(enumerate_family(FamilySpec("G2", n))):
             return f"composed map not bijective at n={n}"
     return None
 
 
-def _check_floor_pairs(max_n):
-    for n in range(max_n + 1):
+def _check_floor_pairs(n_max):
+    for n in range(n_max + 1):
         p2 = enumerate_family(FamilySpec("P2", n))
         pairs_by_end = {}
         for pt, qt in p2:
@@ -272,57 +258,50 @@ def _check_floor_pairs(max_n):
                     image.add((a, b))
                     if psi_s_inv(a, b)[:2] != (p, q):
                         return f"psi_s roundtrip fails: {p}/{q}, s={s}"
-            target = {
-                (a, b)
-                for a, b in nested
-                if end_height(a) == s and end_height(b) == s
-            }
+            target = {(a, b) for a, b in nested if end_height(a) == s == end_height(b)}
             if len(image) != total or image != target:
                 return f"floor map fails at n={n}, s={s}"
     return None
 
 
-def _check_step_dictionary(max_n):
-    probes = valid_ij(4)
-    for n in range(min(max_n, 8) + 1):
-        for pw in itertools.product("UD", repeat=n):
-            p = "".join(pw)
-            hp = (0,) + heights(p)
-            for qw in itertools.product("UD", repeat=n):
-                q = "".join(qw)
-                hq = (0,) + heights(q)
-                w = omega(p, q)
-                x = y = 0
-                mnx = mny = 0
-                above = False
-                for c, a, b in zip(w, hp[1:], hq[1:]):
-                    x += (c == "E") - (c == "W")
-                    y += (c == "N") - (c == "S")
-                    if 2 * x != a + b or 2 * y != a - b:
-                        return f"omega coordinates wrong: {p}/{q}"
-                    mnx = min(mnx, x)
-                    mny = min(mny, y)
-                    above = above or y > x
-                checks = (
-                    (all(a >= b for a, b in zip(hp, hq))) == (mny >= 0),
-                    (min(hq) >= 0) == (not above),
-                    (all(-a <= b for a, b in zip(hp, hq))) == (mnx >= 0),
-                    (hp[-1] == hq[-1]) == (y == 0),
-                    hq[-1] == x - y,
-                    hp[-1] == x + y,
-                    all(
-                        (i - j <= hq[-1] <= i + j <= hp[-1])
-                        == shadow_contains(i, j, x, y)
-                        for i, j in probes
-                    ),
-                )
-                if not all(checks):
-                    return f"dictionary row fails: {p}/{q}"
-    return None
+_STEP_XY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
+_STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
 
 
-def _check_conjugation(max_n):
-    for n in range(max_n + 1):
+def _check_step_dictionary(n_max):
+    """The walk omega(P, Q) sits at the half sum and half difference of the
+    two height profiles, so nesting, the floor of Q, the floor -P and the
+    endpoints read off the walk; sector membership is the endpoint rows plus
+    _check_shadow. Pairs are visited depth first, each one step pair longer
+    than its parent, whose walk its own must extend: O(1) work per pair."""
+
+    def visit(p, q, w, hp, hq, x, y, lows):
+        # lows: lowest h(P)-h(Q), h(P)+h(Q), h(Q), y, x and x-y so far
+        nested, conested, q_floor, upper, right, under_diagonal = map((0).__le__, lows)
+        rows = (
+            2 * x == hp + hq and 2 * y == hp - hq,
+            nested == upper and conested == right and q_floor == under_diagonal,
+            (hp == hq) == (y == 0) and hq == x - y and hp == x + y,
+        )
+        if not all(rows):
+            return f"dictionary row fails: {p}/{q}"
+        for a, b, da, db in _STEP_PAIRS if len(p) < n_max else ():
+            wc = omega(p + a, q + b)
+            if wc[:-1] != w:
+                return f"omega does not extend step by step: {p + a}/{q + b}"
+            dx, dy = _STEP_XY[wc[-1]]
+            ha, hb, nx, ny = hp + da, hq + db, x + dx, y + dy
+            news = (ha - hb, ha + hb, hb, ny, nx, nx - ny)
+            bad = visit(p + a, q + b, wc, ha, hb, nx, ny, tuple(map(min, lows, news)))
+            if bad:
+                return bad
+        return None
+
+    return visit("", "", "", 0, 0, 0, 0, (0,) * 6)
+
+
+def _check_conjugation(n_max):
+    for n in range(n_max + 1):
         for i, j in valid_ij(n):
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
                 w = omega(p, q)
@@ -342,8 +321,8 @@ def _check_conjugation(max_n):
     return None
 
 
-def _check_omega(max_n):
-    for n in range(min(max_n, 8) + 1):
+def _check_omega(n_max):
+    for n in range(n_max + 1):
         seen = set()
         for p in all_paths(n):
             for q in all_paths(n):
@@ -356,8 +335,8 @@ def _check_omega(max_n):
     return None
 
 
-def _check_psi_tilde_s_union(max_n):
-    for n in range(min(max_n, 9) + 1):
+def _check_psi_tilde_s_union(n_max):
+    for n in range(n_max + 1):
         qbucket = {}
         for w in enumerate_walk_family(WalkFamilySpec("Q", n)):
             qbucket.setdefault(walk_geometry(w).endpoint, []).append(w)
@@ -381,26 +360,30 @@ def _check_psi_tilde_s_union(max_n):
     return None
 
 
-def _check_phi_tilde_identity(max_n):
-    for n in range(max_n + 1):
+def _check_phi_tilde_identity(n_max):
+    for n in range(n_max + 1):
         for w in enumerate_walk_family(WalkFamilySpec("Ox", n)):
             if phi_tilde(w) != w:
                 return f"phi_tilde moves an axis octant walk: {w}"
     return None
 
 
-def _check_shadow(max_n):
-    for i, j in ((0, 0), (1, 1), (2, 0), (3, 1), (4, 2)):
-        for x in range(-12, 13):
-            for y in range(-12, 13):
+# the (i, j) whose regions sh(i,j) _check_shadow probes
+_SHADOW_PROBES = ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 0), (4, 2))
+
+
+def _check_shadow(xy_max):
+    for i, j in _SHADOW_PROBES:
+        for x in range(-xy_max, xy_max + 1):
+            for y in range(-xy_max, xy_max + 1):
                 expected = i - j <= x - y <= i + j <= x + y
                 if shadow_contains(i, j, x, y) != expected:
                     return f"shadow wrong at ({i},{j}) vs ({x},{y})"
     return None
 
 
-def _check_hij_g2(max_n):
-    for n in range(min(max_n, 8) + 1):
+def _check_hij_g2(n_max):
+    for n in range(n_max + 1):
         for i, j in valid_ij(n):
             walks = enumerate_walk_family(WalkFamilySpec("Hij", n, i=i, j=j))
             pairs = enumerate_family(FamilySpec("G2", n, i=i, j=j))
@@ -409,9 +392,9 @@ def _check_hij_g2(max_n):
     return None
 
 
-def _check_det_vs_box(max_n, max_k):
-    for n in range(2 * max_n + 1):
-        for k in range(1, max_k + 3):
+def _check_det_vs_box(n_max, k_max):
+    for n in range(n_max + 1):
+        for k in range(1, k_max + 1):
             if count_grand_tuples_det(n, k) != count_macmahon(
                 (n + 1) // 2, n // 2, k
             ):
@@ -419,19 +402,19 @@ def _check_det_vs_box(max_n, max_k):
     return None
 
 
-def _check_g2_sum(max_n):
-    for n in range(2 * max_n + 1):
+def _check_g2_sum(n_max):
+    for n in range(n_max + 1):
         if count_g2_sum(n) != count_grand_tuples_det(n, 2):
             return f"sum formula fails at n={n}"
     return None
 
 
-def _check_tuple_counts(max_n, max_k):
-    for k in range(1, max_k + 1):
-        cap = _count_cap(max_n) if k <= 2 else min(max_n, 8)
-        for n in range(cap + 1):
-            pk = brute_count(FamilySpec("Pk", n, k=k), max_n=cap)
-            gk = brute_count(FamilySpec("Gk", n, k=k), max_n=cap)
+def _check_tuple_counts(n_max_by_k):
+    """|P^k_n| = |G^k_n| by enumeration, and = det for k = 2; n <= n_max_by_k[k]."""
+    for k, n_max in n_max_by_k.items():
+        for n in range(n_max + 1):
+            pk = brute_count(FamilySpec("Pk", n, k=k), max_n=n_max)
+            gk = brute_count(FamilySpec("Gk", n, k=k), max_n=n_max)
             if pk != gk:
                 return f"|P^{k}| != |G^{k}| at n={n}"
             if k == 2 and pk != count_grand_tuples_det(n, 2):
@@ -439,24 +422,23 @@ def _check_tuple_counts(max_n, max_k):
     return None
 
 
-def _check_octant_census(max_n):
-    cap = min(max_n + 1, 11)
-    for n in range(cap + 1):
-        o = brute_count(WalkFamilySpec("O", n), max_n=cap)
-        ox = brute_count(WalkFamilySpec("Ox", n), max_n=cap)
+def _check_octant_census(n_max):
+    for n in range(n_max + 1):
+        o = brute_count(WalkFamilySpec("O", n), max_n=n_max)
+        ox = brute_count(WalkFamilySpec("Ox", n), max_n=n_max)
         if o != count_octant_total(n):
             return f"octant total fails at n={n}"
         if ox != count_octant_xaxis(n):
             return f"x-axis count fails at n={n}"
         if n % 2 == 0:
-            od = brute_count(WalkFamilySpec("Odiag", n), max_n=cap)
+            od = brute_count(WalkFamilySpec("Odiag", n), max_n=n_max)
             if od != count_octant_diag(n // 2):
                 return f"diagonal count fails at n={n}"
     return None
 
 
-def _check_origin_walks(max_n):
-    for m in range(min(max_n // 2, 5) + 1):
+def _check_origin_walks(m_max):
+    for m in range(m_max + 1):
         n = 2 * m
         dom = enumerate_walk_family(WalkFamilySpec("Qend", n, i=0, j=0))
         if len(dom) != catalan(m) * catalan(m + 1):
@@ -474,32 +456,37 @@ def _check_origin_walks(max_n):
     return None
 
 
-def _check_floor_counts(max_n):
-    for n in range(max_n + 1):
-        p2 = enumerate_family(FamilySpec("P2", n))
+def _check_floor_counts(n_max):
+    for n in range(n_max + 1):
+        ends = [end_height(qt) for _, qt in enumerate_family(FamilySpec("P2", n))]
         nested = enumerate_family(FamilySpec("Ak", n, k=2))
+        both = [end_height(a) for a, b in nested if end_height(a) == end_height(b)]
         for s in range(n % 2, n + 1, 2):
-            lhs = sum(1 for _, qt in p2 if end_height(qt) >= s)
-            rhs = sum(
-                1
-                for a, b in nested
-                if end_height(a) == s and end_height(b) == s
-            )
-            if lhs != rhs:
+            if sum(e >= s for e in ends) != both.count(s):
                 return f"floor count fails at n={n}, s={s}"
     return None
 
 
-def _check_pp(pmax, kmax):
-    for p in range(pmax + 1):
-        for q in range(pmax + 1):
-            for k in range(kmax + 1):
-                box = enumerate_pp(p, q, k)
-                if len(box) != count_macmahon(p, q, k):
-                    return f"box census fails at ({p},{q},{k})"
-                for a in box:
-                    if tuple_to_pp(pp_to_tuple(a, k, p=p), p, q) != a:
-                        return f"partition roundtrip fails at ({p},{q},{k})"
+def _check_pp(pq_max, k_max, count_pq_max):
+    """Plane partitions in the p x q x k box and their path tuples (nested
+    k-tuples from (0,0) to (p+q, p-q)): for p, q <= count_pq_max both sets
+    have the box product's size; for p, q <= pq_max, pp_to_tuple and
+    tuple_to_pp invert each other on them. Every k <= k_max."""
+    sides = range(max(pq_max, count_pq_max) + 1)
+    for p, q, k in itertools.product(sides, sides, range(k_max + 1)):
+        box = enumerate_pp(p, q, k)
+        # with k = 0 the one tuple is the empty one
+        melons = _nested_tuples(p + q, k, False, (p - q,) * k) if k else ((),)
+        if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
+            return f"box census fails at ({p},{q},{k})"
+        if max(p, q) > pq_max:
+            continue
+        for a in box:
+            if tuple_to_pp(pp_to_tuple(a, k, p=p), p, q) != a:
+                return f"partition roundtrip fails at ({p},{q},{k})"
+        for t in melons:
+            if pp_to_tuple(tuple_to_pp(t, p, q), k, p=p) != t:
+                return f"path-tuple roundtrip fails at ({p},{q},{k})"
     return None
 
 
@@ -507,47 +494,45 @@ def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:
     """Run every identity check within the budgets; never raises on failure."""
     if max_n < 0 or max_k < 1:
         raise ValueError("need max_n >= 0 and max_k >= 1")
-    ncap = _count_cap(max_n)
-    pmax = min(max(max_n // 3, 1), 4)
-    kmax = min(max_k + 1, 3)
+    n8, n9, n10 = min(max_n, 8), min(max_n, 9), min(max_n, 10)
+    ncap, n2 = min(max_n + 2, 14), 2 * max_n
+    tuple_ns = {k: ncap if k <= 2 else n8 for k in range(1, max_k + 1)}
+    tuple_text = f"k <= {max_k}, n <= {ncap}" + (f" ({n8} for k>2)" if max_k > 2 else "")
+    n_octant, m_origin = min(max_n + 1, 11), min(max_n // 2, 5)
+    pmax, kmax = min(max(max_n // 3, 1), 4), min(max_k + 1, 3)
     checks = (
-        ("families_sorted_counted", f"n <= {min(max_n, 8)}", _check_families, (max_n,)),
-        ("matching_structure", f"n <= {min(max_n, 10)}", _check_matching, (max_n,)),
+        ("families_sorted_counted", f"n <= {n8}", _check_families, (n8,)),
+        ("matching_structure", f"n <= {n10}", _check_matching, (n10,)),
         ("xi_bijection", f"n <= {max_n}", _check_xi, (max_n,)),
         ("xi_s_bijection", f"n <= {max_n}", _check_xi_s, (max_n,)),
         ("nu_bijection", f"n <= {max_n}", _check_nu, (max_n,)),
         ("phi_sector_bijection", f"n <= {max_n}", _check_phi_sector, (max_n,)),
-        ("flip_height_profile", f"n <= {ncap}", _check_flip_heights, (max_n,)),
+        ("flip_height_profile", f"n <= {ncap}", _check_flip_heights, (ncap,)),
         ("flip_record_bounds", f"n <= {max_n}", _check_flip_records, (max_n,)),
         ("psi_sector_bijection", f"n <= {max_n}", _check_psi_sector, (max_n,)),
         ("composed_map_bijection", f"n <= {max_n}", _check_composed_map, (max_n,)),
         ("floor_pair_bijection", f"n <= {max_n}", _check_floor_pairs, (max_n,)),
-        ("step_dictionary", f"n <= {min(max_n, 8)}", _check_step_dictionary, (max_n,)),
+        ("step_dictionary", f"n <= {n8}", _check_step_dictionary, (n8,)),
         ("walk_conjugation", f"n <= {max_n}", _check_conjugation, (max_n,)),
-        ("omega_bijection", f"n <= {min(max_n, 8)}", _check_omega, (max_n,)),
-        ("psi_tilde_s_union", f"n <= {min(max_n, 9)}", _check_psi_tilde_s_union, (max_n,)),
+        ("omega_bijection", f"n <= {n8}", _check_omega, (n8,)),
+        ("psi_tilde_s_union", f"n <= {n9}", _check_psi_tilde_s_union, (n9,)),
         ("phi_tilde_axis_identity", f"n <= {max_n}", _check_phi_tilde_identity, (max_n,)),
-        ("shadow_region", "|x|,|y| <= 12", _check_shadow, (max_n,)),
-        ("hij_walks_vs_g2", f"n <= {min(max_n, 8)}", _check_hij_g2, (max_n,)),
-        ("det_vs_box_product", f"n <= {2 * max_n}, k <= {max_k + 2}", _check_det_vs_box, (max_n, max_k)),
-        ("g2_sum_formula", f"n <= {2 * max_n}", _check_g2_sum, (max_n,)),
-        (
-            "tuple_count_agreement",
-            f"k <= {max_k}, n <= {ncap}"
-            + (f" ({min(max_n, 8)} for k>2)" if max_k > 2 else ""),
-            _check_tuple_counts,
-            (max_n, max_k),
-        ),
-        ("octant_census_formulas", f"n <= {min(max_n + 1, 11)}", _check_octant_census, (max_n,)),
-        ("origin_walk_bijection", f"m <= {min(max_n // 2, 5)}", _check_origin_walks, (max_n,)),
+        ("shadow_region", "|x|,|y| <= 12", _check_shadow, (12,)),
+        ("hij_walks_vs_g2", f"n <= {n8}", _check_hij_g2, (n8,)),
+        ("det_vs_box_product", f"n <= {n2}, k <= {max_k + 2}", _check_det_vs_box, (n2, max_k + 2)),
+        ("g2_sum_formula", f"n <= {n2}", _check_g2_sum, (n2,)),
+        ("tuple_count_agreement", tuple_text, _check_tuple_counts, (tuple_ns,)),
+        ("octant_census_formulas", f"n <= {n_octant}", _check_octant_census, (n_octant,)),
+        ("origin_walk_bijection", f"m <= {m_origin}", _check_origin_walks, (m_origin,)),
         ("floor_count_identity", f"n <= {max_n}", _check_floor_counts, (max_n,)),
-        ("pp_box_roundtrip", f"p,q <= {pmax}, k <= {kmax}", _check_pp, (pmax, kmax)),
+        ("pp_box_roundtrip", f"p,q <= {pmax}, k <= {kmax}", _check_pp, (pmax, kmax, pmax)),
     )
     results = []
-    for name, rng, fn, args in checks:
+    for name, rng, fn, bounds in checks:
+        start = time.perf_counter()
         try:
-            bad = fn(*args)
+            bad = fn(*bounds)
         except Exception as exc:  # a crash inside a sweep is a failure, not an abort
             bad = f"error: {exc}"
-        results.append(CheckResult(name, rng, bad is None, bad))
+        results.append(CheckResult(name, rng, bad is None, bad, time.perf_counter() - start))
     return tuple(results)

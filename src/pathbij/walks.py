@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._base import map_step_pairs, require, step_pair_table
-from .paths import check_path
-from .single import xi, xi_inv, xi_s, xi_s_inv
+from .paths import check_path, flip_steps
+from .single import _up_flips, _xi_s_inv
 
 _PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
 _STEP_TO_P = str.maketrans("ENSW", "UUDD")
@@ -93,13 +93,6 @@ def walk_geometry(w: str) -> WalkGeometry:
     )
 
 
-def _check_quadrant_domain(w: str) -> tuple[int, int]:
-    """Validate that w stays in the first quadrant; any endpoint is allowed."""
-    geo = walk_geometry(w)
-    require(geo.stays_quadrant, "walk leaves the first quadrant")
-    return geo.endpoint
-
-
 def phi_tilde(w: str) -> str:
     """Walk-level phi: octant image of a quadrant walk.
 
@@ -173,18 +166,33 @@ def _map_ew(w: str, path_map) -> str:
     return "".join(next(image) if c in "EW" else c for c in w)
 
 
+def _psi_tilde_s(w: str, s: int | None) -> str:
+    """psi_tilde_s, and psi_tilde when s is None: the flip kernel on the
+    EW-subsequence of a quadrant walk, E as U and W as D."""
+    require(walk_geometry(w).stays_quadrant, "walk leaves the first quadrant")
+    return _map_ew(w, lambda ew: flip_steps(ew, _up_flips(ew, s)))
+
+
+def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:
+    """Apply xi_s_inv to the EW-subsequence of an upper-half-plane walk; with
+    bottom, the walk must end at x = 0 or 1, as psi_tilde images do."""
+    geo = walk_geometry(wh)
+    require(geo.stays_upper_half, "walk leaves the upper half-plane")
+    if bottom:
+        require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
+    else:
+        require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
+    return _map_ew(wh, lambda ew: _xi_s_inv(ew, False))
+
+
 def psi_tilde(w: str) -> str:
     """Walk-level psi: apply xi to the EW-subsequence, E as U and W as D."""
-    _check_quadrant_domain(w)
-    return _map_ew(w, xi)
+    return _psi_tilde_s(w, None)
 
 
 def psi_tilde_inv(wh: str) -> str:
     """Inverse of psi_tilde: apply xi_inv to the EW-subsequence."""
-    geo = walk_geometry(wh)
-    require(geo.stays_upper_half, "walk leaves the upper half-plane")
-    require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
-    return _map_ew(wh, xi_inv)
+    return _psi_tilde_s_inv(wh, True)
 
 
 def psi_tilde_s(w: str, s: int) -> str:
@@ -192,16 +200,12 @@ def psi_tilde_s(w: str, s: int) -> str:
 
     The image ends at (s, j) and its leftmost point lies on x = -(i-s)/2.
     """
-    _check_quadrant_domain(w)
-    return _map_ew(w, lambda ew: xi_s(ew, s))
+    return _psi_tilde_s(w, s)
 
 
 def psi_tilde_s_inv(wh: str) -> str:
     """Inverse of psi_tilde_s; s and i are read off the walk itself."""
-    geo = walk_geometry(wh)
-    require(geo.stays_upper_half, "walk leaves the upper half-plane")
-    require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
-    return _map_ew(wh, xi_s_inv)
+    return _psi_tilde_s_inv(wh, False)
 
 
 def shadow_contains(i: int, j: int, x: int, y: int) -> bool:

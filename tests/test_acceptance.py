@@ -1,44 +1,23 @@
 """Acceptance gate: eleven end-to-end guarantees, one test per criterion.
 
-Each test re-derives everything it asserts from exhaustive enumeration or
-closed forms, so a pass certifies the shipped behavior, not a fixture.
-conftest.py prints a per-criterion verdict line after the run.
+Criteria 2-11 run the identity checks of pathbij.verify, the same code
+`pathbij verify` certifies with, at the bounds given here. Each check
+re-derives its identity from exhaustive enumeration or closed forms and
+returns None or the first counterexample, so a pass certifies the shipped
+behavior, not a fixture. The goldens stay plain asserts. conftest.py prints
+a per-criterion verdict line after the run.
 """
 
+from pathbij import verify
 from pathbij.counting import (
-    catalan,
-    count_g2_sum,
     count_grand_tuples_det,
-    count_macmahon,
     count_octant_diag,
     count_octant_total,
     count_octant_xaxis,
 )
-from pathbij.pairs import ell, flip_below, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
-from pathbij.partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
-from pathbij.paths import (
-    FamilySpec,
-    _nested_tuples,
-    all_paths,
-    end_height,
-    enumerate_family,
-    heights,
-    valid_ij,
-)
 from pathbij.single import nu, xi
-from pathbij.walks import (
-    WalkFamilySpec,
-    enumerate_walk_family,
-    omega,
-    phi_tilde,
-    phi_tilde_inv,
-    psi_tilde,
-    shadow_contains,
-)
 
 FIG_IN = "UUDDUUDUUDDUUUDU"
-
-_DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
 
 
 def test_c01_figure_goldens():
@@ -47,131 +26,41 @@ def test_c01_figure_goldens():
 
 
 def test_c02_nesting_map_bijection():
-    for n in range(11):
-        for i, j in valid_ij(n):
-            dom = enumerate_family(FamilySpec("M2", n, i=i, j=j))
-            image = {}
-            for p, q in dom:
-                pt, qt, _ = phi(p, q, i, j)
-                assert phi_inv(pt, qt, i, j)[:2] == (p, q)
-                image[(pt, qt)] = (p, q)
-            cod = enumerate_family(FamilySpec("P2", n, i=i, j=j))
-            assert len(image) == len(dom)
-            assert set(image) == set(cod)
-            for pt, qt in cod:
-                back = phi_inv(pt, qt, i, j)[:2]
-                assert phi(*back, i, j)[:2] == (pt, qt)
+    """phi maps every M2(n,i;j) sector onto P2(n,i;j), n <= 10.
+
+    phi_inv o phi is the identity on the whole domain and the image is the
+    whole codomain, so phi o phi_inv is the identity on the codomain too;
+    no separate reverse pass is needed.
+    """
+    assert verify._check_phi_sector(10) is None
 
 
 def test_c03_agreement_map_bijection():
-    for n in range(11):
-        for i, j in valid_ij(n):
-            d = i % 2
-            dom = enumerate_family(FamilySpec("M2", n, i=i, j=j))
-            image = {}
-            for p, q in dom:
-                ph, qh, _ = psi(p, q)
-                assert end_height(ph) == j + d
-                assert end_height(qh) == -j + d
-                assert ell(ph, qh) == -(i // 2)
-                assert psi_inv(ph, qh)[:2] == (p, q)
-                image[(ph, qh)] = (p, q)
-            cod = enumerate_family(FamilySpec("G2", n, i=i, j=j))
-            assert len(image) == len(dom)
-            assert set(image) == set(cod)
-            for ph, qh in cod:
-                back = psi_inv(ph, qh)[:2]
-                assert psi(*back)[:2] == (ph, qh)
+    """psi maps every M2(n,i;j) sector onto G2(n,i;j), n <= 10, with the
+    endpoint and depth postconditions. As in c02, the round trip on the
+    whole domain and the image equal to the codomain make psi o psi_inv the
+    identity on the codomain."""
+    assert verify._check_psi_sector(10) is None
 
 
 def test_c04_five_way_counts():
-    for n in range(13):
-        values = {
-            len(enumerate_family(FamilySpec("P2", n))),
-            len(enumerate_family(FamilySpec("G2", n))),
-            count_grand_tuples_det(n, 2),
-            count_macmahon((n + 1) // 2, n // 2, 2),
-            count_g2_sum(n),
-        }
-        assert len(values) == 1, f"count disagreement at n={n}: {values}"
-        if n == 4:
-            assert values == {20}
+    """|P2| = |G2| = det through n = 12 by enumeration, and det = box
+    product = sum formula."""
+    assert verify._check_tuple_counts({2: 12}) is None
+    assert verify._check_det_vs_box(12, 2) is None
+    assert verify._check_g2_sum(12) is None
+    assert count_grand_tuples_det(4, 2) == 20
 
 
 def test_c05_flip_record_identities():
-    for n in range(11):
-        for i, j in valid_ij(n):
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                qp, _ = flip_below(q)
-                hq = (0,) + heights(q)
-                hqp = (0,) + heights(qp)
-                _, _, rec = phi(p, q, i, j)
-                gained = 0
-                for a in range(1, n + 1):
-                    if a in rec.lower_returns:
-                        gained += 1
-                    assert hqp[a] == abs(hq[a]) + 2 * gained
-                assert rec.r - j <= len(rec.chi) <= rec.r
-                hp = (0,) + heights(p)
-                chi = set(rec.chi)
-                rets = set(rec.lower_returns)
-                seen_chi = seen_rets = running = 0
-                for a in range(1, n + 1):
-                    if hqp[a] - hp[a] > running:
-                        running = hqp[a] - hp[a]
-                    seen_chi += a in chi
-                    seen_rets += a in rets
-                    assert 2 * seen_chi == running
-                    assert running <= 2 * seen_rets
+    assert verify._check_flip_records(10) is None
+    assert verify._check_flip_heights(12) is None
 
 
 def test_c06_conjugation_and_dictionary():
-    for n in range(11):
-        for i, j in valid_ij(n):
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                w = omega(p, q)
-                assert phi_tilde(w) == omega(*phi(p, q, i, j)[:2])
-                assert psi_tilde(w) == omega(*psi(p, q)[:2])
-    # row seven reduces to the endpoint rows plus the region test, checked
-    # once on a coordinate grid
-    for pi, pj in valid_ij(4):
-        for x in range(-8, 9):
-            for y in range(-8, 9):
-                assert shadow_contains(pi, pj, x, y) == (
-                    pi - pj <= x - y <= pi + pj <= x + y
-                )
-    for n in range(11):
-        paths = all_paths(n)
-        for p in paths:
-            hp = (0,) + heights(p)
-            for q in paths:
-                hq = (0,) + heights(q)
-                w = omega(p, q)
-                x = y = minx = miny = 0
-                above = False
-                nested = conested = True
-                for l in range(1, n + 1):
-                    dx, dy = _DXY[w[l - 1]]
-                    x += dx
-                    y += dy
-                    if x < minx:
-                        minx = x
-                    if y < miny:
-                        miny = y
-                    if y > x:
-                        above = True
-                    a, b = hp[l], hq[l]
-                    assert 2 * x == a + b and 2 * y == a - b
-                    if b > a:
-                        nested = False
-                    if b < -a:
-                        conested = False
-                assert nested == (miny >= 0)
-                assert conested == (minx >= 0)
-                assert (min(hq) >= 0) == (not above)
-                assert (hp[-1] == hq[-1]) == (y == 0)
-                assert hq[-1] == x - y
-                assert hp[-1] == x + y
+    assert verify._check_conjugation(10) is None
+    assert verify._check_step_dictionary(10) is None
+    assert verify._check_shadow(12) is None
 
 
 def test_c07_octant_census():
@@ -179,70 +68,22 @@ def test_c07_octant_census():
     assert count_octant_xaxis(4) == 10
     assert count_octant_diag(2) == 10
     assert count_octant_total(4) == 20
-    for n in range(12):
-        octant = enumerate_walk_family(WalkFamilySpec("O", n))
-        assert len(octant) == count_octant_total(n)
-        on_axis = enumerate_walk_family(WalkFamilySpec("Ox", n))
-        assert len(on_axis) == count_octant_xaxis(n)
-        if n % 2 == 0:
-            diagonal = enumerate_walk_family(WalkFamilySpec("Odiag", n))
-            assert len(diagonal) == count_octant_diag(n // 2)
+    assert verify._check_octant_census(11) is None
 
 
 def test_c08_floor_bijection():
-    for n in range(11):
-        pairs = enumerate_family(FamilySpec("P2", n))
-        nested = enumerate_family(FamilySpec("Ak", n, k=2))
-        for s in range(n % 2, n + 1, 2):
-            dom = [x for x in pairs if end_height(x[1]) >= s]
-            image = set()
-            for pt, qt in dom:
-                i = end_height(qt)
-                p, q, _ = phi_inv(pt, qt, i, 0)
-                a, b, _ = psi_s(p, q, s)
-                assert psi_s_inv(a, b)[:2] == (p, q)
-                image.add((a, b))
-            target = {
-                x for x in nested if end_height(x[0]) == s == end_height(x[1])
-            }
-            assert len(image) == len(dom)
-            assert image == target
+    assert verify._check_floor_pairs(10) is None
 
 
 def test_c09_origin_vs_diagonal():
-    for m in range(6):
-        n = 2 * m
-        dom = enumerate_walk_family(WalkFamilySpec("Qend", n, i=0, j=0))
-        assert len(dom) == catalan(m) * catalan(m + 1)
-        image = set()
-        for w in dom:
-            v = phi_tilde(w)
-            assert phi_tilde_inv(v, 0, 0) == w
-            image.add(v)
-        cod = enumerate_walk_family(WalkFamilySpec("Odiag", n))
-        assert len(image) == len(dom)
-        assert image == set(cod)
+    assert verify._check_origin_walks(5) is None
 
 
 def test_c10_plane_partitions():
-    for p in range(4):
-        for q in range(4):
-            for k in range(4):
-                for a in enumerate_pp(p, q, k):
-                    t = pp_to_tuple(a, k, p=p)
-                    assert tuple_to_pp(t, p, q) == a
-                if k:
-                    for t in _nested_tuples(p + q, k, False, (p - q,) * k):
-                        assert pp_to_tuple(tuple_to_pp(t, p, q), k, p=p) == t
-    for p in range(5):
-        for q in range(5):
-            for k in range(1, 4):
-                melons = _nested_tuples(p + q, k, False, (p - q,) * k)
-                assert len(melons) == count_macmahon(p, q, k)
+    """Round trips both ways at p, q <= 3 and k <= 3; box and melon counts
+    at p, q <= 4."""
+    assert verify._check_pp(3, 3, 4) is None
 
 
 def test_c11_triple_counts():
-    for n in range(9):
-        triples = len(enumerate_family(FamilySpec("Pk", n, k=3)))
-        grand = len(enumerate_family(FamilySpec("Gk", n, k=3)))
-        assert triples == grand
+    assert verify._check_tuple_counts({3: 8}) is None

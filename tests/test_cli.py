@@ -133,6 +133,23 @@ def test_partition_maps_inverse_checked(capsys):
                     assert back == text, (p, q, k, a)
 
 
+def test_apply_checks_the_round_trip(capsys, monkeypatch):
+    import pathbij.cli as cli
+
+    monkeypatch.setattr(cli, "xi_inv", lambda g: g)
+    code, out, err = run(capsys, "apply", "--map", "xi", "--input", "UU")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "xi_inv" in err
+
+
+def test_every_map_names_an_inverse_in_the_table():
+    from pathbij.cli import _MAPS
+
+    for name, (_, _, inverse) in _MAPS.items():
+        assert inverse in _MAPS, name
+        assert _MAPS[inverse][2] == name
+
+
 def test_tuple_to_pp_golden(capsys):
     got = run(capsys, "apply", "--map", "tuple_to_pp", "--input", "UDDU,DUDU")
     assert got == (0, "2 1; 2 0", "")
@@ -181,7 +198,8 @@ def test_verify_json(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 25
     assert all(r["passed"] for r in records)
-    assert {"name", "range", "passed", "counterexample"} <= set(records[0])
+    assert {"name", "range", "passed", "counterexample", "seconds"} <= set(records[0])
+    assert all(r["seconds"] >= 0 for r in records)
     assert err.startswith("total runtime:")
 
 

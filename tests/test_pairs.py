@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from pathbij import (
     FamilySpec,
-    FlipRecord,
     agreement,
     disagreement,
     ell,
@@ -20,8 +19,6 @@ from pathbij import (
     flip_below_inv,
     heights,
     infer_ij,
-    match_faces,
-    min_height,
     phi,
     phi_inv,
     psi,
@@ -29,9 +26,10 @@ from pathbij import (
     psi_s,
     psi_s_inv,
     valid_ij,
+    verify,
 )
 from pathbij.matching import tri_heights
-from pathbij.paths import all_paths, prefix_paths
+from pathbij.paths import prefix_paths
 
 WP = "UUDUUUUDUUUDDUDDDUDUU"
 WQ = "DUDDUUUUUUUDUUDDDDUDU"
@@ -118,23 +116,6 @@ def test_flip_below_examples():
         flip_below("D")
 
 
-def test_flip_below_height_identity():
-    """The straightened path sits at |h_a(Q)| plus twice the lower returns
-    so far, exhaustively for all eligible paths of length <= 12."""
-    for n in range(13):
-        for q in all_paths(n):
-            if end_height(q) < 0:
-                continue
-            qp, rec = flip_below(q)
-            gained = 0
-            hq = heights(q)
-            hqp = heights(qp)
-            for a in range(1, n + 1):
-                if a in rec.lower_returns:
-                    gained += 1
-                assert hqp[a - 1] == abs(hq[a - 1]) + 2 * gained
-
-
 def test_flip_below_inv_examples():
     assert flip_below_inv("UU", 1) == "DU"
     assert flip_below_inv("UUDU", 1) == "DDUU"
@@ -146,17 +127,6 @@ def test_flip_below_inv_examples():
         flip_below_inv("DU", 0)
     with pytest.raises(ValueError):
         flip_below_inv("UD", -1)
-
-
-def test_flip_below_roundtrips():
-    for n in range(13):
-        for q in all_paths(n):
-            if end_height(q) < 0:
-                continue
-            qp, rec = flip_below(q)
-            assert min_height(qp) >= 0
-            assert end_height(qp) == end_height(q) + 2 * rec.r
-            assert flip_below_inv(qp, rec.r) == q
 
 
 def test_flip_below_inv_then_forward():
@@ -194,49 +164,6 @@ def test_phi_inv_examples():
     assert rec.r == 2
 
 
-def test_phi_sector_bijection():
-    """phi maps each M2 sector onto the matching P2 sector, invertibly.
-
-    Along the way the flip record is held to the published bounds: twice
-    the running chi count equals the running maximum of the disagreement
-    deficit, capped by the running lower-return count, and the total size
-    of chi lies within [r - j, r].
-    """
-    for n in range(9):
-        for i, j in valid_ij(n):
-            dom = enumerate_family(FamilySpec("M2", n, i=i, j=j))
-            image = []
-            for p, q in dom:
-                pt, qt, rec = phi(p, q, i, j)
-                image.append((pt, qt))
-                assert phi_inv(pt, qt, i, j)[:2] == (p, q)
-                assert rec.r - j <= len(rec.chi) <= rec.r
-                _check_running_max_identity(p, q, rec)
-            assert len(set(image)) == len(image)
-            assert set(image) == set(
-                enumerate_family(FamilySpec("P2", n, i=i, j=j))
-            )
-            for pt, qt in enumerate_family(FamilySpec("P2", n, i=i, j=j)):
-                p, q, _ = phi_inv(pt, qt, i, j)
-                assert phi(p, q, i, j)[:2] == (pt, qt)
-
-
-def _check_running_max_identity(p, q, rec):
-    qp, _ = flip_below(q)
-    hp = (0,) + heights(p)
-    hqp = (0,) + heights(qp)
-    chi_seen = returns_seen = 0
-    running = 0
-    for a in range(len(p) + 1):
-        running = max(running, hqp[a] - hp[a])
-        if a in rec.chi:
-            chi_seen += 1
-        if a in rec.lower_returns:
-            returns_seen += 1
-        assert 2 * chi_seen == running
-        assert running <= 2 * returns_seen
-
-
 def test_psi_examples():
     assert psi("UD", "UD")[:2] == ("UD", "UD")
     assert psi("UU", "UU")[:2] == ("DU", "DU")
@@ -258,27 +185,6 @@ def test_psi_inv_examples():
     assert psi_inv("UD", "UD")[:2] == ("UD", "UD")
     assert psi_inv("DU", "DU")[:2] == ("UU", "UU")
     assert psi_inv("UU", "UD")[:2] == ("UU", "UD")
-
-
-def test_psi_sector_bijection():
-    """psi maps each M2 sector onto the matching G2 sector with the three
-    endpoint and depth postconditions, and psi_inv recovers i on its own."""
-    for n in range(9):
-        for i, j in valid_ij(n):
-            d = i % 2
-            dom = enumerate_family(FamilySpec("M2", n, i=i, j=j))
-            image = []
-            for p, q in dom:
-                ph, qh, _ = psi(p, q)
-                image.append((ph, qh))
-                assert end_height(ph) == j + d
-                assert end_height(qh) == -j + d
-                assert ell(ph, qh) == -(i // 2)
-                assert psi_inv(ph, qh)[:2] == (p, q)
-            assert len(set(image)) == len(image)
-            assert set(image) == set(
-                enumerate_family(FamilySpec("G2", n, i=i, j=j))
-            )
 
 
 def test_psi_s_examples():
@@ -315,39 +221,7 @@ def test_psi_s_sector_properties():
 def test_composed_map_is_a_global_bijection():
     """Fixing j = 0 and letting i run over end heights, psi after phi_inv
     carries the full nested-prefix-pair family onto the grand-pair family."""
-    for n in range(13):
-        p2 = enumerate_family(FamilySpec("P2", n))
-        image = set()
-        for pt, qt in p2:
-            i = end_height(qt)
-            p, q, _ = phi_inv(pt, qt, i, 0)
-            image.add(psi(p, q)[:2])
-        assert len(image) == len(p2)
-        assert image == set(enumerate_family(FamilySpec("G2", n)))
-
-
-def test_end_height_floor_bijection():
-    """psi_s after phi_inv (j = 0, i = h(Q)) maps pairs with h(Q) >= s onto
-    nested pairs of paths both ending exactly at height s."""
-    for n in range(8):
-        for s in range(n % 2, n + 1, 2):
-            dom = [
-                (pt, qt)
-                for pt, qt in enumerate_family(FamilySpec("P2", n))
-                if end_height(qt) >= s
-            ]
-            image = set()
-            for pt, qt in dom:
-                i = end_height(qt)
-                p, q, _ = phi_inv(pt, qt, i, 0)
-                image.add(psi_s(p, q, s)[:2])
-            assert len(image) == len(dom)
-            target = {
-                (p, q)
-                for p, q in enumerate_family(FamilySpec("Ak", n, k=2))
-                if end_height(p) == s and end_height(q) == s
-            }
-            assert image == target
+    assert verify._check_composed_map(12) is None
 
 
 @st.composite
