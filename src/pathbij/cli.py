@@ -249,6 +249,12 @@ def _run_verify(args) -> int:
     start = time.perf_counter()
     results = verify_suite(args.max_n, args.k)
     elapsed = time.perf_counter() - start
+    # the wall time, then the summed check times and the processes that ran them
+    workers = len({r.pid for r in results if r.pid}) or 1
+    total = (
+        f"total runtime: {elapsed:.1f}s (checks {sum(r.seconds for r in results):.1f}s "
+        f"on {workers} worker{'s' * (workers > 1)})"
+    )
     if args.json:
         for r in results:
             record = {
@@ -256,10 +262,10 @@ def _run_verify(args) -> int:
                 "counterexample": r.counterexample, "seconds": round(r.seconds, 6),
             }
             print(json.dumps(record))
-        print(f"total runtime: {elapsed:.1f}s", file=sys.stderr)
+        print(total, file=sys.stderr)
     else:
         print(format_report(results))
-        print(f"total runtime: {elapsed:.1f}s")
+        print(total)
     return 0 if all(r.passed for r in results) else 1
 
 

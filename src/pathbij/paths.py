@@ -242,11 +242,9 @@ def _g2_members(n: int, i: int, j: int) -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=None)
-def _nested_tuples(
-    n: int, k: int, floor: bool, ends: tuple[int, ...] | None
-) -> tuple[tuple[str, ...], ...]:
+def _nested_tuples(n: int, k: int, floor: bool, end: int | None) -> tuple[tuple[str, ...], ...]:
     """Nested k-tuples; floor keeps the bottom path at heights >= 0,
-    ends fixes the ending height of each layer."""
+    end fixes the ending height of every layer."""
     if k < 1:
         raise ValueError("k must be at least 1")
     out: list[tuple[str, ...]] = []
@@ -255,23 +253,23 @@ def _nested_tuples(
         (dv, tuple(UP if d == 1 else DOWN for d in dv))
         for dv in itertools.product((1, -1), repeat=k)
     ]
-    add, ge, sub = operator.add, operator.ge, operator.sub
-
-    def reachable(h: tuple[int, ...], m: int) -> bool:
-        return ends is None or max(map(abs, map(sub, ends, h))) <= m
+    add, ge = operator.add, operator.ge
+    bottom = 0 if floor else -n
 
     def walk(h: tuple[int, ...], words: tuple[str, ...], m: int) -> None:
         if m == 0:
             out.append(words)
             return
         m -= 1
+        # the layers are nested, so bounding the bottom one from below and the
+        # top one from above keeps every layer >= 0 (with floor) and within m of end
+        low, high = (bottom, n) if end is None else (max(bottom, end - m), end + m)
         for dv, letters in moves:
             nh = tuple(map(add, h, dv))
-            # each layer stays weakly below the one above; with floor, the bottom one stays >= 0
-            if all(map(ge, nh, nh[1:])) and not (floor and nh[-1] < 0) and reachable(nh, m):
+            if low <= nh[-1] and nh[0] <= high and all(map(ge, nh, nh[1:])):
                 walk(nh, tuple(map(add, words, letters)), m)
 
-    if reachable((0,) * k, n):
+    if end is None or abs(end) <= n:
         walk((0,) * k, ("",) * k, n)
     out.sort(key=_tuple_key)
     return tuple(out)
@@ -318,13 +316,13 @@ def enumerate_family(spec: FamilySpec):
         return _nested_tuples(n, _require_k(spec), True, None)
     if f == "Gk":
         k = _require_k(spec)
-        return _nested_tuples(n, k, False, (n % 2,) * k)
+        return _nested_tuples(n, k, False, n % 2)
     if f == "M2":
         i, j = check_ij(n, spec.i, spec.j)
         return _m2_members(n, i, j)
     if f == "G2":
         if spec.i is None and spec.j is None:
-            return _nested_tuples(n, 2, False, (n % 2,) * 2)
+            return _nested_tuples(n, 2, False, n % 2)
         i, j = check_ij(n, spec.i, spec.j)
         return _g2_members(n, i, j)
     if f == "P2":

@@ -4,13 +4,16 @@ Each _check_* function sweeps exactly the range its arguments give and
 returns None or the first counterexample. verify_suite(max_n, max_k)
 derives every bound from its two budgets: element sweeps run to max_n (the
 4^n ones capped), counting identities a little beyond, arithmetic ones to
-2 * max_n. tests/test_acceptance.py runs the same checks at larger bounds.
+2 * max_n. The checks are independent, so verify_suite runs them in worker
+processes, one per available CPU, and reports them in table order.
+tests/test_acceptance.py runs the same checks at larger bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import os
 import time
 from dataclasses import dataclass
 
@@ -66,6 +69,7 @@ class CheckResult:
     passed: bool
     counterexample: str | None = None
     seconds: float = 0.0
+    pid: int = 0  # the process that ran the check; 0 if none did
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -476,7 +480,7 @@ def _check_pp(pq_max, k_max, count_pq_max):
     for p, q, k in itertools.product(sides, sides, range(k_max + 1)):
         box = enumerate_pp(p, q, k)
         # with k = 0 the one tuple is the empty one
-        melons = _nested_tuples(p + q, k, False, (p - q,) * k) if k else ((),)
+        melons = _nested_tuples(p + q, k, False, p - q) if k else ((),)
         if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
             return f"box census fails at ({p},{q},{k})"
         if max(p, q) > pq_max:
@@ -490,17 +494,16 @@ def _check_pp(pq_max, k_max, count_pq_max):
     return None
 
 
-def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:
-    """Run every identity check within the budgets; never raises on failure."""
-    if max_n < 0 or max_k < 1:
-        raise ValueError("need max_n >= 0 and max_k >= 1")
+def _checks(max_n: int, max_k: int) -> tuple:
+    """The suite's table: (name, range text, check, bounds) per identity,
+    in report order, every bound derived from the two budgets."""
     n8, n9, n10 = min(max_n, 8), min(max_n, 9), min(max_n, 10)
     ncap, n2 = min(max_n + 2, 14), 2 * max_n
     tuple_ns = {k: ncap if k <= 2 else n8 for k in range(1, max_k + 1)}
     tuple_text = f"k <= {max_k}, n <= {ncap}" + (f" ({n8} for k>2)" if max_k > 2 else "")
     n_octant, m_origin = min(max_n + 1, 11), min(max_n // 2, 5)
     pmax, kmax = min(max(max_n // 3, 1), 4), min(max_k + 1, 3)
-    checks = (
+    return (
         ("families_sorted_counted", f"n <= {n8}", _check_families, (n8,)),
         ("matching_structure", f"n <= {n10}", _check_matching, (n10,)),
         ("xi_bijection", f"n <= {max_n}", _check_xi, (max_n,)),
@@ -527,12 +530,59 @@ def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:
         ("floor_count_identity", f"n <= {max_n}", _check_floor_counts, (max_n,)),
         ("pp_box_roundtrip", f"p,q <= {pmax}, k <= {kmax}", _check_pp, (pmax, kmax, pmax)),
     )
-    results = []
-    for name, rng, fn, bounds in checks:
-        start = time.perf_counter()
+
+
+def _run_check(entry) -> CheckResult:
+    """Run one table entry and time it. A module-level function, so that a
+    worker process can receive it by name."""
+    name, rng, fn, bounds = entry
+    start = time.perf_counter()
+    try:
+        bad = fn(*bounds)
+    except Exception as exc:  # a crash inside a sweep is a failure, not an abort
+        bad = f"error: {exc}"
+    return CheckResult(name, rng, bad is None, bad, time.perf_counter() - start, os.getpid())
+
+
+def _pool_size(jobs: int) -> int:
+    """One worker per CPU this process may run on, and no more than jobs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+def _run_checks(checks) -> tuple[CheckResult, ...]:
+    """_run_check over the table, in table order: in worker processes when
+    more than one CPU is available, else (or when no pool can start) in
+    this process. A check whose worker died is a failed result."""
+    workers = _pool_size(len(checks))
+    results: list[CheckResult] = []
+    if workers > 1:
+        # imported here: pathbij.cli imports this module on every command
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
-            bad = fn(*bounds)
-        except Exception as exc:  # a crash inside a sweep is a failure, not an abort
-            bad = f"error: {exc}"
-        results.append(CheckResult(name, rng, bad is None, bad, time.perf_counter() - start))
+            with ProcessPoolExecutor(workers) as pool:
+                for result in pool.map(_run_check, checks, chunksize=1):
+                    results.append(result)
+        except (OSError, NotImplementedError):
+            pass  # no pool on this platform; the rest run below
+        except BrokenProcessPool as exc:
+            results += [
+                CheckResult(name, rng, False, f"error: worker process died ({exc})")
+                for name, rng, _, _ in checks[len(results):]
+            ]
+    results += map(_run_check, checks[len(results):])
     return tuple(results)
+
+
+def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:
+    """Run every identity check within the budgets, in parallel worker
+    processes, and return the results in report order; never raises on
+    failure."""
+    if max_n < 0 or max_k < 1:
+        raise ValueError("need max_n >= 0 and max_k >= 1")
+    return _run_checks(_checks(max_n, max_k))

@@ -99,7 +99,8 @@ def phi_tilde(w: str) -> str:
     Step 1 swaps N with E and S with W on every step ending strictly above
     the diagonal, positions taken in the original walk. Step 2 turns the S
     steps of the result that reach a new minimum y-coordinate into N steps.
-    Both steps run in one pass.
+    Both steps run in one pass. The walk must end weakly below the
+    diagonal, where the map is injective and phi_tilde_inv undoes it.
     """
     check_walk(w)
     out = []
@@ -118,6 +119,8 @@ def phi_tilde(w: str) -> str:
             min_y1 = y1
             c = "N"
         out.append(c)
+    # above the diagonal step 1 would not be injective: phi_tilde("N") would be "E"
+    require(x >= y, "walk must end weakly below the diagonal, got ({}, {})", x, y)
     return "".join(out)
 
 

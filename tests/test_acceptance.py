@@ -20,6 +20,14 @@ from pathbij.single import nu, xi
 FIG_IN = "UUDDUUDUUDDUUUDU"
 
 
+def _all_pass(*calls):
+    """Run each (check, *bounds) call in worker processes, as `pathbij
+    verify` does, and fail with every counterexample found."""
+    table = tuple((fn.__name__, "", fn, tuple(bounds)) for fn, *bounds in calls)
+    bad = [r.line() for r in verify._run_checks(table) if not r.passed]
+    assert not bad, bad
+
+
 def test_c01_figure_goldens():
     assert xi(FIG_IN) == "UUDDDUDUUDDDUUDU"
     assert nu(FIG_IN) == "DUDDUUDDUUDUUDDU"
@@ -46,21 +54,24 @@ def test_c03_agreement_map_bijection():
 def test_c04_five_way_counts():
     """|P2| = |G2| = det through n = 12 by enumeration, and det = box
     product = sum formula."""
-    assert verify._check_tuple_counts({2: 12}) is None
-    assert verify._check_det_vs_box(12, 2) is None
-    assert verify._check_g2_sum(12) is None
+    _all_pass(
+        (verify._check_tuple_counts, {2: 12}),
+        (verify._check_det_vs_box, 12, 2),
+        (verify._check_g2_sum, 12),
+    )
     assert count_grand_tuples_det(4, 2) == 20
 
 
 def test_c05_flip_record_identities():
-    assert verify._check_flip_records(10) is None
-    assert verify._check_flip_heights(12) is None
+    _all_pass((verify._check_flip_records, 10), (verify._check_flip_heights, 12))
 
 
 def test_c06_conjugation_and_dictionary():
-    assert verify._check_conjugation(10) is None
-    assert verify._check_step_dictionary(10) is None
-    assert verify._check_shadow(12) is None
+    _all_pass(
+        (verify._check_conjugation, 10),
+        (verify._check_step_dictionary, 10),
+        (verify._check_shadow, 12),
+    )
 
 
 def test_c07_octant_census():

@@ -1,6 +1,7 @@
 """Command-line behavior: goldens, method agreement, inverse checks, exits."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -190,6 +191,7 @@ def test_verify_report(capsys):
     assert len(lines) == 26  # one per identity plus the runtime line
     assert all(" PASS" in line for line in lines[:-1])
     assert lines[-1].startswith("total runtime:")
+    assert re.fullmatch(r"total runtime: \d+\.\ds \(checks \d+\.\ds on \d+ workers?\)", lines[-1])
 
 
 def test_verify_json(capsys):
@@ -201,6 +203,7 @@ def test_verify_json(capsys):
     assert {"name", "range", "passed", "counterexample", "seconds"} <= set(records[0])
     assert all(r["seconds"] >= 0 for r in records)
     assert err.startswith("total runtime:")
+    assert re.fullmatch(r"total runtime: \d+\.\ds \(checks \d+\.\ds on \d+ workers?\)\n", err)
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

@@ -114,7 +114,7 @@ def test_pp_roundtrip_both_ways():
                     assert tuple_to_pp(t, p, q) == a
                 if k == 0:
                     continue
-                for t in _nested_tuples(p + q, k, False, (p - q,) * k):
+                for t in _nested_tuples(p + q, k, False, p - q):
                     a = tuple_to_pp(t, p, q)
                     assert check_pp(a, k) == a
                     assert pp_to_tuple(a, k, p=p) == t
@@ -141,7 +141,7 @@ def test_watermelon_census_matches_macmahon():
     for p in range(5):
         for q in range(5):
             for k in range(1, 4):
-                census = len(_nested_tuples(p + q, k, False, (p - q,) * k))
+                census = len(_nested_tuples(p + q, k, False, p - q))
                 assert census == count_macmahon(p, q, k)
 
 

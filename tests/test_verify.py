@@ -3,8 +3,14 @@
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
 run once against a corrupted map: the map, as the check sees it, answers one
 domain input with the image of another input of the same sector, which keeps
-every output valid but breaks injectivity.
+every output valid but breaks injectivity. The suite runs its checks in
+worker processes; the last tests pin that it reports what the checks give
+in-process, under spawn too, and that a crash or a dead worker is a failure.
 """
+
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -32,3 +38,50 @@ def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, 
     assert check(bound) is None
     monkeypatch.setattr(verify, name, lambda *a: real(*(donor if a == victim else a)))
     assert check(bound) is not None
+
+
+def test_parallel_suite_matches_the_checks_run_in_process():
+    """verify_suite runs the table in worker processes; the report is the
+    one the checks give when run one after another in this process."""
+    table = verify._checks(2, 2)
+    expected = [verify._run_check(entry) for entry in table]
+    got = verify.verify_suite(2, 2)
+    assert len(got) == len(table) == 25
+    fields = lambda r: (r.name, r.range_text, r.passed, r.counterexample)  # noqa: E731
+    assert list(map(fields, got)) == list(map(fields, expected))
+    assert all(r.passed and r.pid for r in got)
+
+
+def test_every_check_runs_in_a_spawned_worker():
+    """Under spawn a worker imports pathbij afresh and receives each table
+    entry and the worker function by pickling, as on macOS and Windows."""
+    table = verify._checks(1, 2)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        got = list(pool.map(verify._run_check, table, chunksize=1))
+    assert [r.name for r in got] == [entry[0] for entry in table]
+    assert all(r.passed for r in got), [r.line() for r in got if not r.passed]
+
+
+def test_a_raising_check_is_a_failed_result():
+    def crash(n):
+        raise RuntimeError(f"sweep broke at n={n}")
+
+    result = verify._run_check(("crashes", "n <= 3", crash, (3,)))
+    assert not result.passed
+    assert result.counterexample.startswith("error:")
+    assert "sweep broke at n=3" in result.counterexample
+
+
+@pytest.mark.skipif(verify._pool_size(2) < 2, reason="needs two CPUs for a worker pool")
+def test_a_dead_worker_fails_its_checks():
+    """A worker that exits mid-check breaks the pool; the checks without a
+    result come back failed, in table order, and verify_suite's caller
+    sees no exception."""
+    table = (
+        ("worker_exits", "n <= 0", os._exit, (3,)),
+        ("shadow_region", "|x|,|y| <= 1", verify._check_shadow, (1,)),
+    )
+    got = verify._run_checks(table)
+    assert [r.name for r in got] == ["worker_exits", "shadow_region"]
+    assert not got[0].passed and got[0].counterexample.startswith("error:")

@@ -125,8 +125,9 @@ def test_step_dictionary():
 
 def test_phi_tilde_examples():
     assert phi_tilde("E") == "E"
-    assert phi_tilde("N") == "E"
     assert phi_tilde("NS") == "EN"
+    with pytest.raises(ValueError):
+        phi_tilde("N")  # ends above the diagonal
     with pytest.raises(ValueError):
         phi_tilde("W")
     with pytest.raises(ValueError):
