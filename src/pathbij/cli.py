@@ -7,42 +7,14 @@ Exit codes: 0 on success, 1 when the verification suite finds a failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict
 from functools import lru_cache
 
-from .counting import (
-    binom,
-    brute_count,
-    catalan,
-    count_g2_sum,
-    count_grand_tuples_det,
-    count_macmahon,
-    count_octant_diag,
-    count_octant_total,
-    count_octant_xaxis,
-)
-from .pairs import FlipRecord, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
-from .partitions import parse_pp, pp_to_tuple, tuple_to_pp
-from .paths import FamilySpec, end_height
-from .render import render_svg
-from .single import nu, nu_inv, xi, xi_inv, xi_s, xi_s_inv
-from .verify import format_report, verify_suite
-from .walks import (
-    WalkFamilySpec,
-    omega,
-    omega_inv,
-    phi_tilde,
-    phi_tilde_inv,
-    psi_tilde,
-    psi_tilde_inv,
-    psi_tilde_s,
-    psi_tilde_s_inv,
-    walk_geometry,
-)
+# every computational module loads on first use through the package
+# namespace, so a call pays only for the modules its verb runs
+import pathbij as pb
 
 _PATH_TAGS = ("A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", "Gk")
 _WALK_TAGS = ("Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh")
@@ -60,16 +32,16 @@ def _ambient(args):
 # G, G2 and Gk, the sets the bijections map them onto
 _COUNTS = {
     ("A", "formula"): lambda a: 2**a.n,
-    ("D", "formula"): lambda a: catalan(a.n // 2) if a.n % 2 == 0 else 0,
-    ("G", "formula"): lambda a: binom(a.n, a.n // 2),
-    ("G2", "det"): lambda a: count_grand_tuples_det(_ambient(a), 2),
-    ("G2", "product"): lambda a: count_macmahon((a.n + 1) // 2, _ambient(a) // 2, 2),
-    ("G2", "sum"): lambda a: count_g2_sum(_ambient(a)),
-    ("Gk", "det"): lambda a: count_grand_tuples_det(a.n, _need(a, "k")),
-    ("Gk", "product"): lambda a: count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
-    ("O", "formula"): lambda a: count_octant_total(a.n),
-    ("Ox", "formula"): lambda a: count_octant_xaxis(a.n),
-    ("Odiag", "formula"): lambda a: count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0,
+    ("D", "formula"): lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0,
+    ("G", "formula"): lambda a: pb.counting.binom(a.n, a.n // 2),
+    ("G2", "det"): lambda a: pb.count_grand_tuples_det(_ambient(a), 2),
+    ("G2", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, _ambient(a) // 2, 2),
+    ("G2", "sum"): lambda a: pb.count_g2_sum(_ambient(a)),
+    ("Gk", "det"): lambda a: pb.count_grand_tuples_det(a.n, _need(a, "k")),
+    ("Gk", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
+    ("O", "formula"): lambda a: pb.count_octant_total(a.n),
+    ("Ox", "formula"): lambda a: pb.count_octant_xaxis(a.n),
+    ("Odiag", "formula"): lambda a: pb.count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0,
     ("Qend", "formula"): lambda a: _qend(a),
 }
 _SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
@@ -88,16 +60,16 @@ def _qend(args):
     if args.n % 2:
         return 0
     m = args.n // 2
-    return catalan(m) * catalan(m + 1)
+    return pb.catalan(m) * pb.catalan(m + 1)
 
 
 def _family_spec(args):
     if args.family in _PATH_TAGS:
-        return FamilySpec(args.family, args.n, k=args.k, i=args.i, j=args.j, s=args.s)
+        return pb.FamilySpec(args.family, args.n, k=args.k, i=args.i, j=args.j, s=args.s)
     if args.family in _WALK_TAGS:
         if args.s is not None:
             raise ValueError("--s does not apply to walk families")
-        return WalkFamilySpec(args.family, args.n, i=args.i, j=args.j)
+        return pb.WalkFamilySpec(args.family, args.n, i=args.i, j=args.j)
     raise ValueError(f"unknown family: {args.family!r}")
 
 
@@ -107,9 +79,9 @@ def _run_count(args) -> int:
     if args.method == "brute":
         spec = _family_spec(args)
         value = (
-            brute_count(spec, args.max_n)
+            pb.brute_count(spec, args.max_n)
             if args.max_n is not None
-            else brute_count(spec)
+            else pb.brute_count(spec)
         )
     else:
         family = _SAME_COUNT.get(args.family, args.family)
@@ -120,15 +92,30 @@ def _run_count(args) -> int:
                 f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
             )
         value = fn(args)
-    if args.json:
-        record = {"family": args.family, "n": args.n, "method": args.method, "count": value}
-        for name in ("k", "i", "j", "s"):
-            if getattr(args, name) is not None:
-                record[name] = getattr(args, name)
-        print(json.dumps(record))
-    else:
-        print(value)
+    if not args.json:
+        print(_exact(str, value))
+        return 0
+    import json
+
+    record = {"family": args.family, "n": args.n, "method": args.method, "count": value}
+    for name in ("k", "i", "j", "s"):
+        if getattr(args, name) is not None:
+            record[name] = getattr(args, name)
+    print(_exact(json.dumps, record))
     return 0
+
+
+def _exact(fmt, value) -> str:
+    """fmt(value) with every digit of the integers in it, past the
+    interpreter's int-to-str limit (Python >= 3.11), which is put back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return fmt(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return fmt(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # how a map's input is read from text, and the parameters an inverse reads
@@ -144,19 +131,19 @@ def _parse_pair(text):
 
 
 def _walk_params(w):
-    x, y = walk_geometry(w).endpoint
+    x, y = pb.walk_geometry(w).endpoint
     return {"s": x, "i": x, "j": y}
 
 
-_PATH = _Kind(str, lambda p: {"s": end_height(p)})
-_PAIR = _Kind(_parse_pair, lambda pq: {"s": (end_height(pq[0]) + end_height(pq[1])) // 2})
+_PATH = _Kind(str, lambda p: {"s": pb.end_height(p)})
+_PAIR = _Kind(_parse_pair, lambda pq: {"s": (pb.end_height(pq[0]) + pb.end_height(pq[1])) // 2})
 _WALK = _Kind(str, _walk_params)
 _PATHS = _Kind(lambda t: tuple(t.split(",")), lambda ps: {"k": len(ps), "n": len(ps[0])})
-_PP = _Kind(parse_pp, lambda a: {})
+_PP = _Kind(lambda t: pb.parse_pp(t), lambda a: {})
 
 
 def _tuple_to_pp(ps):
-    return tuple_to_pp(ps, ps[0].count("U"), ps[0].count("D"))
+    return pb.tuple_to_pp(ps, ps[0].count("U"), ps[0].count("D"))
 
 
 def _pp_to_tuple(a, args):
@@ -165,7 +152,7 @@ def _pp_to_tuple(a, args):
     k = _need(args, "k")
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    return pp_to_tuple(a, k, p=args.n if a else _need(args, "n"))
+    return pb.pp_to_tuple(a, k, p=args.n if a else _need(args, "n"))
 
 
 def _ij(args):
@@ -174,26 +161,26 @@ def _ij(args):
 
 # map name -> (input kind, call(input, args), name of the inverse)
 _MAPS = {
-    "xi": (_PATH, lambda p, a: xi(p), "xi_inv"),
-    "xi_inv": (_PATH, lambda g, a: xi_inv(g), "xi"),
-    "xi_s": (_PATH, lambda p, a: xi_s(p, _need(a, "s")), "xi_s_inv"),
-    "xi_s_inv": (_PATH, lambda r, a: xi_s_inv(r), "xi_s"),
-    "nu": (_PATH, lambda p, a: nu(p), "nu_inv"),
-    "nu_inv": (_PATH, lambda g, a: nu_inv(g), "nu"),
-    "phi": (_PAIR, lambda pq, a: phi(*pq, *_ij(a)), "phi_inv"),
-    "phi_inv": (_PAIR, lambda pq, a: phi_inv(*pq, *_ij(a)), "phi"),
-    "psi": (_PAIR, lambda pq, a: psi(*pq), "psi_inv"),
-    "psi_inv": (_PAIR, lambda pq, a: psi_inv(*pq), "psi"),
-    "psi_s": (_PAIR, lambda pq, a: psi_s(*pq, _need(a, "s")), "psi_s_inv"),
-    "psi_s_inv": (_PAIR, lambda pq, a: psi_s_inv(*pq), "psi_s"),
-    "omega": (_PAIR, lambda pq, a: omega(*pq), "omega_inv"),
-    "omega_inv": (_WALK, lambda w, a: omega_inv(w), "omega"),
-    "phi_tilde": (_WALK, lambda w, a: phi_tilde(w), "phi_tilde_inv"),
-    "phi_tilde_inv": (_WALK, lambda w, a: phi_tilde_inv(w, *_ij(a)), "phi_tilde"),
-    "psi_tilde": (_WALK, lambda w, a: psi_tilde(w), "psi_tilde_inv"),
-    "psi_tilde_inv": (_WALK, lambda w, a: psi_tilde_inv(w), "psi_tilde"),
-    "psi_tilde_s": (_WALK, lambda w, a: psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv"),
-    "psi_tilde_s_inv": (_WALK, lambda w, a: psi_tilde_s_inv(w), "psi_tilde_s"),
+    "xi": (_PATH, lambda p, a: pb.xi(p), "xi_inv"),
+    "xi_inv": (_PATH, lambda g, a: pb.xi_inv(g), "xi"),
+    "xi_s": (_PATH, lambda p, a: pb.xi_s(p, _need(a, "s")), "xi_s_inv"),
+    "xi_s_inv": (_PATH, lambda r, a: pb.xi_s_inv(r), "xi_s"),
+    "nu": (_PATH, lambda p, a: pb.nu(p), "nu_inv"),
+    "nu_inv": (_PATH, lambda g, a: pb.nu_inv(g), "nu"),
+    "phi": (_PAIR, lambda pq, a: pb.phi(*pq, *_ij(a)), "phi_inv"),
+    "phi_inv": (_PAIR, lambda pq, a: pb.phi_inv(*pq, *_ij(a)), "phi"),
+    "psi": (_PAIR, lambda pq, a: pb.psi(*pq), "psi_inv"),
+    "psi_inv": (_PAIR, lambda pq, a: pb.psi_inv(*pq), "psi"),
+    "psi_s": (_PAIR, lambda pq, a: pb.psi_s(*pq, _need(a, "s")), "psi_s_inv"),
+    "psi_s_inv": (_PAIR, lambda pq, a: pb.psi_s_inv(*pq), "psi_s"),
+    "omega": (_PAIR, lambda pq, a: pb.omega(*pq), "omega_inv"),
+    "omega_inv": (_WALK, lambda w, a: pb.omega_inv(w), "omega"),
+    "phi_tilde": (_WALK, lambda w, a: pb.phi_tilde(w), "phi_tilde_inv"),
+    "phi_tilde_inv": (_WALK, lambda w, a: pb.phi_tilde_inv(w, *_ij(a)), "phi_tilde"),
+    "psi_tilde": (_WALK, lambda w, a: pb.psi_tilde(w), "psi_tilde_inv"),
+    "psi_tilde_inv": (_WALK, lambda w, a: pb.psi_tilde_inv(w), "psi_tilde"),
+    "psi_tilde_s": (_WALK, lambda w, a: pb.psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv"),
+    "psi_tilde_s_inv": (_WALK, lambda w, a: pb.psi_tilde_s_inv(w), "psi_tilde_s"),
     "tuple_to_pp": (_PATHS, lambda ps, a: _tuple_to_pp(ps), "pp_to_tuple"),
     "pp_to_tuple": (_PP, _pp_to_tuple, "tuple_to_pp"),
 }
@@ -202,8 +189,8 @@ _MAPS = {
 def _split(out):
     """The map's image, and the side outputs a pair map returns with it."""
     extra = out[-1] if isinstance(out, tuple) and len(out) == 3 else None
-    if isinstance(extra, FlipRecord):
-        return out[:2], asdict(extra)
+    if hasattr(extra, "_asdict"):  # a FlipRecord
+        return out[:2], extra._asdict()
     if isinstance(extra, tuple) and isinstance(out[0], str):  # flipped positions
         return out[:2], {"flips": list(extra)}
     return out, {}
@@ -239,6 +226,8 @@ def _run_apply(args) -> int:
         return 1
     text = _text(image)
     if args.json:
+        import json
+
         print(json.dumps({"map": args.map, "input": args.input, "result": text, **info}))
     else:
         print(text)
@@ -246,8 +235,10 @@ def _run_apply(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from . import verify
+
     start = time.perf_counter()
-    results = verify_suite(args.max_n, args.k)
+    results = verify.verify_suite(args.max_n, args.k)
     elapsed = time.perf_counter() - start
     # the wall time, then the summed check times and the processes that ran them
     workers = len({r.pid for r in results if r.pid}) or 1
@@ -256,6 +247,8 @@ def _run_verify(args) -> int:
         f"on {workers} worker{'s' * (workers > 1)})"
     )
     if args.json:
+        import json
+
         for r in results:
             record = {
                 "name": r.name, "range": r.range_text, "passed": r.passed,
@@ -264,12 +257,14 @@ def _run_verify(args) -> int:
             print(json.dumps(record))
         print(total, file=sys.stderr)
     else:
-        print(format_report(results))
+        print(verify.format_report(results))
         print(total)
     return 0 if all(r.passed for r in results) else 1
 
 
 def _run_render(args) -> int:
+    from .render import render_svg
+
     svg = render_svg(
         args.kind,
         args.input,
@@ -280,8 +275,11 @@ def _run_render(args) -> int:
         j=args.j,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         print(svg)
     return 0

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .paths import FamilySpec, enumerate_family
-from .walks import WalkFamilySpec, enumerate_walk_family
-
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, 0 outside the Pascal triangle."""
@@ -135,6 +132,10 @@ def brute_count(spec, max_n: int = 12) -> int:
 
     Refuses specs with n beyond max_n instead of truncating.
     """
+    # the enumerators load here, so the closed forms run without them
+    from .paths import FamilySpec, enumerate_family
+    from .walks import WalkFamilySpec, enumerate_walk_family
+
     if not isinstance(spec, (FamilySpec, WalkFamilySpec)):
         raise TypeError(f"not a family spec: {spec!r}")
     if spec.n > max_n:

@@ -8,8 +8,8 @@ unique proper parenthesis matching of the word, with H steps ignored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._base import CACHE_SIZE
 
@@ -29,8 +29,7 @@ def tri_heights(t: str) -> tuple[int, ...]:
     return tuple(itertools.accumulate(map(_STEP.__getitem__, t)))
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """Matched (U, D) index pairs and the leftover steps, all 1-based.
 
     Every unmatched D sits to the left of every unmatched U; H steps

@@ -17,7 +17,7 @@ agreement path in both coordinates.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import match_faces, tri_heights
@@ -117,8 +117,7 @@ def check_p2(p: str, q: str, i: int, j: int) -> None:
     _check_p2(*_profiles(p, q), i, j)
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+class FlipRecord(NamedTuple):
     """Positions touched by the flip steps, for invariant introspection.
 
     chi: positions flipped in both coordinates (empty when not applicable);

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._base import CACHE_SIZE
 
@@ -81,8 +81,7 @@ def is_grand(path: str) -> bool:
     return end_height(path) == len(path) % 2
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(NamedTuple):
     is_dyck: bool
     is_grand: bool
     is_prefix: bool
@@ -106,8 +105,7 @@ def _tuple_key(paths: tuple[str, ...]) -> str:
 # Families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A path family plus its parameters.
 
     Tags for single paths: A (all), D (Dyck), G (Grand Dyck), P (prefixes),

@@ -15,7 +15,7 @@ import itertools
 import operator
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import (
     binom,
@@ -62,8 +62,7 @@ from .walks import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     range_text: str
     passed: bool

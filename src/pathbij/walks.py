@@ -10,7 +10,7 @@ and psi_s, implemented directly on walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
 from .paths import check_path, flip_steps
@@ -57,8 +57,7 @@ def positions(w: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WalkGeometry:
+class WalkGeometry(NamedTuple):
     endpoint: tuple[int, int]
     min_x: int
     min_y: int
@@ -221,8 +220,7 @@ def shadow_contains(i: int, j: int, x: int, y: int) -> bool:
 # Walk families
 
 
-@dataclass(frozen=True)
-class WalkFamilySpec:
+class WalkFamilySpec(NamedTuple):
     """A walk family plus its parameters.
 
     Tags: O (octant), Ox (octant, ends on the x-axis), Odiag (octant, ends

@@ -1,13 +1,18 @@
 """Command-line behavior: goldens, method agreement, inverse checks, exits."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pathbij import cli
 from pathbij.cli import main
+from pathbij.counting import count_grand_tuples_det
 from pathbij.paths import FamilySpec, end_height, enumerate_family, valid_ij
 from pathbij.partitions import enumerate_pp
 from pathbij.render import render_svg
@@ -135,9 +140,10 @@ def test_partition_maps_inverse_checked(capsys):
 
 
 def test_apply_checks_the_round_trip(capsys, monkeypatch):
-    import pathbij.cli as cli
+    import pathbij
 
-    monkeypatch.setattr(cli, "xi_inv", lambda g: g)
+    # the CLI looks its maps up in the package namespace at call time
+    monkeypatch.setattr(pathbij, "xi_inv", lambda g: g)
     code, out, err = run(capsys, "apply", "--map", "xi", "--input", "UU")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "xi_inv" in err
@@ -207,10 +213,10 @@ def test_verify_json(capsys):
 
 
 def test_verify_failure_exit(capsys, monkeypatch):
-    import pathbij.cli as cli
+    import pathbij.verify
 
     monkeypatch.setattr(
-        cli, "verify_suite", lambda *a: (CheckResult("broken", "n <= 2", False, "x"),)
+        pathbij.verify, "verify_suite", lambda *a: (CheckResult("broken", "n <= 2", False, "x"),)
     )
     code, out, _ = run(capsys, "verify")
     assert code == 1
@@ -226,6 +232,49 @@ def test_render_to_file_and_stdout(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == render_svg("path", "UD")
     code, out, _ = run(capsys, "render", "--kind", "path", "--input", "UD")
     assert out == render_svg("path", "UD")
+
+
+def test_render_to_an_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.svg"
+    code, out, err = run(
+        capsys, "render", "--kind", "path", "--input", "UD", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+@contextlib.contextmanager
+def _every_digit():
+    """Lift the interpreter's int-to-str limit (Python >= 3.11) for the test's
+    own conversions."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_every_digit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "count", "--family", "A", "--n", "20000", "--method", "formula")
+    assert (code, err) == (0, "")
+    with _every_digit():
+        assert out == str(2**20000)
+    assert len(out) == 6021
+    code, out, err = run(
+        capsys, "count", "--family", "G2", "--n", "8000", "--method", "det", "--json"
+    )
+    assert (code, err) == (0, "")
+    with _every_digit():
+        record = json.loads(out)
+    assert record["count"] == count_grand_tuples_det(8000, 2)
+    assert record["count"] > 10**4300
+    # the process-wide limit is as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_render_shadow_flags(capsys, tmp_path):
@@ -281,6 +330,84 @@ def test_count_formula_rejects_negative_n(capsys, flags):
     code, out, err = run(capsys, "count", *flags, "--n", "-1", "--method", "formula")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "nonnegative" in err
+
+
+_JUNK = st.text(max_size=5)
+# small values keep every brute count and verify sweep quick
+_NUMBER = st.integers(-2, 6).map(str)
+# the text encodings, by the kind of object they encode
+_INPUTS = {
+    "path": st.text("UD", max_size=8),
+    "pair": st.lists(st.text("UD", max_size=6), min_size=2, max_size=3).map(",".join),
+    "tripath": st.text("UDH", max_size=8),
+    "walk": st.text("ENSW", max_size=8),
+    "pp": st.text("0123 ;", max_size=10),
+}
+_INPUT_OF_MAP = {cli._PATH: "path", cli._PAIR: "pair", cli._PATHS: "pair", cli._WALK: "walk", cli._PP: "pp"}
+_VALUES = {
+    "--family": st.sampled_from(cli._PATH_TAGS + cli._WALK_TAGS),
+    "--method": st.sampled_from(("brute", "det", "product", "sum", "formula")),
+    "--map": st.sampled_from(sorted(cli._MAPS)),
+    "--kind": st.sampled_from(("path", "pair", "tripath", "walk")),
+    "--input": st.one_of(*_INPUTS.values()),
+}
+_SWITCHES = ("--json", "--show-matching", "--show-flips", "--show-shadow")
+_REQUIRED = {"count": ("--family", "--n"), "apply": ("--map", "--input"), "render": ("--kind", "--input")}
+_FLAGS = {
+    "count": ("--k", "--i", "--j", "--s", "--method", "--max-n", "--json"),
+    "apply": ("--n", "--k", "--i", "--j", "--s", "--json"),
+    # verify always gets a --max-n of at most 1, below
+    "verify": ("--k", "--json"),
+    "render": ("--i", "--j", "--out", *_SWITCHES[1:]),
+}
+
+
+@st.composite
+def _argvs(draw, out_paths):
+    def rarely():  # about one time in ten
+        return draw(st.sampled_from((False,) * 9 + (True,)))
+
+    verb = draw(_JUNK if rarely() else st.sampled_from(sorted(_FLAGS)))
+    argv = [verb]
+    if verb == "verify":
+        argv += ["--max-n", draw(st.sampled_from(("-1", "0", "1")))]
+    flags = [f for f in _REQUIRED.get(verb, ()) if not rarely()]
+    flags += draw(st.lists(st.sampled_from(_FLAGS.get(verb, ("--n",))), max_size=5))
+    kind = None  # what --input should encode, once --map or --kind says
+    for flag in flags:
+        argv.append(flag)
+        if flag == "--out":
+            argv.append(draw(st.sampled_from(out_paths)))
+            continue
+        if flag in _SWITCHES:
+            continue
+        value = _VALUES.get(flag, _NUMBER)
+        if flag == "--input" and kind in _INPUTS and not rarely():
+            value = _INPUTS[kind]  # the encoding that --map or --kind reads
+        argv.append(draw(_JUNK if rarely() else value))
+        if flag == "--kind":
+            kind = argv[-1]
+        elif flag == "--map" and argv[-1] in cli._MAPS:
+            kind = _INPUT_OF_MAP[cli._MAPS[argv[-1]][0]]
+    if rarely():
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+def test_every_argument_list_ends_in_an_exit_code(tmp_path_factory):
+    """Random argument lists from the real verbs, flags and encodings, plus
+    junk: main returns 0, 1 or 2 and raises nothing."""
+    out = tmp_path_factory.mktemp("render")
+    out_paths = (str(out / "out.svg"), str(out / "missing" / "out.svg"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_argvs(out_paths))
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+
+    check()
 
 
 def test_budget_override(capsys):
