@@ -45,6 +45,10 @@ _COUNTS = {
     ("Qend", "formula"): lambda a: _qend(a),
 }
 _SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
+# count prints every digit, and int-to-str is quadratic in the digit count:
+# at this n the slowest formula call takes about 0.3 s, while at ten times
+# this n printing 2^n alone takes about 1 s
+_FORMULA_MAX_N = 100_000
 
 
 def _need(args, name):
@@ -91,6 +95,8 @@ def _run_count(args) -> int:
             raise ValueError(
                 f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
             )
+        if args.method == "formula" and args.n > _FORMULA_MAX_N:
+            raise ValueError(f"--method formula takes --n up to {_FORMULA_MAX_N}, got {args.n}")
         value = fn(args)
     if not args.json:
         print(_exact(str, value))

@@ -89,6 +89,7 @@ def infer_ij(p: str, q: str) -> tuple[int, int]:
 
 
 def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
+    """Raise naming the first violated M2(n,i;j) predicate."""
     check_ij(n, i, j)
     ep, eq = _end(hp), _end(hq)
     require(ep == i + j, "h(P) = {}, need i+j = {}", ep, i + j)
@@ -97,12 +98,8 @@ def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) 
     require(all(map(operator.le, map(operator.neg, hp), hq)), "-P is not weakly below Q")
 
 
-def check_m2(p: str, q: str, i: int, j: int) -> None:
-    """Raise naming the first violated M2(n,i;j) predicate."""
-    _check_m2(*_profiles(p, q), i, j)
-
-
 def _check_p2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
+    """Raise naming the first violated P2(n,i;j) predicate."""
     check_ij(n, i, j)
     require(min(hq, default=0) >= 0, "Q goes below the x-axis")
     _require_nested(hp, hq)
@@ -110,11 +107,6 @@ def _check_p2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) 
     require(i - j <= eq, "h(Q) = {}, need at least i-j = {}", eq, i - j)
     require(eq <= i + j, "h(Q) = {}, need at most i+j = {}", eq, i + j)
     require(i + j <= ep, "h(P) = {}, need at least i+j = {}", ep, i + j)
-
-
-def check_p2(p: str, q: str, i: int, j: int) -> None:
-    """Raise naming the first violated P2(n,i;j) predicate."""
-    _check_p2(*_profiles(p, q), i, j)
 
 
 class FlipRecord(NamedTuple):

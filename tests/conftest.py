@@ -1,4 +1,7 @@
-"""Prints one verdict line per acceptance criterion after the run."""
+"""Prints one verdict line per acceptance criterion after the run.
+
+Criteria 2-11 share one suite run, so a criterion has no time of its own.
+"""
 
 import re
 
@@ -10,14 +13,13 @@ _LABELS = {
     5: "flip-record identities on every sector element",
     6: "walk conjugation and the step dictionary",
     7: "octant walk census vs closed forms",
-    8: "floor bijection and its counts",
+    8: "floor bijection psi_s after phi_inv",
     9: "origin walks vs diagonal octant walks",
     10: "plane-partition roundtrip and box counts",
     11: "triple counts agree",
 }
 
 _outcomes: dict[int, bool] = {}
-_durations: dict[int, float] = {}
 
 
 def pytest_runtest_logreport(report):
@@ -25,8 +27,6 @@ def pytest_runtest_logreport(report):
     if not match:
         return
     num = int(match.group(1))
-    if report.when == "call":
-        _durations[num] = report.duration
     if report.failed:
         _outcomes[num] = False
     elif report.passed and report.when == "call":
@@ -39,7 +39,4 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for num in sorted(_outcomes):
         verdict = "PASS" if _outcomes[num] else "FAIL"
-        took = f" ({_durations[num]:.1f}s)" if num in _durations else ""
-        terminalreporter.write_line(
-            f"criterion {num}: {verdict}{took}  {_LABELS.get(num, '')}"
-        )
+        terminalreporter.write_line(f"criterion {num}: {verdict}  {_LABELS.get(num, '')}")

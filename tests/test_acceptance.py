@@ -1,12 +1,16 @@
 """Acceptance gate: eleven end-to-end guarantees, one test per criterion.
 
-Criteria 2-11 run the identity checks of pathbij.verify, the same code
-`pathbij verify` certifies with, at the bounds given here. Each check
-re-derives its identity from exhaustive enumeration or closed forms and
-returns None or the first counterexample, so a pass certifies the shipped
-behavior, not a fixture. The goldens stay plain asserts. conftest.py prints
-a per-criterion verdict line after the run.
+Criteria 2-11 read one run of pathbij.verify.verify_suite(10, 3), the code
+`pathbij verify --max-n 10 --k 3` runs, in worker processes as the command
+does. Every bound lives in verify's table, not here. Each check re-derives
+its identity from exhaustive enumeration or closed forms and reports None
+or the first counterexample, so a pass certifies the shipped behavior, not
+a fixture. Each criterion asserts that its named report lines passed, and
+a failing line outside them fails the run too. The goldens stay plain
+asserts. conftest.py prints a per-criterion verdict line after the run.
 """
+
+import pytest
 
 from pathbij import verify
 from pathbij.counting import (
@@ -20,11 +24,14 @@ from pathbij.single import nu, xi
 FIG_IN = "UUDDUUDUUDDUUUDU"
 
 
-def _all_pass(*calls):
-    """Run each (check, *bounds) call in worker processes, as `pathbij
-    verify` does, and fail with every counterexample found."""
-    table = tuple((fn.__name__, "", fn, tuple(bounds)) for fn, *bounds in calls)
-    bad = [r.line() for r in verify._run_checks(table) if not r.passed]
+@pytest.fixture(scope="module")
+def report():
+    """The suite's results by report line name."""
+    return {r.name: r for r in verify.verify_suite(10, 3)}
+
+
+def _passed(report, *names):
+    bad = [report[name].line() for name in names if not report[name].passed]
     assert not bad, bad
 
 
@@ -33,68 +40,64 @@ def test_c01_figure_goldens():
     assert nu(FIG_IN) == "DUDDUUDDUUDUUDDU"
 
 
-def test_c02_nesting_map_bijection():
-    """phi maps every M2(n,i;j) sector onto P2(n,i;j), n <= 10.
+def test_c02_nesting_map_bijection(report):
+    """phi maps every M2(n,i;j) sector onto P2(n,i;j).
 
     phi_inv o phi is the identity on the whole domain and the image is the
     whole codomain, so phi o phi_inv is the identity on the codomain too;
     no separate reverse pass is needed.
     """
-    assert verify._check_phi_sector(10) is None
+    _passed(report, "phi_sector_bijection")
 
 
-def test_c03_agreement_map_bijection():
-    """psi maps every M2(n,i;j) sector onto G2(n,i;j), n <= 10, with the
-    endpoint and depth postconditions. As in c02, the round trip on the
-    whole domain and the image equal to the codomain make psi o psi_inv the
-    identity on the codomain."""
-    assert verify._check_psi_sector(10) is None
+def test_c03_agreement_map_bijection(report):
+    """psi maps every M2(n,i;j) sector onto G2(n,i;j), with the endpoint
+    and depth postconditions. As in c02, the round trip on the whole domain
+    and the image equal to the codomain make psi o psi_inv the identity on
+    the codomain."""
+    _passed(report, "psi_sector_bijection")
 
 
-def test_c04_five_way_counts():
-    """|P2| = |G2| = det through n = 12 by enumeration, and det = box
-    product = sum formula."""
-    _all_pass(
-        (verify._check_tuple_counts, {2: 12}),
-        (verify._check_det_vs_box, 12, 2),
-        (verify._check_g2_sum, 12),
-    )
+def test_c04_five_way_counts(report):
+    """|P2| = |G2| = det by enumeration, and det = box product = sum
+    formula."""
+    _passed(report, "tuple_count_agreement", "det_vs_box_product", "g2_sum_formula")
     assert count_grand_tuples_det(4, 2) == 20
 
 
-def test_c05_flip_record_identities():
-    _all_pass((verify._check_flip_records, 10), (verify._check_flip_heights, 12))
+def test_c05_flip_record_identities(report):
+    _passed(report, "flip_record_bounds", "flip_height_profile")
 
 
-def test_c06_conjugation_and_dictionary():
-    _all_pass(
-        (verify._check_conjugation, 10),
-        (verify._check_step_dictionary, 10),
-        (verify._check_shadow, 12),
-    )
+def test_c06_conjugation_and_dictionary(report):
+    _passed(report, "walk_conjugation", "step_dictionary", "shadow_region")
 
 
-def test_c07_octant_census():
+def test_c07_octant_census(report):
     assert count_octant_total(2) == 3
     assert count_octant_xaxis(4) == 10
     assert count_octant_diag(2) == 10
     assert count_octant_total(4) == 20
-    assert verify._check_octant_census(11) is None
+    _passed(report, "octant_census_formulas")
 
 
-def test_c08_floor_bijection():
-    assert verify._check_floor_pairs(10) is None
+def test_c08_floor_bijection(report):
+    _passed(report, "floor_pair_bijection")
 
 
-def test_c09_origin_vs_diagonal():
-    assert verify._check_origin_walks(5) is None
+def test_c09_origin_vs_diagonal(report):
+    _passed(report, "origin_walk_bijection")
 
 
-def test_c10_plane_partitions():
-    """Round trips both ways at p, q <= 3 and k <= 3; box and melon counts
-    at p, q <= 4."""
-    assert verify._check_pp(3, 3, 4) is None
+def test_c10_plane_partitions(report):
+    """Round trips both ways, and box and melon counts."""
+    _passed(report, "pp_box_roundtrip")
 
 
-def test_c11_triple_counts():
-    assert verify._check_tuple_counts({3: 8}) is None
+def test_c11_triple_counts(report):
+    """|P^3| = |G^3|, the k = 3 rows of the tuple census."""
+    _passed(report, "tuple_count_agreement")
+
+
+def test_every_report_line_passes(report):
+    _passed(report, *report)

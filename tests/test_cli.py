@@ -194,7 +194,7 @@ def test_verify_report(capsys):
     code, out, err = run(capsys, "verify", "--max-n", "2")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert len(lines) == 26  # one per identity plus the runtime line
+    assert len(lines) == 24  # one per identity plus the runtime line
     assert all(" PASS" in line for line in lines[:-1])
     assert lines[-1].startswith("total runtime:")
     assert re.fullmatch(r"total runtime: \d+\.\ds \(checks \d+\.\ds on \d+ workers?\)", lines[-1])
@@ -204,7 +204,7 @@ def test_verify_json(capsys):
     code, out, err = run(capsys, "verify", "--max-n", "0", "--k", "1", "--json")
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
-    assert len(records) == 25
+    assert len(records) == 23
     assert all(r["passed"] for r in records)
     assert {"name", "range", "passed", "counterexample", "seconds"} <= set(records[0])
     assert all(r["seconds"] >= 0 for r in records)
@@ -265,6 +265,11 @@ def test_count_prints_every_digit(capsys):
     with _every_digit():
         assert out == str(2**20000)
     assert len(out) == 6021
+    # the largest n --method formula takes
+    code, out, err = run(capsys, "count", "--family", "A", "--n", "100000", "--method", "formula")
+    assert (code, err, len(out)) == (0, "", 30103)
+    with _every_digit():
+        assert out == str(2**100000)
     code, out, err = run(
         capsys, "count", "--family", "G2", "--n", "8000", "--method", "det", "--json"
     )
@@ -293,6 +298,7 @@ def test_exit_codes(capsys):
         ("count", "--family", "G2", "--n", "4", "--i", "2", "--j", "0", "--method", "det"),
         ("count", "--family", "A", "--n", "13"),
         ("count", "--family", "Gk", "--n", "4", "--method", "det"),
+        ("count", "--family", "A", "--n", "100001", "--method", "formula"),
         ("apply", "--map", "teleport", "--input", "UD"),
         ("apply", "--map", "xi", "--input", "UX"),
         ("apply", "--map", "xi_s", "--input", "UU"),

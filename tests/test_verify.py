@@ -1,9 +1,10 @@
 """The identity checks fail when the map they certify is broken.
 
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
-run once against a corrupted map: the map, as the check sees it, answers one
-domain input with the image of another input of the same sector, which keeps
-every output valid but breaks injectivity. The suite runs its checks in
+run against a corrupted map (the step dictionary against two, omega and
+omega_inv): the map, as the check sees it, answers one domain input with
+the image of another input of the same sector, which keeps every output
+valid but breaks injectivity. The suite runs its checks in
 worker processes; the last tests pin that it reports what the checks give
 in-process, under spawn too, and that a crash or a dead worker is a failure.
 """
@@ -27,6 +28,9 @@ CASES = [
     (verify._check_floor_pairs, 2, "psi_s", ("UD", "DU", 0), ("UD", "UD", 0)),
     (verify._check_origin_walks, 1, "phi_tilde", ("NS",), ("EW",)),
     (verify._check_psi_tilde_s_union, 2, "psi_tilde_s", ("NS", 0), ("EW", 0)),
+    (verify._check_step_dictionary, 2, "omega", ("U", "D"), ("D", "U")),
+    (verify._check_step_dictionary, 2, "omega_inv", ("NS",), ("EW",)),
+    (verify._check_xi_s, 2, "xi_s", ("UU", 0), ("UD", 0)),
 ]
 
 
@@ -46,7 +50,7 @@ def test_parallel_suite_matches_the_checks_run_in_process():
     table = verify._checks(2, 2)
     expected = [verify._run_check(entry) for entry in table]
     got = verify.verify_suite(2, 2)
-    assert len(got) == len(table) == 25
+    assert len(got) == len(table) == 23
     fields = lambda r: (r.name, r.range_text, r.passed, r.counterexample)  # noqa: E731
     assert list(map(fields, got)) == list(map(fields, expected))
     assert all(r.passed and r.pid for r in got)

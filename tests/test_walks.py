@@ -19,7 +19,6 @@ from pathbij import (
     psi_tilde_s_inv,
     shadow_contains,
     valid_ij,
-    verify,
     walk_geometry,
 )
 from pathbij.walks import check_walk, positions
@@ -140,10 +139,6 @@ def test_phi_tilde_inv_examples():
     assert phi_tilde_inv("EN", 1, 1) == "EN"
 
 
-def test_phi_tilde_fixes_octant_walks_on_the_axis():
-    assert verify._check_phi_tilde_identity(10) is None
-
-
 def test_ns_ew_split_example():
     assert ns_ew_split("ENSE") == ("NS", "EE", "HVVH")
     assert ns_ew_split("") == ("", "", "")
@@ -202,17 +197,6 @@ def test_psi_tilde_maps_endpoint_classes():
             )
             for w, wh in zip(dom, image):
                 assert psi_tilde_inv(wh) == w
-
-
-def test_hij_walks_encode_grand_pair_sectors():
-    assert verify._check_hij_g2(8) is None
-
-
-def test_psi_tilde_s_union_bijection():
-    """For each endpoint column (s, j), psi_tilde_s glues the quadrant
-    endpoint classes with matching parity into all upper-half walks ending
-    at (s, j), bijectively. Exhaustive through length 9."""
-    assert verify._check_psi_tilde_s_union(9) is None
 
 
 def test_shadow_contains():
