@@ -1,9 +1,12 @@
-"""Prints one verdict line per acceptance criterion after the run.
+"""Prints one verdict line per acceptance criterion after the run, and
+holds the one suite run that the acceptance and walk tests read.
 
-Criteria 2-11 share one suite run, so a criterion has no time of its own.
+Criteria 2-11 share that run, so a criterion has no time of its own.
 """
 
 import re
+
+import pytest
 
 _LABELS = {
     1: "figure goldens",
@@ -20,6 +23,16 @@ _LABELS = {
 }
 
 _outcomes: dict[int, bool] = {}
+
+
+@pytest.fixture(scope="session")
+def suite_report():
+    """pathbij.verify.verify_suite(10, 3), run once per session in worker
+    processes as `pathbij verify --max-n 10 --k 3` runs it, by report line
+    name. Every bound lives in verify's table."""
+    from pathbij import verify
+
+    return {r.name: r for r in verify.verify_suite(10, 3)}
 
 
 def pytest_runtest_logreport(report):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pathbij import end_height, min_height, nu, nu_inv, verify
+from pathbij import end_height, match_faces, min_height, nu, nu_inv, verify
 from pathbij import xi, xi_inv, xi_s, xi_s_inv
 
 
@@ -114,6 +114,13 @@ def test_random_prefix_roundtrips(p):
     i = end_height(p)
     for s in range(i % 2, i + 1, 2):
         assert xi_s_inv(xi_s(p, s)) == p
+
+
+@given(prefixes())
+def test_xi_preserves_facing_pairs(p):
+    """Random prefixes up to length 40; verify._check_xi sweeps every
+    prefix of length n < 15."""
+    assert match_faces(xi(p)).pairs == match_faces(p).pairs
 
 
 @given(prefixes())

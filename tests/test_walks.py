@@ -139,6 +139,11 @@ def test_phi_tilde_inv_examples():
     assert phi_tilde_inv("EN", 1, 1) == "EN"
 
 
+def test_phi_tilde_fixes_octant_walks_on_the_axis(suite_report):
+    line = suite_report["phi_tilde_axis_identity"]
+    assert line.passed, line.line()
+
+
 def test_ns_ew_split_example():
     assert ns_ew_split("ENSE") == ("NS", "EE", "HVVH")
     assert ns_ew_split("") == ("", "", "")
@@ -197,6 +202,19 @@ def test_psi_tilde_maps_endpoint_classes():
             )
             for w, wh in zip(dom, image):
                 assert psi_tilde_inv(wh) == w
+
+
+def test_hij_walks_encode_grand_pair_sectors(suite_report):
+    line = suite_report["hij_walks_vs_g2"]
+    assert line.passed, line.line()
+
+
+def test_psi_tilde_s_union_bijection(suite_report):
+    """For each endpoint column (s, j), psi_tilde_s glues the quadrant
+    endpoint classes with matching parity into all upper-half walks ending
+    at (s, j), bijectively; exhaustive to the bound in verify's table."""
+    line = suite_report["psi_tilde_s_union"]
+    assert line.passed, line.line()
 
 
 def test_shadow_contains():
