@@ -4,10 +4,10 @@ and the position-wise map over a pair of paths."""
 from __future__ import annotations
 
 # Entries kept by each per-input cache (paths.heights, matching.tri_heights,
-# matching.match_faces). Every map builds each profile or matching it needs
-# once per call, so the caches only serve repeats across nearby calls, as in
-# the exhaustive sweeps; a bound keeps a stream of distinct inputs from
-# growing the process.
+# matching.unmatched_steps, matching.match_faces). Every map builds each
+# profile or set of unmatched steps it needs once per call, so the caches
+# only serve repeats across nearby calls, as in the exhaustive sweeps; a
+# bound keeps a stream of distinct inputs from growing the process.
 CACHE_SIZE = 64
 
 

@@ -45,10 +45,18 @@ _COUNTS = {
     ("Qend", "formula"): lambda a: _qend(a),
 }
 _SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
-# count prints every digit, and int-to-str is quadratic in the digit count:
-# at this n the slowest formula call takes about 0.3 s, while at ten times
-# this n printing 2^n alone takes about 1 s
-_FORMULA_MAX_N = 100_000
+# the largest --n, and --k for Gk, that each method takes, so that no call
+# runs unbounded. formula: count prints every digit and int-to-str is
+# quadratic; at the limit the slowest formula call takes about 0.3 s, and
+# printing 2^n at ten times it about 1 s. det, product and sum: a whole
+# call at the limits, k included, takes 1.1 to 1.4 s (2-vCPU Linux,
+# Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
+_MAX_N_K = {
+    "formula": (100_000, None),
+    "det": (10_000, 10),
+    "product": (300, 10),
+    "sum": (3_000, None),
+}
 
 
 def _need(args, name):
@@ -95,8 +103,11 @@ def _run_count(args) -> int:
             raise ValueError(
                 f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
             )
-        if args.method == "formula" and args.n > _FORMULA_MAX_N:
-            raise ValueError(f"--method formula takes --n up to {_FORMULA_MAX_N}, got {args.n}")
+        max_n, max_k = _MAX_N_K[args.method]
+        if args.n > max_n:
+            raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
+        if family == "Gk" and args.k is not None and args.k > max_k:
+            raise ValueError(f"--method {args.method} takes --k up to {max_k}, got {args.k}")
         value = fn(args)
     if not args.json:
         print(_exact(str, value))

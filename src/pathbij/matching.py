@@ -42,8 +42,34 @@ class Matching(NamedTuple):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def unmatched_steps(t: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(unmatched_d, unmatched_u) of match_faces(t), 1-based: the flip kernel.
+
+    The same stack scan without the list of matched pairs, which no map
+    reads; every map flips some of these steps.
+    """
+    check_tripath(t)
+    stack: list[int] = []
+    unmatched_d: list[int] = []
+    push, pop = stack.append, stack.pop
+    for a, c in enumerate(t, start=1):
+        if c == "U":
+            push(a)
+        elif c == "D":
+            if stack:
+                pop()
+            else:
+                unmatched_d.append(a)
+    return tuple(unmatched_d), tuple(stack)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def match_faces(t: str) -> Matching:
-    """Stack scan: U pushes, D pops a match if possible, H is skipped."""
+    """Stack scan: U pushes, D pops a match if possible, H is skipped.
+
+    The view with the pairs, for rendering and checking; the maps call
+    unmatched_steps.
+    """
     check_tripath(t)
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []

@@ -20,8 +20,8 @@ import operator
 from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
-from .matching import match_faces, tri_heights
-from .paths import check_ij, check_path, flip_steps, heights
+from .matching import tri_heights, unmatched_steps
+from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
 from .single import _up_flips
 
 
@@ -53,6 +53,7 @@ def _require_nested(hp: tuple[int, ...], hq: tuple[int, ...]) -> None:
 # step pair (P, Q) -> step of (P-Q)/2 and of (P+Q)/2
 _DISAGREE = step_pair_table({"UD": "U", "DU": "D", "UU": "H", "DD": "H"})
 _AGREE = step_pair_table({"UU": "U", "DD": "D", "UD": "H", "DU": "H"})
+_FLIP = str.maketrans("UD", "DU")
 
 
 def _disagreement(p: str, q: str) -> str:
@@ -121,16 +122,41 @@ class FlipRecord(NamedTuple):
     r: int
 
 
+def _axis_points(h: tuple[int, ...]) -> list[int]:
+    """The points of a path on the x-axis, the start left out."""
+    points = []
+    a = 0
+    for _ in range(h.count(0)):
+        a = h.index(0, a) + 1
+        points.append(a)
+    return points
+
+
 def _lower_returns(q: str, h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a for a, (c, hh) in enumerate(zip(q, h), 1) if c == "U" and hh == 0)
+    return tuple(a for a in _axis_points(h) if q[a - 1] == "U")
 
 
 def _flip_below(q: str, h: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """Q' and the lower returns of Q, from the profile of Q."""
+    """Q' and the lower returns of Q, from the profile of Q.
+
+    Between two points on the axis Q stays on one side of it. It is below
+    when it leaves by a D step; then every step but the last, a lower
+    return, ends below the axis. Q ends at h(Q) >= 0, so after its last
+    point on the axis it stays above.
+    """
     end = _end(h)
     require(end >= 0, "flip_below needs h(Q) >= 0, got {}", end)
-    flips = [a for a, hh in enumerate(h, 1) if hh < 0]
-    return flip_steps(q, flips), _lower_returns(q, h)
+    pieces: list[str] = []
+    returns: list[int] = []
+    done = start = 0
+    for stop in _axis_points(h):
+        if q[start] == "D":
+            pieces += (q[done:start], q[start:stop - 1].translate(_FLIP))
+            done = stop - 1
+            returns.append(stop)
+        start = stop
+    pieces.append(q[done:])
+    return "".join(pieces), tuple(returns)
 
 
 def flip_below(q: str) -> tuple[str, FlipRecord]:
@@ -147,15 +173,7 @@ def _flip_below_inv(qp: str, h: tuple[int, ...], r: int) -> str:
     require(min(h, default=0) >= 0, "flip_below_inv needs a prefix")
     end = _end(h)
     require(end >= 2 * r, "need h(Q') >= 2r, got h(Q') = {}, r = {}", end, r)
-    # last[v]: the rightmost point at height v, for every v below 2r
-    last = [0] * (2 * r)
-    for a, hh in enumerate(h, 1):
-        if hh < 2 * r:
-            last[hh] = a
-    flips: list[int] = []
-    for l in range(r):
-        flips.extend(range(last[2 * l] + 1, last[2 * l + 1] + 1))
-    return flip_steps(qp, flips)
+    return swap_fragments(qp, h, r, _FLIP)
 
 
 def flip_below_inv(qp: str, r: int) -> str:
@@ -186,7 +204,7 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
         i, j = _read_ij(hp, hq)
     _check_m2(n, hp, hq, i, j)
     qp, returns = _flip_below(q, hq)
-    chi = match_faces(_disagreement(p, qp)).unmatched_d
+    chi = unmatched_steps(_disagreement(p, qp))[0]
     return flip_steps(p, chi), flip_steps(qp, chi), FlipRecord(chi, returns, len(returns))
 
 
@@ -200,7 +218,7 @@ def phi_inv(pt: str, qt: str, i: int, j: int):
     n, hp, hq = _profiles(pt, qt)
     _check_p2(n, hp, hq, i, j)
     c = (_end(hp) - i - j) // 2
-    unmatched_u = match_faces(_disagreement(pt, qt)).unmatched_u
+    unmatched_u = unmatched_steps(_disagreement(pt, qt))[1]
     require(
         len(unmatched_u) >= c,
         "need {} unmatched U steps in the disagreement path, found {}",
@@ -235,7 +253,7 @@ def _psi_s_inv(ps: str, qs: str, bottom: bool):
     require(s >= 0, "agreement path must end at height >= 0, got {}", s)
     require(j >= 0, "Q must end weakly below P")
     _require_nested(hp, hq)
-    flips = match_faces(_agreement(ps, qs)).unmatched_d
+    flips = unmatched_steps(_agreement(ps, qs))[0]
     if bottom:  # a psi image: s = i mod 2 and (i, j) a sector
         require(s <= 1, "agreement path must end at 0 or 1, got {}", s)
         check_ij(n, 2 * len(flips) + s, j)

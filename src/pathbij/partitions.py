@@ -9,6 +9,9 @@ the top path holding the smallest diagram.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+
 from ._base import require
 from .paths import check_path, is_weakly_below
 
@@ -57,18 +60,12 @@ def check_pp(a: PlanePartition, k: int | None = None) -> PlanePartition:
     p = len(a[0]) if q else 0
     for row in a:
         require(len(row) == p, "rows must all have the same length")
-        require(all(x >= 0 for x in row), "entries must be nonnegative")
-        require(
-            all(row[c] >= row[c + 1] for c in range(p - 1)),
-            "rows must weakly decrease",
-        )
+        require(min(row, default=0) >= 0, "entries must be nonnegative")
+        require(all(map(operator.ge, row, row[1:])), "rows must weakly decrease")
         if k is not None:
-            require(all(x <= k for x in row), "entries must be at most {}", k)
-    for r in range(q - 1):
-        require(
-            all(a[r][c] >= a[r + 1][c] for c in range(p)),
-            "columns must weakly decrease",
-        )
+            require(max(row, default=0) <= k, "entries must be at most {}", k)
+    for upper, lower in zip(a, a[1:]):
+        require(all(map(operator.ge, upper, lower)), "columns must weakly decrease")
     return a
 
 
@@ -86,10 +83,18 @@ def tuple_to_pp(paths: tuple[str, ...], p: int, q: int) -> PlanePartition:
             t + 2,
             t + 1,
         )
-    return tuple(
-        tuple(sum(1 for d in diagrams if d[r] >= c) for c in range(1, p + 1))
-        for r in range(q)
-    )
+    k = len(paths)
+    rows = []
+    for r in range(q):
+        # the parts grow down the layers, so the columns past the part of
+        # layer t-1, up to that of layer t, lie in layers t..k-1 alone
+        row = ()
+        prev = 0
+        for t, d in enumerate(diagrams):
+            row += (k - t,) * (d[r] - prev)
+            prev = d[r]
+        rows.append(row + (0,) * (p - prev))
+    return tuple(rows)
 
 
 def pp_to_tuple(a: PlanePartition, k: int, p: int | None = None) -> tuple[str, ...]:
@@ -107,7 +112,8 @@ def pp_to_tuple(a: PlanePartition, k: int, p: int | None = None) -> tuple[str, .
     paths = []
     for l in range(1, k + 1):
         threshold = k + 1 - l
-        parts = tuple(sum(1 for x in row if x >= threshold) for row in a)
+        # the entries >= threshold lead each weakly decreasing row
+        parts = tuple(bisect_right(row, -threshold, key=operator.neg) for row in a)
         paths.append(diagram_to_path(parts, p, q))
     return tuple(paths)
 

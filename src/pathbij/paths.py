@@ -20,6 +20,7 @@ DOWN = "D"
 _NEGATE = str.maketrans("UD", "DU")
 _LEXKEY = str.maketrans("UD", "01")
 _STEP = {UP: 1, DOWN: -1}
+_U, _D = ord(UP), ord(DOWN)
 
 
 def check_path(path: str) -> str:
@@ -53,13 +54,47 @@ def negate(path: str) -> str:
 
 
 def flip_steps(path: str, positions) -> str:
-    """Swap U/D at the given 1-based positions."""
-    chars = list(path)
+    """Swap U/D at the given 1-based positions; a position off the path or
+    on a step other than U or D raises ValueError."""
+    steps = bytearray(path, "ascii")
+    n = len(steps)
     for a in positions:
-        if not 1 <= a <= len(chars):
-            raise ValueError(f"flip position {a} outside 1..{len(chars)}")
-        chars[a - 1] = DOWN if chars[a - 1] == UP else UP
-    return "".join(chars)
+        if not 1 <= a <= n:
+            raise ValueError(f"flip position {a} outside 1..{n}")
+        c = steps[a - 1]
+        if c == _U:
+            steps[a - 1] = _D
+        elif c == _D:
+            steps[a - 1] = _U
+        else:
+            raise ValueError(f"flip position {a} holds {chr(c)!r}, not U or D")
+    return steps.decode()
+
+
+def swap_fragments(word: str, h: tuple[int, ...], r: int, table) -> str:
+    """Translate by table, for each l < r, the steps of word between the
+    rightmost points at heights 2l and 2l+1 of the profile h, which must
+    end at or above 2r; point 0 is the start.
+
+    After its rightmost point at height v a path that ends above v stays
+    above v, so these points come in the order of v, one backward search
+    finds them all, and the fragments are disjoint and in order.
+    """
+    backward = ((0,) + h)[::-1]
+    last = []
+    b = 0
+    for v in range(2 * r - 1, -1, -1):
+        b = backward.index(v, b)
+        last.append(len(h) - b)
+    last.reverse()
+    pieces = []
+    done = 0
+    for l in range(r):
+        start, stop = last[2 * l], last[2 * l + 1]
+        pieces += (word[done:start], word[start:stop].translate(table))
+        done = stop
+    pieces.append(word[done:])
+    return "".join(pieces)
 
 
 def is_weakly_below(q: str, p: str) -> bool:

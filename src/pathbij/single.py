@@ -9,7 +9,7 @@ codomain is documented as "ends at -(n mod 2)" throughout.
 from __future__ import annotations
 
 from ._base import require
-from .matching import match_faces
+from .matching import unmatched_steps
 from .paths import check_path, flip_steps, heights, negate
 
 
@@ -18,25 +18,25 @@ def _up_flips(word: str, s: int | None) -> tuple[int, ...]:
     word with no unmatched D; s = i mod 2 when None. xi_s flips them in a
     prefix, psi_s in a pair's agreement path, psi_tilde_s in a walk's
     EW-subsequence; the inverses flip every unmatched D step."""
-    m = match_faces(word)
+    unmatched_d, unmatched_u = unmatched_steps(word)
     # an unmatched D step is a new minimum below the start
-    require(not m.unmatched_d, "need a Dyck path prefix, got {!r}", word)
-    i = len(m.unmatched_u)
+    require(not unmatched_d, "need a Dyck path prefix, got {!r}", word)
+    i = len(unmatched_u)
     if s is None:
         s = i % 2
     require(s >= 0, "need s >= 0, got s={}", s)
     require(i >= s, "need i >= s, got i={}, s={}", i, s)
     require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
-    return m.unmatched_u[: (i - s) // 2]
+    return unmatched_u[: (i - s) // 2]
 
 
 def _xi_s_inv(r: str, grand: bool) -> str:
     """Flip every unmatched D step of r; with grand, r must end at n mod 2."""
-    m = match_faces(check_path(r))
+    unmatched_d, unmatched_u = unmatched_steps(check_path(r))
     if grand:
-        end = len(m.unmatched_u) - len(m.unmatched_d)
+        end = len(unmatched_u) - len(unmatched_d)
         require(end == len(r) % 2, "xi_inv needs a Grand Dyck path, got end height {}", end)
-    return flip_steps(r, m.unmatched_d)
+    return flip_steps(r, unmatched_d)
 
 
 def xi(p: str) -> str:

@@ -28,7 +28,7 @@ from .counting import (
     count_octant_total,
     count_octant_xaxis,
 )
-from .matching import match_faces, tri_heights
+from .matching import match_faces, tri_heights, unmatched_steps
 from .pairs import ell, flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
 from .partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
 from .paths import (
@@ -98,10 +98,15 @@ def _check_families(n_max):
 
 
 def _check_matching(n_max):
+    """The leftover steps of match_faces come in order, their D steps are
+    the new minima, and the flip kernel, a separate scan, finds the same
+    ones, on every U/D/H word."""
     for n in range(n_max + 1):
         for t in itertools.product("UDH", repeat=n):
             w = "".join(t)
             m = match_faces(w)
+            if unmatched_steps(w) != (m.unmatched_d, m.unmatched_u):
+                return f"flip kernel differs from match_faces: {w}"
             if m.unmatched_d and m.unmatched_u and m.unmatched_d[-1] >= m.unmatched_u[0]:
                 return f"leftover word out of order: {w}"
             low = min(tri_heights(w) + (0,))
@@ -318,6 +323,10 @@ def _check_step_dictionary(n_max):
 
 
 def _check_conjugation(n_max):
+    """The walk maps are omega's conjugates of the pair maps, and the walk
+    inverses undo them. phi_tilde_inv runs on the walk itself, so its round
+    trip tests an implementation independent of phi_inv, whose own round
+    trip phi_sector_bijection tests."""
     for n in range(n_max + 1):
         for i, j in valid_ij(n):
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):

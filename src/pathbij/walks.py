@@ -5,22 +5,29 @@ position: UU -> E, UD -> N, DU -> S, DD -> W. After l steps the walk sits at
 ((h_l(P)+h_l(Q))/2, (h_l(P)-h_l(Q))/2), which turns nesting and endpoint
 conditions on pairs into region and endpoint conditions on walks. The maps
 phi_tilde, psi_tilde and psi_tilde_s are the walk-level forms of phi, psi
-and psi_s, implemented directly on walks.
+and psi_s, implemented directly on walks, and so are their inverses.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
-from .paths import check_path, flip_steps
-from .single import _up_flips, _xi_s_inv
+from .matching import unmatched_steps
+from .paths import check_ij, check_path, heights, swap_fragments
+from .single import _up_flips
 
 _PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
 _STEP_TO_P = str.maketrans("ENSW", "UUDD")
 _STEP_TO_Q = str.maketrans("ENSW", "UDUD")
 _DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
+# swapping N with E and S with W is a flip of Q alone
 _SWAP_DIAG = {"N": "E", "E": "N", "S": "W", "W": "S"}
+_SWAP_DIAG_TABLE = str.maketrans(_SWAP_DIAG)
+# the y-walk: N as U, S as D, E and W as H
+_Y_WALK = str.maketrans("NSEW", "UDHH")
+_S = ord("S")
 
 
 def check_walk(w: str) -> str:
@@ -124,12 +131,30 @@ def phi_tilde(w: str) -> str:
 
 
 def phi_tilde_inv(w2: str, i: int, j: int) -> str:
-    """Inverse of phi_tilde; conjugates the pair-level inverse by omega."""
-    from .pairs import phi_inv
+    """Inverse of phi_tilde on the octant walks of length n ending in sh(i,j).
 
-    pt, qt = omega_inv(w2)
-    p, q, _ = phi_inv(pt, qt, i, j)
-    return omega(p, q)
+    phi_inv read on the walk: under omega the disagreement path is the
+    y-walk (N as U, S as D, E and W as H), a flip in both paths turns N into
+    S, a flip in Q alone swaps E with N and S with W, and the height of Q is
+    x - y. So the leftmost (x+y-i-j)/2 unmatched N steps of the y-walk turn
+    into S steps, which leaves the end at x - y = 2x-i-j; then, for each
+    l < r = x - i, the steps between the rightmost points at x - y = 2l and
+    at x - y = 2l+1 swap back.
+    """
+    check_ij(len(check_walk(w2)), i, j)
+    below, ups = unmatched_steps(w2.translate(_Y_WALK))
+    require(not below, "walk goes below the x-axis")
+    diag = heights(w2.translate(_STEP_TO_Q))  # x - y after each step
+    require(min(diag, default=0) >= 0, "walk crosses above the diagonal")
+    y = len(ups)
+    x = y + (diag[-1] if diag else 0)
+    require(shadow_contains(i, j, x, y), "walk must end in sh({}, {}), got ({}, {})", i, j, x, y)
+    # x - y <= i+j, so the y-walk has y >= (x+y-i-j)/2 unmatched N steps
+    steps = bytearray(w2, "ascii")
+    for a in ups[: (x + y - i - j) // 2]:
+        steps[a - 1] = _S
+    w1 = steps.decode()
+    return swap_fragments(w1, heights(w1.translate(_STEP_TO_Q)), x - i, _SWAP_DIAG_TABLE)
 
 
 def ns_ew_split(w: str) -> tuple[str, str, str]:
@@ -158,33 +183,39 @@ def interleave(ns: str, ew: str, mask: str) -> str:
 
 # the EW-subsequence of a walk as a path, E as U and W as D
 _EW_AS_PATH = str.maketrans("EW", "UD", "NS")
-_PATH_TO_EW = str.maketrans("UD", "EW")
+_IS_EW = bytes.maketrans(b"ENSW", b"\x01\x00\x00\x01")
+_E, _W = ord("E"), ord("W")
 
 
-def _map_ew(w: str, path_map) -> str:
-    """Apply a path map to the EW-subsequence of a checked walk, leaving
-    the N and S steps in place."""
-    image = iter(path_map(w.translate(_EW_AS_PATH)).translate(_PATH_TO_EW))
-    return "".join(next(image) if c in "EW" else c for c in w)
+def _flip_ew(w: str, flips) -> str:
+    """Swap E and W at the given 1-based positions of the EW-subsequence
+    of a checked walk, leaving the N and S steps in place."""
+    where = tuple(compress(range(len(w)), w.encode().translate(_IS_EW)))
+    steps = bytearray(w, "ascii")
+    for a in flips:
+        b = where[a - 1]
+        steps[b] = _W if steps[b] == _E else _E
+    return steps.decode()
 
 
 def _psi_tilde_s(w: str, s: int | None) -> str:
     """psi_tilde_s, and psi_tilde when s is None: the flip kernel on the
     EW-subsequence of a quadrant walk, E as U and W as D."""
     require(walk_geometry(w).stays_quadrant, "walk leaves the first quadrant")
-    return _map_ew(w, lambda ew: flip_steps(ew, _up_flips(ew, s)))
+    return _flip_ew(w, _up_flips(w.translate(_EW_AS_PATH), s))
 
 
 def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:
-    """Apply xi_s_inv to the EW-subsequence of an upper-half-plane walk; with
-    bottom, the walk must end at x = 0 or 1, as psi_tilde images do."""
+    """Apply xi_s_inv to the EW-subsequence of an upper-half-plane walk,
+    flipping its unmatched W steps; with bottom, the walk must end at x = 0
+    or 1, as psi_tilde images do."""
     geo = walk_geometry(wh)
     require(geo.stays_upper_half, "walk leaves the upper half-plane")
     if bottom:
         require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
     else:
         require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
-    return _map_ew(wh, lambda ew: _xi_s_inv(ew, False))
+    return _flip_ew(wh, unmatched_steps(wh.translate(_EW_AS_PATH))[0])
 
 
 def psi_tilde(w: str) -> str:

@@ -299,6 +299,11 @@ def test_exit_codes(capsys):
         ("count", "--family", "A", "--n", "13"),
         ("count", "--family", "Gk", "--n", "4", "--method", "det"),
         ("count", "--family", "A", "--n", "100001", "--method", "formula"),
+        ("count", "--family", "G2", "--n", "10001", "--method", "det"),
+        ("count", "--family", "Gk", "--n", "4", "--k", "11", "--method", "det"),
+        ("count", "--family", "P2", "--n", "301", "--method", "product"),
+        ("count", "--family", "Gk", "--n", "4", "--k", "11", "--method", "product"),
+        ("count", "--family", "G2", "--n", "3001", "--method", "sum"),
         ("apply", "--map", "teleport", "--input", "UD"),
         ("apply", "--map", "xi", "--input", "UX"),
         ("apply", "--map", "xi_s", "--input", "UU"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pathbij import Matching, match_faces, tri_heights
-from pathbij.matching import check_tripath
+from pathbij.matching import check_tripath, unmatched_steps
 
 import oracles
 
@@ -87,6 +87,12 @@ def _assert_matches_oracle(w):
 @given(tripaths)
 def test_random_words_match_oracle(w):
     _assert_matches_oracle(w)
+
+
+@given(st.text(alphabet="UDH", max_size=256))
+def test_flip_kernel_finds_the_unmatched_steps_of_match_faces(w):
+    m = match_faces(w)
+    assert unmatched_steps(w) == (m.unmatched_d, m.unmatched_u)
 
 
 def test_unmatched_structure_exhaustive():

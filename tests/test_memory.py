@@ -14,6 +14,7 @@ from pathbij import (
     phi,
     phi_inv,
     phi_tilde,
+    phi_tilde_inv,
     psi,
     psi_inv,
     psi_tilde,
@@ -22,6 +23,7 @@ from pathbij import (
     xi_inv,
 )
 from pathbij._base import CACHE_SIZE
+from pathbij.matching import unmatched_steps
 
 LENGTH = 256
 COUNT = 2000
@@ -74,11 +76,12 @@ def test_stream_of_distinct_inputs_keeps_memory_bounded():
             assert psi_inv(ph, qh)[:2] == (p, q)
             # the walk maps are phi and psi conjugated by omega
             assert phi_tilde(w) == omega(pt, qt)
+            assert phi_tilde_inv(omega(pt, qt), i, j) == w
             assert psi_tilde(w) == omega(ph, qh)
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    for cache in (heights, tri_heights, match_faces):
+    for cache in (heights, tri_heights, unmatched_steps, match_faces):
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE

@@ -88,3 +88,8 @@ def test_each_call_loads_only_what_it_runs():
     assert "pathbij.single" in loaded
     for name in ("pathbij.verify", "pathbij.render", "pathbij.counting", "json", "dataclasses"):
         assert name not in loaded, name
+
+    # phi_tilde and the phi_tilde_inv of its round trip both run on the walk
+    loaded = _loaded("apply", "--map", "phi_tilde", "--input", "NSEN")
+    assert "pathbij.walks" in loaded
+    assert "pathbij.pairs" not in loaded

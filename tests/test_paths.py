@@ -26,6 +26,7 @@ from pathbij.paths import (
     grand_paths,
     lexkey,
     prefix_paths,
+    swap_fragments,
 )
 
 import oracles
@@ -79,6 +80,9 @@ def test_flip_steps_examples():
         flip_steps("UD", [3])
     with pytest.raises(ValueError):
         flip_steps("UD", [0])
+    assert flip_steps("UHD", [1, 3]) == "DHU"
+    with pytest.raises(ValueError, match="not U or D"):
+        flip_steps("UHD", [2])
 
 
 @given(paths, st.data())
@@ -88,6 +92,16 @@ def test_flip_steps_involution(p, data):
     )
     pos = [a for a in pos if a <= len(p)]
     assert flip_steps(flip_steps(p, pos), pos) == p
+
+
+@given(paths, st.data())
+def test_swap_fragments_against_a_scan(p, data):
+    h = heights(p)
+    r = data.draw(st.integers(0, max(end_height(p), 0) // 2))
+    # last[v]: the rightmost point at height v, point 0 being the start
+    last = {v: a for a, v in enumerate([0, *h])}
+    flips = [a for l in range(r) for a in range(last[2 * l] + 1, last[2 * l + 1] + 1)]
+    assert swap_fragments(p, h, r, str.maketrans("UD", "DU")) == flip_steps(p, flips)
 
 
 def test_is_weakly_below_examples():

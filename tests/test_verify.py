@@ -2,7 +2,8 @@
 
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
 run against a corrupted map (the step dictionary against two, omega and
-omega_inv): the map, as the check sees it, answers one domain input with
+omega_inv; the walk conjugation and the origin walks against phi_tilde and
+phi_tilde_inv): the map, as the check sees it, answers one domain input with
 the image of another input of the same sector, which keeps every output
 valid but breaks injectivity. The suite runs its checks in
 worker processes; the last tests pin that it reports what the checks give
@@ -31,12 +32,15 @@ CASES = [
     (verify._check_step_dictionary, 2, "omega", ("U", "D"), ("D", "U")),
     (verify._check_step_dictionary, 2, "omega_inv", ("NS",), ("EW",)),
     (verify._check_xi_s, 2, "xi_s", ("UU", 0), ("UD", 0)),
+    (verify._check_conjugation, 2, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
+    (verify._check_origin_walks, 1, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
 ]
+# a case against phi_tilde_inv carries the map's name, since its check has a
+# case against phi_tilde too
+IDS = [c[0].__name__ + "-phi_tilde_inv" * (c[2] == "phi_tilde_inv") for c in CASES]
 
 
-@pytest.mark.parametrize(
-    "check, bound, name, victim, donor", CASES, ids=[c[0].__name__ for c in CASES]
-)
+@pytest.mark.parametrize("check, bound, name, victim, donor", CASES, ids=IDS)
 def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, donor):
     real = getattr(verify, name)
     assert check(bound) is None

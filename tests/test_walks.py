@@ -1,7 +1,7 @@
 """Plane walks: the encoding omega and the walk-level bijections."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathbij import (
     WalkFamilySpec,
@@ -11,6 +11,7 @@ from pathbij import (
     ns_ew_split,
     omega,
     omega_inv,
+    phi_inv,
     phi_tilde,
     phi_tilde_inv,
     psi_tilde,
@@ -137,6 +138,66 @@ def test_phi_tilde_inv_examples():
     assert phi_tilde_inv("E", 1, 0) == "E"
     assert phi_tilde_inv("EN", 0, 0) == "NS"
     assert phi_tilde_inv("EN", 1, 1) == "EN"
+
+
+_MOVES = (("E", 1, 0), ("N", 0, 1), ("S", 0, -1), ("W", -1, 0))
+
+
+@st.composite
+def quadrant_walks(draw, max_size):
+    """A quadrant walk that ends weakly below the diagonal: each step is
+    drawn from the moves that stay in the quadrant, then the walk is
+    mirrored in the diagonal if it ends above it."""
+    picks = draw(st.lists(st.integers(0, 3), max_size=max_size))
+    steps = []
+    x = y = 0
+    for pick in picks:
+        options = [m for m in _MOVES if x + m[1] >= 0 and y + m[2] >= 0]
+        c, dx, dy = options[pick % len(options)]
+        steps.append(c)
+        x, y = x + dx, y + dy
+    w = "".join(steps)
+    return w.translate(str.maketrans("ENSW", "NEWS")) if y > x else w
+
+
+def _phi_inv_conjugated(w2, i, j):
+    """The reference: phi_inv on the pair that omega sends to w2."""
+    return omega(*phi_inv(*omega_inv(w2), i, j)[:2])
+
+
+@settings(deadline=None)
+@given(quadrant_walks(256))
+def test_phi_tilde_inv_undoes_phi_tilde_as_the_pair_inverse_does(w):
+    i, j = walk_geometry(w).endpoint
+    w2 = phi_tilde(w)
+    assert phi_tilde_inv(w2, i, j) == w == _phi_inv_conjugated(w2, i, j)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(walks, quadrant_walks(30).map(phi_tilde)),
+    st.integers(-1, 12),
+    st.integers(-1, 12),
+)
+def test_phi_tilde_inv_rejects_what_the_pair_inverse_rejects(w2, i, j):
+    try:
+        expected = _phi_inv_conjugated(w2, i, j)
+    except ValueError:
+        with pytest.raises(ValueError):
+            phi_tilde_inv(w2, i, j)
+    else:
+        assert phi_tilde_inv(w2, i, j) == expected
+
+
+def test_phi_tilde_inv_error_messages():
+    with pytest.raises(ValueError, match="below the x-axis"):
+        phi_tilde_inv("ES", 0, 0)
+    with pytest.raises(ValueError, match="above the diagonal"):
+        phi_tilde_inv("NE", 0, 0)
+    with pytest.raises(ValueError, match=r"sh\(0, 0\)"):
+        phi_tilde_inv("EE", 0, 0)
+    with pytest.raises(ValueError, match="i >= j"):
+        phi_tilde_inv("EN", 0, 1)
 
 
 def test_phi_tilde_fixes_octant_walks_on_the_axis(suite_report):
