@@ -106,8 +106,8 @@ def _run_count(args) -> int:
         max_n, max_k = _MAX_N_K[args.method]
         if args.n > max_n:
             raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
-        if family == "Gk" and args.k is not None and args.k > max_k:
-            raise ValueError(f"--method {args.method} takes --k up to {max_k}, got {args.k}")
+        if family == "Gk" and args.k is not None and not 1 <= args.k <= max_k:
+            raise ValueError(f"--method {args.method} takes --k from 1 to {max_k}, got {args.k}")
         value = fn(args)
     if not args.json:
         print(_exact(str, value))

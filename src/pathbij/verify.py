@@ -1,18 +1,18 @@
 """The identity suite: one check per published identity, each defined once.
 
 Each _check_* function sweeps exactly the range its arguments give and
-returns None or the first counterexample. verify_suite(max_n, max_k)
-derives every bound from its two budgets: element sweeps run to max_n (the
-4^n ones capped), counting identities a little beyond, arithmetic ones to
-2 * max_n. The checks are independent, so verify_suite runs them in worker
-processes, one per available CPU, and reports them in table order.
+returns None or the first counterexample; the eleven bijection checks share
+one proof, _bijection. verify_suite(max_n, max_k) derives every bound from
+its two budgets: element sweeps run to max_n (the 4^n ones capped),
+counting identities a little beyond, arithmetic ones to 2 * max_n. The
+checks are independent, so verify_suite runs them in worker processes, one
+per available CPU, and reports them in table order.
 tests/test_acceptance.py gates on verify_suite(10, 3).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import time
 from typing import NamedTuple
@@ -29,7 +29,7 @@ from .counting import (
     count_octant_xaxis,
 )
 from .matching import match_faces, tri_heights, unmatched_steps
-from .pairs import ell, flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
+from .pairs import flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
 from .partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
 from .paths import (
     FamilySpec,
@@ -41,12 +41,12 @@ from .paths import (
     grand_paths,
     heights,
     lexkey,
-    min_height,
     prefix_paths,
     valid_ij,
 )
 from .single import nu, nu_inv, xi, xi_inv, xi_s, xi_s_inv
 from .walks import (
+    _DXY,
     WalkFamilySpec,
     enumerate_walk_family,
     omega,
@@ -115,71 +115,71 @@ def _check_matching(n_max):
     return None
 
 
+def _bijection(classes, forward, inverse=None):
+    """The proof the bijection checks share. A class is (label, domain,
+    codomain, params): forward(x, *params) maps the domain onto the codomain
+    one-to-one, and inverse(y, *params), if given, gives each x back.
+    Returns None or the first failure, naming its class and element."""
+    for label, domain, codomain, params in classes:
+        image = set()
+        for x in domain:
+            y = forward(x, *params)
+            if inverse is not None and inverse(y, *params) != x:
+                return f"{label}: roundtrip fails on {x}"
+            image.add(y)
+        if not len(domain) == len(image) == len(codomain) or image != set(codomain):
+            return f"{label}: image is not the codomain"
+    return None
+
+
 def _check_xi(n_max):
     for n in range(n_max + 1):
-        image = set()
         for p in prefix_paths(n):
-            g = xi(p)
-            image.add(g)
-            if xi_inv(g) != p:
-                return f"xi roundtrip fails: {p}"
-            if match_faces(g).pairs != match_faces(p).pairs:
+            if match_faces(xi(p)).pairs != match_faces(p).pairs:
                 return f"xi breaks facing pairs: {p}"
-        if image != set(grand_paths(n)):
-            return f"xi image is not G_{n}"
-    return None
+    classes = ((f"n={n}", prefix_paths(n), grand_paths(n), ()) for n in range(n_max + 1))
+    return _bijection(classes, xi, xi_inv)
 
 
 def _check_xi_s(n_max):
     """xi_s maps the prefixes ending at i onto Aend(n, s=s, i=i), the paths
-    ending at s with minimum -(i-s)/2, for every valid (i, s): the round
-    trip on each prefix and the image of each class equal to the target."""
-    for n in range(n_max + 1):
-        images = {}
-        for p in prefix_paths(n):
-            i = end_height(p)
-            for s in range(i % 2, i + 1, 2):
-                r = xi_s(p, s)
-                images.setdefault((i, s), set()).add(r)
-                if xi_s_inv(r) != p:
-                    return f"xi_s roundtrip fails: {p}, s={s}"
-        for (i, s), image in images.items():
-            if image != set(enumerate_family(FamilySpec("Aend", n, s=s, i=i))):
-                return f"xi_s image is not Aend({n}, s={s}, i={i})"
-    return None
+    ending at s with minimum -(i-s)/2, for every valid (i, s)."""
+
+    def classes():
+        for n in range(n_max + 1):
+            for i in range(n % 2, n + 1, 2):
+                prefixes = enumerate_family(FamilySpec("Pend", n, s=i))
+                for s in range(i % 2, i + 1, 2):
+                    target = enumerate_family(FamilySpec("Aend", n, s=s, i=i))
+                    yield f"n={n}, i={i}, s={s}", prefixes, target, (s,)
+
+    return _bijection(classes(), xi_s, lambda r, s: xi_s_inv(r))
 
 
 def _check_nu(n_max):
+    classes = (
+        (f"n={n}", prefix_paths(n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), ())
+        for n in range(n_max + 1)
+    )
+    return _bijection(classes, nu, nu_inv)
+
+
+def _sectors(n_max, codomain):
+    # (label, M2(n,i;j), codomain(n,i;j), (i, j)) for every sector
     for n in range(n_max + 1):
-        image = set()
-        for p in prefix_paths(n):
-            g = nu(p)
-            image.add(g)
-            if nu_inv(g) != p:
-                return f"nu roundtrip fails: {p}"
-        target = {g for g in all_paths(n) if end_height(g) == -(n % 2)}
-        if image != target:
-            return f"nu image wrong at n={n}"
-    return None
+        for i, j in valid_ij(n):
+            sector = FamilySpec("M2", n, i=i, j=j)
+            image = enumerate_family(sector._replace(family=codomain))
+            yield f"M2({n},{i};{j})", enumerate_family(sector), image, (i, j)
 
 
 def _check_phi_sector(n_max):
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            image = set()
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                pt, qt, _ = phi(p, q, i, j)
-                image.add((pt, qt))
-                if min_height(qt) < 0 or not all(map(operator.le, heights(qt), heights(pt))):
-                    return f"phi image not nested: {p}/{q}"
-                if not (i - j <= end_height(qt) <= i + j <= end_height(pt)):
-                    return f"phi image outside sector: {p}/{q}"
-                if phi_inv(pt, qt, i, j)[:2] != (p, q):
-                    return f"phi roundtrip fails: {p}/{q}"
-            sector = set(enumerate_family(FamilySpec("P2", n, i=i, j=j)))
-            if image != sector:
-                return f"phi image is not P2({n},{i};{j})"
-    return None
+    # nesting, the floor and the sector are membership in P2(n,i;j)
+    return _bijection(
+        _sectors(n_max, "P2"),
+        lambda pair, i, j: phi(*pair, i, j)[:2],
+        lambda pair, i, j: phi_inv(*pair, i, j)[:2],
+    )
 
 
 def _check_flip_heights(n_max):
@@ -221,67 +221,45 @@ def _check_flip_records(n_max):
 
 
 def _check_psi_sector(n_max):
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            d = i % 2
-            image = set()
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                ph, qh, _ = psi(p, q)
-                image.add((ph, qh))
-                if end_height(ph) != j + d or end_height(qh) != -j + d:
-                    return f"psi endpoints wrong: {p}/{q}"
-                if ell(ph, qh) != -(i // 2):
-                    return f"psi depth wrong: {p}/{q}"
-                if psi_inv(ph, qh)[:2] != (p, q):
-                    return f"psi roundtrip fails: {p}/{q}"
-            if image != set(enumerate_family(FamilySpec("G2", n, i=i, j=j))):
-                return f"psi image is not G2({n},{i};{j})"
-    return None
+    # the endpoints and the depth are membership in G2(n,i;j)
+    return _bijection(
+        _sectors(n_max, "G2"),
+        lambda pair, i, j: psi(*pair)[:2],
+        lambda pair, i, j: psi_inv(*pair)[:2],
+    )
 
 
 def _check_composed_map(n_max):
-    for n in range(n_max + 1):
-        p2 = enumerate_family(FamilySpec("P2", n))
-        image = set()
-        for pt, qt in p2:
-            i = end_height(qt)
-            p, q, _ = phi_inv(pt, qt, i, 0)
-            image.add(psi(p, q)[:2])
-        if len(image) != len(p2) or image != set(enumerate_family(FamilySpec("G2", n))):
-            return f"composed map not bijective at n={n}"
-    return None
+    # psi after phi_inv, with no inverse: the count gives injectivity
+    classes = (
+        (f"n={n}", enumerate_family(FamilySpec("P2", n)), enumerate_family(FamilySpec("G2", n)), ())
+        for n in range(n_max + 1)
+    )
+    return _bijection(classes, lambda pair: psi(*phi_inv(*pair, end_height(pair[1]), 0)[:2])[:2])
 
 
 def _check_floor_pairs(n_max):
     """For every n and s, psi_s after phi_inv maps {P2 : h(Q~) >= s}
     one-to-one onto the nested pairs that both end at s. A bijection between
     the two sets is also the count identity between them."""
-    for n in range(n_max + 1):
-        p2 = enumerate_family(FamilySpec("P2", n))
-        pairs_by_end = {}
-        for pt, qt in p2:
-            pairs_by_end.setdefault(end_height(qt), []).append((pt, qt))
-        nested = enumerate_family(FamilySpec("Ak", n, k=2))
-        for s in range(n % 2, n + 1, 2):
-            image = set()
-            total = 0
-            for i, dom in pairs_by_end.items():
-                if i < s:
-                    continue
-                total += len(dom)
-                for pt, qt in dom:
-                    p, q, _ = phi_inv(pt, qt, i, 0)
-                    a, b, _ = psi_s(p, q, s)
-                    image.add((a, b))
-                    if psi_s_inv(a, b)[:2] != (p, q):
-                        return f"psi_s roundtrip fails: {p}/{q}, s={s}"
-            target = {(a, b) for a, b in nested if end_height(a) == s == end_height(b)}
-            if len(image) != total or image != target:
-                return f"floor map fails at n={n}, s={s}"
-    return None
+
+    def classes():
+        for n in range(n_max + 1):
+            p2 = enumerate_family(FamilySpec("P2", n))
+            preimages = [(end_height(qt), phi_inv(pt, qt, end_height(qt), 0)[:2]) for pt, qt in p2]
+            nested = enumerate_family(FamilySpec("Ak", n, k=2))
+            for s in range(n % 2, n + 1, 2):
+                domain = [pair for i, pair in preimages if i >= s]
+                target = [(a, b) for a, b in nested if end_height(a) == s == end_height(b)]
+                yield f"n={n}, s={s}", domain, target, (s,)
+
+    return _bijection(
+        classes(),
+        lambda pair, s: psi_s(*pair, s)[:2],
+        lambda pair, s: psi_s_inv(*pair)[:2],
+    )
 
 
-_STEP_XY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
 
 
@@ -311,7 +289,7 @@ def _check_step_dictionary(n_max):
             wc = omega(p + a, q + b)
             if wc[:-1] != w:
                 return f"omega does not extend step by step: {p + a}/{q + b}"
-            dx, dy = _STEP_XY[wc[-1]]
+            dx, dy = _DXY[wc[-1]]
             ha, hb, nx, ny = hp + da, hq + db, x + dx, y + dy
             news = (ha - hb, ha + hb, hb, ny, nx, nx - ny)
             bad = visit(p + a, q + b, wc, ha, hb, nx, ny, tuple(map(min, lows, news)))
@@ -348,28 +326,19 @@ def _check_conjugation(n_max):
 
 
 def _check_psi_tilde_s_union(n_max):
-    for n in range(n_max + 1):
-        qbucket = {}
-        for w in enumerate_walk_family(WalkFamilySpec("Q", n)):
-            qbucket.setdefault(walk_geometry(w).endpoint, []).append(w)
-        hbucket = {}
-        for w in enumerate_walk_family(WalkFamilySpec("H", n)):
-            hbucket.setdefault(walk_geometry(w).endpoint, []).append(w)
-        for (s, j), target in hbucket.items():
-            if s < 0:
-                continue
-            image = set()
-            count = 0
-            for i in range(s, n + 1, 2):
-                for w in qbucket.get((i, j), ()):
-                    wh = psi_tilde_s(w, s)
-                    image.add(wh)
-                    count += 1
-                    if psi_tilde_s_inv(wh) != w:
-                        return f"psi_tilde_s roundtrip fails: {w}, s={s}"
-            if len(image) != count or image != set(target):
-                return f"psi_tilde_s union fails at n={n}, end=({s},{j})"
-    return None
+    # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j)
+    def classes():
+        for n in range(n_max + 1):
+            ends = {}
+            for tag in ("Q", "H"):
+                for w in enumerate_walk_family(WalkFamilySpec(tag, n)):
+                    ends.setdefault((tag, *walk_geometry(w).endpoint), []).append(w)
+            for (tag, s, j), target in ends.items():
+                if tag == "H" and s >= 0:
+                    domain = [w for i in range(s, n + 1, 2) for w in ends.get(("Q", i, j), ())]
+                    yield f"n={n}, end=({s},{j})", domain, target, (s,)
+
+    return _bijection(classes(), psi_tilde_s, lambda wh, s: psi_tilde_s_inv(wh))
 
 
 def _check_phi_tilde_identity(n_max):
@@ -395,13 +364,14 @@ def _check_shadow(xy_max):
 
 
 def _check_hij_g2(n_max):
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            walks = enumerate_walk_family(WalkFamilySpec("Hij", n, i=i, j=j))
-            pairs = enumerate_family(FamilySpec("G2", n, i=i, j=j))
-            if sorted(walks) != sorted(omega(p, q) for p, q in pairs):
-                return f"Hij mismatch at n={n}, (i,j)=({i},{j})"
-    return None
+    # omega maps each G2 sector onto the walks Hij(n, i, j)
+    def classes():
+        for n in range(n_max + 1):
+            for i, j in valid_ij(n):
+                walks = enumerate_walk_family(WalkFamilySpec("Hij", n, i=i, j=j))
+                yield f"G2({n},{i};{j})", enumerate_family(FamilySpec("G2", n, i=i, j=j)), walks, ()
+
+    return _bijection(classes(), lambda pair: omega(*pair))
 
 
 def _check_det_vs_box(n_max, k_max):
@@ -450,45 +420,35 @@ def _check_octant_census(n_max):
 
 
 def _check_origin_walks(m_max):
+    classes = []
     for m in range(m_max + 1):
-        n = 2 * m
-        dom = enumerate_walk_family(WalkFamilySpec("Qend", n, i=0, j=0))
-        if len(dom) != catalan(m) * catalan(m + 1):
+        walks = enumerate_walk_family(WalkFamilySpec("Qend", 2 * m, i=0, j=0))
+        if len(walks) != catalan(m) * catalan(m + 1):
             return f"origin walk count fails at m={m}"
-        image = set()
-        for w in dom:
-            w2 = phi_tilde(w)
-            image.add(w2)
-            if phi_tilde_inv(w2, 0, 0) != w:
-                return f"phi_tilde roundtrip fails on {w}"
-        if len(image) != len(dom) or image != set(
-            enumerate_walk_family(WalkFamilySpec("Odiag", n))
-        ):
-            return f"diagonal image fails at m={m}"
-    return None
+        classes.append((f"m={m}", walks, enumerate_walk_family(WalkFamilySpec("Odiag", 2 * m)), ()))
+    return _bijection(classes, phi_tilde, lambda w: phi_tilde_inv(w, 0, 0))
 
 
 def _check_pp(pq_max, k_max, count_pq_max):
     """Plane partitions in the p x q x k box and their path tuples (nested
     k-tuples from (0,0) to (p+q, p-q)): for p, q <= count_pq_max both sets
-    have the box product's size; for p, q <= pq_max, pp_to_tuple and
-    tuple_to_pp invert each other on them. Every k <= k_max."""
+    have the box product's size; for p, q <= pq_max, pp_to_tuple maps the
+    box onto the tuples and tuple_to_pp inverts it. Every k <= k_max."""
     sides = range(max(pq_max, count_pq_max) + 1)
+    classes = []
     for p, q, k in itertools.product(sides, sides, range(k_max + 1)):
         box = enumerate_pp(p, q, k)
         # with k = 0 the one tuple is the empty one
         melons = _nested_tuples(p + q, k, False, p - q) if k else ((),)
         if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
             return f"box census fails at ({p},{q},{k})"
-        if max(p, q) > pq_max:
-            continue
-        for a in box:
-            if tuple_to_pp(pp_to_tuple(a, k, p=p), p, q) != a:
-                return f"partition roundtrip fails at ({p},{q},{k})"
-        for t in melons:
-            if pp_to_tuple(tuple_to_pp(t, p, q), k, p=p) != t:
-                return f"path-tuple roundtrip fails at ({p},{q},{k})"
-    return None
+        if max(p, q) <= pq_max:
+            classes.append((f"box ({p},{q},{k})", box, melons, (k, p, q)))
+    return _bijection(
+        classes,
+        lambda a, k, p, q: pp_to_tuple(a, k, p),
+        lambda t, k, p, q: tuple_to_pp(t, p, q),
+    )
 
 
 def _checks(max_n: int, max_k: int) -> tuple:

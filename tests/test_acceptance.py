@@ -45,10 +45,10 @@ def test_c02_nesting_map_bijection(suite_report):
 
 
 def test_c03_agreement_map_bijection(suite_report):
-    """psi maps every M2(n,i;j) sector onto G2(n,i;j), with the endpoint
-    and depth postconditions. As in c02, the round trip on the whole domain
-    and the image equal to the codomain make psi o psi_inv the identity on
-    the codomain."""
+    """psi maps every M2(n,i;j) sector onto G2(n,i;j); the endpoint and
+    depth postconditions are membership in G2(n,i;j). As in c02, the round
+    trip on the whole domain and the image equal to the codomain make
+    psi o psi_inv the identity on the codomain."""
     _passed(suite_report, "psi_sector_bijection")
 
 
@@ -86,7 +86,7 @@ def test_c09_origin_vs_diagonal(suite_report):
 
 
 def test_c10_plane_partitions(suite_report):
-    """Round trips both ways, and box and melon counts."""
+    """Round trip and image = melon set, and box and melon counts."""
     _passed(suite_report, "pp_box_roundtrip")
 
 

@@ -303,6 +303,7 @@ def test_exit_codes(capsys):
         ("count", "--family", "Gk", "--n", "4", "--k", "11", "--method", "det"),
         ("count", "--family", "P2", "--n", "301", "--method", "product"),
         ("count", "--family", "Gk", "--n", "4", "--k", "11", "--method", "product"),
+        ("count", "--family", "Gk", "--n", "5", "--k", "0", "--method", "product"),
         ("count", "--family", "G2", "--n", "3001", "--method", "sum"),
         ("apply", "--map", "teleport", "--input", "UD"),
         ("apply", "--map", "xi", "--input", "UX"),

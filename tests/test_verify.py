@@ -18,7 +18,8 @@ import pytest
 
 from pathbij import verify
 
-# (check, bound, map patched in pathbij.verify, input to corrupt, input whose image it gets)
+# (check, bound or tuple of bounds, map patched in pathbij.verify, input to corrupt,
+#  input whose image it gets)
 CASES = [
     (verify._check_xi, 2, "xi", ("UU",), ("UD",)),
     (verify._check_nu, 2, "nu", ("UU",), ("UD",)),
@@ -34,6 +35,9 @@ CASES = [
     (verify._check_xi_s, 2, "xi_s", ("UU", 0), ("UD", 0)),
     (verify._check_conjugation, 2, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
     (verify._check_origin_walks, 1, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
+    (verify._check_composed_map, 2, "psi", ("UD", "DU"), ("UD", "UD")),
+    (verify._check_hij_g2, 2, "omega", ("UD", "DU"), ("UD", "UD")),
+    (verify._check_pp, (1, 1, 1), "pp_to_tuple", (((1,),), 1, 1), (((0,),), 1, 1)),
 ]
 # a case against phi_tilde_inv carries the map's name, since its check has a
 # case against phi_tilde too
@@ -42,10 +46,11 @@ IDS = [c[0].__name__ + "-phi_tilde_inv" * (c[2] == "phi_tilde_inv") for c in CAS
 
 @pytest.mark.parametrize("check, bound, name, victim, donor", CASES, ids=IDS)
 def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, donor):
+    bounds = bound if isinstance(bound, tuple) else (bound,)
     real = getattr(verify, name)
-    assert check(bound) is None
+    assert check(*bounds) is None
     monkeypatch.setattr(verify, name, lambda *a: real(*(donor if a == victim else a)))
-    assert check(bound) is not None
+    assert check(*bounds) is not None
 
 
 def test_parallel_suite_matches_the_checks_run_in_process():
