@@ -19,6 +19,7 @@ _EXPORTS = {
         "count_octant_total",
         "count_octant_xaxis",
     ),
+    "families": ("FamilySpec", "WalkFamilySpec", "enumerate_family", "enumerate_walk_family"),
     "matching": ("Matching", "match_faces", "tri_heights"),
     "pairs": (
         "FlipRecord",
@@ -44,10 +45,8 @@ _EXPORTS = {
         "tuple_to_pp",
     ),
     "paths": (
-        "FamilySpec",
         "classify",
         "end_height",
-        "enumerate_family",
         "heights",
         "is_weakly_below",
         "min_height",
@@ -56,9 +55,7 @@ _EXPORTS = {
     ),
     "single": ("nu", "nu_inv", "xi", "xi_inv", "xi_s", "xi_s_inv"),
     "walks": (
-        "WalkFamilySpec",
         "WalkGeometry",
-        "enumerate_walk_family",
         "interleave",
         "ns_ew_split",
         "omega",

@@ -59,6 +59,15 @@ _MAX_N_K = {
 }
 
 
+# the largest --max-n and --k that verify takes, the acceptance gate's
+# budget. Each sweep keeps its family in memory, and past the bounds the
+# families grow about fourfold per step of --max-n (floor_pair_bijection
+# builds the 352,716 nested pairs of length 10, 1,352,078 at 11) and seven-
+# to tenfold per step of --k (tuple_count_agreement enumerates 24,696
+# nested 3-tuples of length 8 for each of P^3 and G^3, 232,848 at --k 4)
+_VERIFY_MAX_N_K = (10, 3)
+
+
 def _need(args, name):
     value = getattr(args, name)
     if value is None:
@@ -252,6 +261,11 @@ def _run_apply(args) -> int:
 
 
 def _run_verify(args) -> int:
+    max_n, max_k = _VERIFY_MAX_N_K
+    if args.max_n > max_n:
+        raise ValueError(f"verify takes --max-n up to {max_n}, got {args.max_n}")
+    if args.k > max_k:
+        raise ValueError(f"verify takes --k up to {max_k}, got {args.k}")
     from . import verify
 
     start = time.perf_counter()

@@ -133,8 +133,7 @@ def brute_count(spec, max_n: int = 12) -> int:
     Refuses specs with n beyond max_n instead of truncating.
     """
     # the enumerators load here, so the closed forms run without them
-    from .paths import FamilySpec, enumerate_family
-    from .walks import WalkFamilySpec, enumerate_walk_family
+    from .families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
 
     if not isinstance(spec, (FamilySpec, WalkFamilySpec)):
         raise TypeError(f"not a family spec: {spec!r}")

@@ -1,14 +1,14 @@
 """Lattice paths over the steps U = (1,1) and D = (1,-1).
 
 A path is a plain string of 'U' and 'D' characters; the empty string is the
-length-0 path. This module owns the height geometry, the weakly-below partial
-order, and exhaustive enumeration of every path family used elsewhere.
+length-0 path. This module owns the word primitives: the height geometry,
+step flips, the weakly-below partial order, the U < D sort key and the
+(i, j) sector parameters. pathbij.families enumerates the path families.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -132,32 +132,6 @@ def lexkey(word: str) -> str:
     return word.translate(_LEXKEY)
 
 
-def _tuple_key(paths: tuple[str, ...]) -> str:
-    return "".join(paths).translate(_LEXKEY)
-
-
-# ---------------------------------------------------------------------------
-# Families
-
-
-class FamilySpec(NamedTuple):
-    """A path family plus its parameters.
-
-    Tags for single paths: A (all), D (Dyck), G (Grand Dyck), P (prefixes),
-    Pend (prefixes ending at height s), Aend (paths ending at height s; with i
-    given, additionally minimum height -(i-s)/2). Tags for nested tuples:
-    Ak, Pk, Gk (k paths, parameter k) and M2, P2, G2 (pairs; i and j select
-    the endpoint-constrained sets, P2/G2 without them are the full unions).
-    """
-
-    family: str
-    n: int
-    k: int | None = None
-    i: int | None = None
-    j: int | None = None
-    s: int | None = None
-
-
 def valid_ij(n: int) -> tuple[tuple[int, int], ...]:
     """All (i, j) with i >= j >= 0, i+j <= n and i+j = n (mod 2)."""
     out = []
@@ -178,194 +152,3 @@ def check_ij(n: int, i, j) -> tuple[int, int]:
     if (i + j) % 2 != n % 2:
         raise ValueError(f"need i+j = n (mod 2), got i+j={i + j}, n={n}")
     return i, j
-
-
-@lru_cache(maxsize=None)
-def all_paths(n: int) -> tuple[str, ...]:
-    """Every path of length n, in lexicographic order with U < D."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return tuple("".join(w) for w in itertools.product("UD", repeat=n))
-
-
-@lru_cache(maxsize=None)
-def dyck_paths(n: int) -> tuple[str, ...]:
-    return tuple(p for p in all_paths(n) if is_dyck(p))
-
-
-@lru_cache(maxsize=None)
-def prefix_paths(n: int) -> tuple[str, ...]:
-    return tuple(p for p in all_paths(n) if is_prefix(p))
-
-
-@lru_cache(maxsize=None)
-def grand_paths(n: int) -> tuple[str, ...]:
-    return tuple(p for p in all_paths(n) if is_grand(p))
-
-
-@lru_cache(maxsize=None)
-def _m2_members(n: int, i: int, j: int) -> tuple[tuple[str, str], ...]:
-    """Pairs -P <= Q <= P with h(P) = i+j and h(Q) = i-j, by pruned search."""
-    tp, tq = i + j, i - j
-    out: list[tuple[str, str]] = []
-    pc: list[str] = []
-    qc: list[str] = []
-
-    def walk(hp: int, hq: int, m: int) -> None:
-        # reachable endpoints always have the right parity, a range check suffices
-        if abs(tp - hp) > m or abs(tq - hq) > m:
-            return
-        if m == 0:
-            out.append(("".join(pc), "".join(qc)))
-            return
-        for dp, sp in ((1, UP), (-1, DOWN)):
-            for dq, sq in ((1, UP), (-1, DOWN)):
-                np_, nq = hp + dp, hq + dq
-                if -np_ <= nq <= np_:
-                    pc.append(sp)
-                    qc.append(sq)
-                    walk(np_, nq, m - 1)
-                    pc.pop()
-                    qc.pop()
-
-    walk(0, 0, n)
-    out.sort(key=_tuple_key)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _g2_members(n: int, i: int, j: int) -> tuple[tuple[str, str], ...]:
-    """Nested pairs with ell(P,Q) = -floor(i/2), h(P) = j+d, h(Q) = -j+d, d = i mod 2."""
-    t = i // 2
-    d = i % 2
-    tp, tq = j + d, -j + d
-    out: list[tuple[str, str]] = []
-    pc: list[str] = []
-    qc: list[str] = []
-
-    def walk(hp: int, hq: int, smin: int, m: int) -> None:
-        if abs(tp - hp) > m or abs(tq - hq) > m:
-            return
-        if smin > -t:
-            # must still dip the agreement height to -t, then climb back to d
-            c = (hp + hq) // 2
-            if (c + t) + (t + d) > m:
-                return
-        if m == 0:
-            if smin == -t:
-                out.append(("".join(pc), "".join(qc)))
-            return
-        for dp, sp in ((1, UP), (-1, DOWN)):
-            for dq, sq in ((1, UP), (-1, DOWN)):
-                np_, nq = hp + dp, hq + dq
-                if nq > np_:
-                    continue
-                ns = min(smin, (np_ + nq) // 2)
-                if ns < -t:
-                    continue
-                pc.append(sp)
-                qc.append(sq)
-                walk(np_, nq, ns, m - 1)
-                pc.pop()
-                qc.pop()
-
-    walk(0, 0, 0, n)
-    out.sort(key=_tuple_key)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nested_tuples(n: int, k: int, floor: bool, end: int | None) -> tuple[tuple[str, ...], ...]:
-    """Nested k-tuples; floor keeps the bottom path at heights >= 0,
-    end fixes the ending height of every layer."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    out: list[tuple[str, ...]] = []
-    # (height change per layer, step letter per layer) for every joint step
-    moves = [
-        (dv, tuple(UP if d == 1 else DOWN for d in dv))
-        for dv in itertools.product((1, -1), repeat=k)
-    ]
-    add, ge = operator.add, operator.ge
-    bottom = 0 if floor else -n
-
-    def walk(h: tuple[int, ...], words: tuple[str, ...], m: int) -> None:
-        if m == 0:
-            out.append(words)
-            return
-        m -= 1
-        # the layers are nested, so bounding the bottom one from below and the
-        # top one from above keeps every layer >= 0 (with floor) and within m of end
-        low, high = (bottom, n) if end is None else (max(bottom, end - m), end + m)
-        for dv, letters in moves:
-            nh = tuple(map(add, h, dv))
-            if low <= nh[-1] and nh[0] <= high and all(map(ge, nh, nh[1:])):
-                walk(nh, tuple(map(add, words, letters)), m)
-
-    if end is None or abs(end) <= n:
-        walk((0,) * k, ("",) * k, n)
-    out.sort(key=_tuple_key)
-    return tuple(out)
-
-
-def _require_k(spec: FamilySpec) -> int:
-    if spec.k is None or spec.k < 1:
-        raise ValueError(f"family {spec.family} needs k >= 1")
-    return spec.k
-
-
-def enumerate_family(spec: FamilySpec):
-    """All members of the family, each once, sorted by their concatenated
-    step words under U < D. Single-path families yield strings, tuple
-    families yield tuples of strings."""
-    f, n = spec.family, spec.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if f == "A":
-        return all_paths(n)
-    if f == "D":
-        return dyck_paths(n)
-    if f == "G":
-        return grand_paths(n)
-    if f == "P":
-        return prefix_paths(n)
-    if f == "Pend":
-        if spec.s is None or spec.s < 0:
-            raise ValueError("family Pend needs s >= 0")
-        return tuple(p for p in prefix_paths(n) if end_height(p) == spec.s)
-    if f == "Aend":
-        if spec.s is None:
-            raise ValueError("family Aend needs s")
-        members = (p for p in all_paths(n) if end_height(p) == spec.s)
-        if spec.i is None:
-            return tuple(members)
-        if spec.i < spec.s or (spec.i - spec.s) % 2:
-            raise ValueError(f"need i >= s with i = s (mod 2), got i={spec.i}, s={spec.s}")
-        floor = -(spec.i - spec.s) // 2
-        return tuple(p for p in members if min_height(p) == floor)
-    if f == "Ak":
-        return _nested_tuples(n, _require_k(spec), False, None)
-    if f == "Pk":
-        return _nested_tuples(n, _require_k(spec), True, None)
-    if f == "Gk":
-        k = _require_k(spec)
-        return _nested_tuples(n, k, False, n % 2)
-    if f == "M2":
-        i, j = check_ij(n, spec.i, spec.j)
-        return _m2_members(n, i, j)
-    if f == "G2":
-        if spec.i is None and spec.j is None:
-            return _nested_tuples(n, 2, False, n % 2)
-        i, j = check_ij(n, spec.i, spec.j)
-        return _g2_members(n, i, j)
-    if f == "P2":
-        if spec.i is None and spec.j is None:
-            return _nested_tuples(n, 2, True, None)
-        i, j = check_ij(n, spec.i, spec.j)
-        lo, hi = i - j, i + j
-        return tuple(
-            (p, q)
-            for p, q in _nested_tuples(n, 2, True, None)
-            if lo <= end_height(q) <= hi <= end_height(p)
-        )
-    raise ValueError(f"unknown family tag: {spec.family!r}")

@@ -28,27 +28,20 @@ from .counting import (
     count_octant_total,
     count_octant_xaxis,
 )
+from .families import (
+    FamilySpec,
+    WalkFamilySpec,
+    _nested_tuples,
+    enumerate_family,
+    enumerate_walk_family,
+)
 from .matching import match_faces, tri_heights, unmatched_steps
 from .pairs import flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
 from .partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
-from .paths import (
-    FamilySpec,
-    _nested_tuples,
-    all_paths,
-    dyck_paths,
-    end_height,
-    enumerate_family,
-    grand_paths,
-    heights,
-    lexkey,
-    prefix_paths,
-    valid_ij,
-)
+from .paths import end_height, heights, lexkey, valid_ij
 from .single import nu, nu_inv, xi, xi_inv, xi_s, xi_s_inv
 from .walks import (
     _DXY,
-    WalkFamilySpec,
-    enumerate_walk_family,
     omega,
     omega_inv,
     phi_tilde,
@@ -58,7 +51,6 @@ from .walks import (
     psi_tilde_s,
     psi_tilde_s_inv,
     shadow_contains,
-    walk_geometry,
 )
 
 
@@ -80,15 +72,20 @@ def format_report(results) -> str:
     return "\n".join(r.line() for r in results)
 
 
+def _paths(family, n):
+    return enumerate_family(FamilySpec(family, n))
+
+
 def _check_families(n_max):
     for n in range(n_max + 1):
         central = binom(n, n // 2)
-        for fam, members, size in (
-            ("A", all_paths(n), 2**n),
-            ("D", dyck_paths(n), catalan(n // 2) if n % 2 == 0 else 0),
-            ("G", grand_paths(n), central),
-            ("P", prefix_paths(n), central),
+        for fam, size in (
+            ("A", 2**n),
+            ("D", catalan(n // 2) if n % 2 == 0 else 0),
+            ("G", central),
+            ("P", central),
         ):
+            members = _paths(fam, n)
             keys = [lexkey(p) for p in members]
             if keys != sorted(keys) or len(set(members)) != len(members):
                 return f"family {fam}, n={n}: unsorted or duplicated"
@@ -134,10 +131,10 @@ def _bijection(classes, forward, inverse=None):
 
 def _check_xi(n_max):
     for n in range(n_max + 1):
-        for p in prefix_paths(n):
+        for p in _paths("P", n):
             if match_faces(xi(p)).pairs != match_faces(p).pairs:
                 return f"xi breaks facing pairs: {p}"
-    classes = ((f"n={n}", prefix_paths(n), grand_paths(n), ()) for n in range(n_max + 1))
+    classes = ((f"n={n}", _paths("P", n), _paths("G", n), ()) for n in range(n_max + 1))
     return _bijection(classes, xi, xi_inv)
 
 
@@ -158,7 +155,7 @@ def _check_xi_s(n_max):
 
 def _check_nu(n_max):
     classes = (
-        (f"n={n}", prefix_paths(n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), ())
+        (f"n={n}", _paths("P", n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), ())
         for n in range(n_max + 1)
     )
     return _bijection(classes, nu, nu_inv)
@@ -184,7 +181,7 @@ def _check_phi_sector(n_max):
 
 def _check_flip_heights(n_max):
     for n in range(n_max + 1):
-        for q in all_paths(n):
+        for q in _paths("A", n):
             if end_height(q) < 0:
                 continue
             qp, rec = flip_below(q)
@@ -329,13 +326,14 @@ def _check_psi_tilde_s_union(n_max):
     # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j)
     def classes():
         for n in range(n_max + 1):
-            ends = {}
-            for tag in ("Q", "H"):
-                for w in enumerate_walk_family(WalkFamilySpec(tag, n)):
-                    ends.setdefault((tag, *walk_geometry(w).endpoint), []).append(w)
-            for (tag, s, j), target in ends.items():
-                if tag == "H" and s >= 0:
-                    domain = [w for i in range(s, n + 1, 2) for w in ends.get(("Q", i, j), ())]
+            for s in range(n + 1):
+                for j in range((n - s) % 2, n - s + 1, 2):
+                    target = enumerate_walk_family(WalkFamilySpec("Hend", n, i=s, j=j))
+                    domain = [
+                        w
+                        for i in range(s, n - j + 1, 2)
+                        for w in enumerate_walk_family(WalkFamilySpec("Qend", n, i=i, j=j))
+                    ]
                     yield f"n={n}, end=({s},{j})", domain, target, (s,)
 
     return _bijection(classes(), psi_tilde_s, lambda wh, s: psi_tilde_s_inv(wh))

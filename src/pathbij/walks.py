@@ -245,100 +245,3 @@ def shadow_contains(i: int, j: int, x: int, y: int) -> bool:
     """Membership of (x, y) in sh(i,j) = {i-j <= x-y <= i+j <= x+y}."""
     require(i >= j >= 0, "need i >= j >= 0, got i={}, j={}", i, j)
     return i - j <= x - y <= i + j <= x + y
-
-
-# ---------------------------------------------------------------------------
-# Walk families
-
-
-class WalkFamilySpec(NamedTuple):
-    """A walk family plus its parameters.
-
-    Tags: O (octant), Ox (octant, ends on the x-axis), Odiag (octant, ends
-    on y = x), Osh (octant, ends in sh(i,j)), Q (quadrant), Qend (quadrant,
-    ends at (i,j)), Qx (quadrant, ends on the x-axis), H (upper half-plane),
-    Hend (upper half-plane, ends at (i,j)), Hij (upper half-plane, ends at
-    (i mod 2, j) with leftmost abscissa -floor(i/2)).
-    """
-
-    family: str
-    n: int
-    i: int | None = None
-    j: int | None = None
-    s: int | None = None
-
-
-def _need_ij(spec: WalkFamilySpec) -> tuple[int, int]:
-    if spec.i is None or spec.j is None:
-        raise ValueError(f"walk family {spec.family} needs both i and j")
-    return spec.i, spec.j
-
-
-def _walk_search(n, region, target, accept) -> tuple[str, ...]:
-    """Depth-first generation with early region pruning.
-
-    region(x, y) is the prefix constraint; target, when set, prunes on
-    Manhattan distance to an exact endpoint; accept(x, y, min_x) is the
-    final filter. Steps are tried in the order E, N, S, W.
-    """
-    out: list[str] = []
-    chars: list[str] = []
-
-    def walk(x: int, y: int, mnx: int, m: int) -> None:
-        if target is not None and abs(target[0] - x) + abs(target[1] - y) > m:
-            return
-        if m == 0:
-            if accept is None or accept(x, y, mnx):
-                out.append("".join(chars))
-            return
-        for c in "ENSW":
-            dx, dy = _DXY[c]
-            nx, ny = x + dx, y + dy
-            if region(nx, ny):
-                chars.append(c)
-                walk(nx, ny, min(mnx, nx), m - 1)
-                chars.pop()
-
-    walk(0, 0, 0, n)
-    return tuple(out)
-
-
-def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
-    """All members, each once, in lexicographic step order E < N < S < W."""
-    f, n = spec.family, spec.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    octant = lambda x, y: x >= y >= 0
-    quadrant = lambda x, y: x >= 0 and y >= 0
-    upper = lambda x, y: y >= 0
-    if f == "O":
-        return _walk_search(n, octant, None, None)
-    if f == "Ox":
-        return _walk_search(n, octant, None, lambda x, y, m: y == 0)
-    if f == "Odiag":
-        return _walk_search(n, octant, None, lambda x, y, m: x == y)
-    if f == "Osh":
-        i, j = _need_ij(spec)
-        require(i >= j >= 0, "need i >= j >= 0, got i={}, j={}", i, j)
-        return _walk_search(n, octant, None, lambda x, y, m: shadow_contains(i, j, x, y))
-    if f == "Q":
-        return _walk_search(n, quadrant, None, None)
-    if f == "Qend":
-        return _walk_search(n, quadrant, _need_ij(spec), None)
-    if f == "Qx":
-        return _walk_search(n, quadrant, None, lambda x, y, m: y == 0)
-    if f == "H":
-        return _walk_search(n, upper, None, None)
-    if f == "Hend":
-        return _walk_search(n, upper, _need_ij(spec), None)
-    if f == "Hij":
-        i, j = _need_ij(spec)
-        require(i >= 0 and j >= 0, "need i, j >= 0, got i={}, j={}", i, j)
-        lo = -(i // 2)
-        return _walk_search(
-            n,
-            lambda x, y: y >= 0 and x >= lo,
-            (i % 2, j),
-            lambda x, y, m: m == lo,
-        )
-    raise ValueError(f"unknown walk family tag: {spec.family!r}")

@@ -6,6 +6,7 @@ family membership by filtering a full ambient product space. These routines
 exist so that the fast implementations are never checked against themselves.
 """
 
+import functools
 import itertools
 
 STEP = {"U": 1, "D": -1, "H": 0}
@@ -141,11 +142,13 @@ def walk_points(w):
     return pts
 
 
+@functools.lru_cache(maxsize=None)
+def _all_walks(n):
+    # every length-n walk with its visited points, computed once per n
+    return tuple((w, walk_points(w)) for w in words(n, "ENSW"))
+
+
 def naive_walks(n, keep):
     """All length-n N/S/E/W walks whose point list satisfies keep(pts)."""
-    out = []
-    for w in itertools.product("ENSW", repeat=n):
-        word = "".join(w)
-        if keep(walk_points(word)):
-            out.append(word)
+    out = [w for w, pts in _all_walks(n) if keep(pts)]
     return sorted(out, key=lambda w: w.translate(str.maketrans("ENSW", "0123")))

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from pathbij import cli
 from pathbij.cli import main
 from pathbij.counting import count_grand_tuples_det
-from pathbij.paths import FamilySpec, end_height, enumerate_family, valid_ij
+from pathbij.families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
+from pathbij.paths import end_height, valid_ij
 from pathbij.partitions import enumerate_pp
 from pathbij.render import render_svg
 from pathbij.verify import CheckResult
-from pathbij.walks import WalkFamilySpec, enumerate_walk_family, walk_geometry
+from pathbij.walks import walk_geometry
 
 
 def run(capsys, *argv):
@@ -313,6 +314,9 @@ def test_exit_codes(capsys):
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2"),
         ("apply", "--map", "pp_to_tuple", "--input", "2 x", "--k", "2"),
         ("verify", "--max-n", "-1"),
+        ("verify", "--max-n", "11"),
+        ("verify", "--k", "4"),
+        ("verify", "--max-n", "12", "--k", "10"),
         ("render", "--kind", "path", "--input", "UD", "--show-shadow"),
         ("render", "--kind", "nothing", "--input", "UD"),
     ]

@@ -10,7 +10,7 @@ import pytest
 
 import pathbij
 
-SUBMODULES = ("counting", "matching", "pairs", "partitions", "paths", "single", "walks")
+SUBMODULES = ("counting", "families", "matching", "pairs", "partitions", "paths", "single", "walks")
 PUBLIC = (
     "FamilySpec", "FlipRecord", "Matching", "WalkFamilySpec", "WalkGeometry",
     "agreement", "brute_count", "catalan", "classify", "count_g2_sum",
@@ -81,15 +81,18 @@ def test_each_call_loads_only_what_it_runs():
 
     loaded = _loaded("count", "--family", "O", "--n", "6", "--method", "formula")
     assert "pathbij.counting" in loaded
-    for name in ("pathbij.paths", "pathbij.walks", "pathbij.verify", "pathbij.render", "dataclasses"):
-        assert name not in loaded, name
+    for name in ("families", "paths", "walks", "verify", "render"):
+        assert f"pathbij.{name}" not in loaded, name
+    assert "dataclasses" not in loaded
 
     loaded = _loaded("apply", "--map", "xi", "--input", "UUDDUUDUUDDUUUDU")
     assert "pathbij.single" in loaded
-    for name in ("pathbij.verify", "pathbij.render", "pathbij.counting", "json", "dataclasses"):
+    for name in ("pathbij.families", "pathbij.verify", "pathbij.render", "pathbij.counting"):
         assert name not in loaded, name
+    assert "json" not in loaded and "dataclasses" not in loaded
 
     # phi_tilde and the phi_tilde_inv of its round trip both run on the walk
     loaded = _loaded("apply", "--map", "phi_tilde", "--input", "NSEN")
     assert "pathbij.walks" in loaded
     assert "pathbij.pairs" not in loaded
+    assert "pathbij.families" not in loaded

@@ -29,7 +29,6 @@ from pathbij import (
     verify,
 )
 from pathbij.matching import tri_heights
-from pathbij.paths import prefix_paths
 
 WP = "UUDUUUUDUUUDDUDDDUDUU"
 WQ = "DUDDUUUUUUUDUUDDDDUDU"
@@ -132,7 +131,7 @@ def test_flip_below_inv_examples():
 def test_flip_below_inv_then_forward():
     """Every (prefix, r) with 2r <= h is hit by exactly one eligible path."""
     for n in range(11):
-        for qp in prefix_paths(n):
+        for qp in enumerate_family(FamilySpec("P", n)):
             for r in range(end_height(qp) // 2 + 1):
                 q = flip_below_inv(qp, r)
                 back, rec = flip_below(q)

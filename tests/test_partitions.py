@@ -16,7 +16,7 @@ from pathbij import (
     tuple_to_pp,
 )
 from pathbij.partitions import check_pp, diagram_to_path
-from pathbij.paths import _nested_tuples
+from pathbij.families import _nested_tuples
 
 
 def test_path_to_diagram_examples():

@@ -17,17 +17,7 @@ from pathbij import (
     valid_ij,
 )
 from pathbij.counting import binom, catalan
-from pathbij.paths import (
-    all_paths,
-    check_ij,
-    check_path,
-    dyck_paths,
-    flip_steps,
-    grand_paths,
-    lexkey,
-    prefix_paths,
-    swap_fragments,
-)
+from pathbij.paths import check_ij, check_path, flip_steps, lexkey, swap_fragments
 
 import oracles
 
@@ -120,7 +110,7 @@ def test_nesting_is_a_partial_order():
     is also below p.
     """
     for n in range(9):
-        ps = all_paths(n)
+        ps = enumerate_family(FamilySpec("A", n))
         below = []
         for p in ps:
             row = 0
@@ -140,7 +130,7 @@ def test_nesting_is_a_partial_order():
 
 def test_negate_reverses_nesting():
     for n in range(9):
-        for p, q in itertools.combinations(all_paths(n), 2):
+        for p, q in itertools.combinations(enumerate_family(FamilySpec("A", n)), 2):
             assert is_weakly_below(q, p) == is_weakly_below(negate(p), negate(q))
 
 
@@ -156,17 +146,17 @@ def test_classify_examples():
 def test_family_cardinalities():
     for n in range(15):
         m = n // 2
-        assert len(all_paths(n)) == 2**n
-        assert len(prefix_paths(n)) == binom(n, m)
-        assert len(grand_paths(n)) == binom(n, m)
+        assert len(enumerate_family(FamilySpec("A", n))) == 2**n
+        assert len(enumerate_family(FamilySpec("P", n))) == binom(n, m)
+        assert len(enumerate_family(FamilySpec("G", n))) == binom(n, m)
         if n % 2 == 0:
-            assert len(dyck_paths(n)) == catalan(m)
+            assert len(enumerate_family(FamilySpec("D", n))) == catalan(m)
         else:
-            assert dyck_paths(n) == ()
+            assert enumerate_family(FamilySpec("D", n)) == ()
 
 
 def test_family_examples():
-    assert dyck_paths(4) == ("UUDD", "UDUD")
+    assert enumerate_family(FamilySpec("D", 4)) == ("UUDD", "UDUD")
     assert enumerate_family(FamilySpec("M2", 2, i=0, j=0)) == (
         ("UD", "UD"),
         ("UD", "DU"),
@@ -177,12 +167,16 @@ def test_family_examples():
 
 def test_single_family_enumeration_against_oracle():
     for n in range(9):
-        assert list(all_paths(n)) == oracles.naive_single(n, lambda h: True)
-        assert list(prefix_paths(n)) == oracles.naive_single(n, lambda h: min(h) >= 0)
-        assert list(grand_paths(n)) == oracles.naive_single(
+        assert list(enumerate_family(FamilySpec("A", n))) == oracles.naive_single(
+            n, lambda h: True
+        )
+        assert list(enumerate_family(FamilySpec("P", n))) == oracles.naive_single(
+            n, lambda h: min(h) >= 0
+        )
+        assert list(enumerate_family(FamilySpec("G", n))) == oracles.naive_single(
             n, lambda h: h[-1] == n % 2
         )
-        assert list(dyck_paths(n)) == oracles.naive_single(
+        assert list(enumerate_family(FamilySpec("D", n))) == oracles.naive_single(
             n, lambda h: min(h) >= 0 and h[-1] == 0
         )
 

@@ -1,5 +1,7 @@
 """Plane walks: the encoding omega and the walk-level bijections."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -306,24 +308,26 @@ def test_walk_family_enumeration_against_oracle():
             WalkFamilySpec("Qx", n): lambda pts: quadrant(pts) and pts[-1][1] == 0,
             WalkFamilySpec("H", n): upper,
         }
-        for i, j in ((0, 0), (1, 1), (2, 0), (1, 2)):
-            if (i + j) % 2 == n % 2:
-                cases[WalkFamilySpec("Qend", n, i=i, j=j)] = (
-                    lambda pts, i=i, j=j: quadrant(pts) and pts[-1] == (i, j)
-                )
-                cases[WalkFamilySpec("Hend", n, i=i, j=j)] = (
-                    lambda pts, i=i, j=j: upper(pts) and pts[-1] == (i, j)
-                )
+        # every endpoint near the walk's reach, of either parity, so the
+        # start-state and off-parity prunes are pinned as well
+        for i, j in itertools.product(range(-1, n + 2), repeat=2):
+            cases[WalkFamilySpec("Qend", n, i=i, j=j)] = (
+                lambda pts, i=i, j=j: quadrant(pts) and pts[-1] == (i, j)
+            )
+            cases[WalkFamilySpec("Hend", n, i=i, j=j)] = (
+                lambda pts, i=i, j=j: upper(pts) and pts[-1] == (i, j)
+            )
+            if i >= 0 and j >= 0:
                 cases[WalkFamilySpec("Hij", n, i=i, j=j)] = (
                     lambda pts, i=i, j=j: upper(pts)
                     and pts[-1] == (i % 2, j)
                     and min(x for x, _ in pts) == -(i // 2)
                 )
-                if i >= j:
-                    cases[WalkFamilySpec("Osh", n, i=i, j=j)] = (
-                        lambda pts, i=i, j=j: octant(pts)
-                        and shadow_contains(i, j, *pts[-1])
-                    )
+            if i >= j >= 0:
+                cases[WalkFamilySpec("Osh", n, i=i, j=j)] = (
+                    lambda pts, i=i, j=j: octant(pts)
+                    and shadow_contains(i, j, *pts[-1])
+                )
         for spec, keep in cases.items():
             assert list(enumerate_walk_family(spec)) == oracles.naive_walks(n, keep)
 
