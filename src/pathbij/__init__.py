@@ -25,10 +25,8 @@ _EXPORTS = {
         "FlipRecord",
         "agreement",
         "disagreement",
-        "ell",
         "flip_below",
         "flip_below_inv",
-        "infer_ij",
         "phi",
         "phi_inv",
         "psi",
@@ -38,26 +36,21 @@ _EXPORTS = {
     ),
     "partitions": (
         "enumerate_pp",
-        "format_pp",
         "parse_pp",
         "path_to_diagram",
         "pp_to_tuple",
         "tuple_to_pp",
     ),
     "paths": (
-        "classify",
         "end_height",
         "heights",
         "is_weakly_below",
-        "min_height",
         "negate",
         "valid_ij",
     ),
     "single": ("nu", "nu_inv", "xi", "xi_inv", "xi_s", "xi_s_inv"),
     "walks": (
         "WalkGeometry",
-        "interleave",
-        "ns_ew_split",
         "omega",
         "omega_inv",
         "phi_tilde",

@@ -21,22 +21,22 @@ _WALK_TAGS = ("Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh")
 
 
 def _ambient(args):
-    if args.i is not None or args.j is not None:
+    if args.i is not None or args.j is not None or args.s is not None:
         raise ValueError(
-            f"--method {args.method} counts the full family; drop --i/--j or use --method brute"
+            f"--method {args.method} counts the full family; drop --i/--j/--s or use --method brute"
         )
-    return args.n
 
 
 # closed-form counts, keyed by (family, method); P, P2 and Pk are counted as
-# G, G2 and Gk, the sets the bijections map them onto
+# G, G2 and Gk, the sets the bijections map them onto. Every one but Qend
+# counts a full family, so _run_count rejects --i, --j and --s for it
 _COUNTS = {
     ("A", "formula"): lambda a: 2**a.n,
     ("D", "formula"): lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0,
     ("G", "formula"): lambda a: pb.counting.binom(a.n, a.n // 2),
-    ("G2", "det"): lambda a: pb.count_grand_tuples_det(_ambient(a), 2),
-    ("G2", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, _ambient(a) // 2, 2),
-    ("G2", "sum"): lambda a: pb.count_g2_sum(_ambient(a)),
+    ("G2", "det"): lambda a: pb.count_grand_tuples_det(a.n, 2),
+    ("G2", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, 2),
+    ("G2", "sum"): lambda a: pb.count_g2_sum(a.n),
     ("Gk", "det"): lambda a: pb.count_grand_tuples_det(a.n, _need(a, "k")),
     ("Gk", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
     ("O", "formula"): lambda a: pb.count_octant_total(a.n),
@@ -117,6 +117,8 @@ def _run_count(args) -> int:
             raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
         if family == "Gk" and args.k is not None and not 1 <= args.k <= max_k:
             raise ValueError(f"--method {args.method} takes --k from 1 to {max_k}, got {args.k}")
+        if family != "Qend":
+            _ambient(args)
         value = fn(args)
     if not args.json:
         print(_exact(str, value))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from functools import lru_cache
 from typing import NamedTuple
 
 from ._base import require
@@ -70,7 +69,6 @@ def _tuple_key(paths: tuple[str, ...]) -> str:
     return lexkey("".join(paths))
 
 
-@lru_cache(maxsize=None)
 def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, meet=False):
     """The members of a family of k nested layers of n steps, sorted:
     strings for form "path" (k = 1) and "walk" (k = 2), else k-tuples.
@@ -85,7 +83,8 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     height can no longer dip to low and climb back to its end (with low
     set, every layer ends at one height). Final filter: the prune with no
     step left, the lowest agreement height equal to low, and with meet the
-    top and bottom layers ending together.
+    top and bottom layers ending together. Nothing is kept between calls:
+    a family lives only as long as its caller holds it.
     """
     letters = _WALK_STEPS if form == "walk" else map("".join, itertools.product("UD", repeat=k))
     steps = tuple(zip(itertools.product((1, -1), repeat=k), letters))
@@ -132,8 +131,8 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
         if (low is None or c == low) and (not meet or h[0] == h[-1]):
             if form == "tuple":
                 # the tuples replace the bucket, which is freed here. A layer
-                # is one of at most 2^n paths, shared by many tuples and by
-                # the families that overlap this one, so it is interned
+                # is one of at most 2^n paths, shared by many tuples, so it
+                # is interned
                 words = [tuple([sys.intern(w[cut]) for cut in cuts]) for w in words]
             out += words
     out.sort(key={"path": lexkey, "tuple": _tuple_key}.get(form))

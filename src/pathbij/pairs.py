@@ -6,7 +6,8 @@ i+j = n (mod 2):
   M2(n,i;j): -P <= Q <= P with h(P) = i+j, h(Q) = i-j
   P2(n,i;j): P >= Q >= 0 with i-j <= h(Q) <= i+j <= h(P)
   G2(n,i;j): nested pairs with ell(P,Q) = -floor(i/2), h(P) = j + d,
-             h(Q) = -j + d, where d = i mod 2
+             h(Q) = -j + d, where d = i mod 2; ell(P,Q) is the lowest
+             height of the agreement path (P+Q)/2, its start included
 
 phi maps M2 onto P2 through an intermediate flip of Q's below-axis steps
 followed by flipping the unmatched D steps of the disagreement path in both
@@ -20,7 +21,7 @@ import operator
 from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
-from .matching import tri_heights, unmatched_steps
+from .matching import unmatched_steps
 from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
 from .single import _up_flips
 
@@ -76,17 +77,6 @@ def agreement(p: str, q: str) -> str:
     _same_length(p, q)
     check_path(p), check_path(q)
     return _agreement(p, q)
-
-
-def ell(p: str, q: str) -> int:
-    """Lowest height of the agreement path, its starting point included."""
-    return min(tri_heights(agreement(p, q)) + (0,))
-
-
-def infer_ij(p: str, q: str) -> tuple[int, int]:
-    """Read (i, j) off the ending heights: h(P) = i+j, h(Q) = i-j."""
-    _, hp, hq = _profiles(p, q)
-    return _read_ij(hp, hq)
 
 
 def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:

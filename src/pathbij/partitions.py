@@ -159,11 +159,6 @@ def enumerate_pp(p: int, q: int, k: int) -> tuple[PlanePartition, ...]:
     return tuple(results)
 
 
-def format_pp(a: PlanePartition) -> str:
-    """Text encoding: rows of space-separated integers, one row per line."""
-    return "\n".join(" ".join(str(x) for x in row) for row in a)
-
-
 def parse_pp(text: str) -> PlanePartition:
     """Parse the text encoding; ';' is accepted as a row separator too."""
     rows = [r for r in text.replace(";", "\n").splitlines() if r.strip()]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._base import CACHE_SIZE
 
@@ -41,11 +40,6 @@ def heights(path: str) -> tuple[int, ...]:
 def end_height(path: str) -> int:
     # U steps minus D steps; needs no profile
     return 2 * check_path(path).count(UP) - len(path)
-
-
-def min_height(path: str) -> int:
-    """Lowest height over the whole path, the starting point at 0 included."""
-    return min(heights(path) + (0,))
 
 
 def negate(path: str) -> str:
@@ -102,29 +96,6 @@ def is_weakly_below(q: str, p: str) -> bool:
     if len(q) != len(p):
         raise ValueError(f"length mismatch: {len(q)} vs {len(p)}")
     return all(a <= b for a, b in zip(heights(q), heights(p)))
-
-
-def is_prefix(path: str) -> bool:
-    return min_height(path) >= 0
-
-
-def is_dyck(path: str) -> bool:
-    return min_height(path) >= 0 and end_height(path) == 0
-
-
-def is_grand(path: str) -> bool:
-    return end_height(path) == len(path) % 2
-
-
-class PathClass(NamedTuple):
-    is_dyck: bool
-    is_grand: bool
-    is_prefix: bool
-
-
-def classify(path: str) -> PathClass:
-    """Membership flags of a single path in the three named families."""
-    return PathClass(is_dyck(path), is_grand(path), is_prefix(path))
 
 
 def lexkey(word: str) -> str:

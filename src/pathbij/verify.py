@@ -244,11 +244,9 @@ def _check_floor_pairs(n_max):
         for n in range(n_max + 1):
             p2 = enumerate_family(FamilySpec("P2", n))
             preimages = [(end_height(qt), phi_inv(pt, qt, end_height(qt), 0)[:2]) for pt, qt in p2]
-            nested = enumerate_family(FamilySpec("Ak", n, k=2))
             for s in range(n % 2, n + 1, 2):
                 domain = [pair for i, pair in preimages if i >= s]
-                target = [(a, b) for a, b in nested if end_height(a) == s == end_height(b)]
-                yield f"n={n}, s={s}", domain, target, (s,)
+                yield f"n={n}, s={s}", domain, _nested_tuples(n, 2, False, s), (s,)
 
     return _bijection(
         classes(),

@@ -157,30 +157,6 @@ def phi_tilde_inv(w2: str, i: int, j: int) -> str:
     return swap_fragments(w1, heights(w1.translate(_STEP_TO_Q)), x - i, _SWAP_DIAG_TABLE)
 
 
-def ns_ew_split(w: str) -> tuple[str, str, str]:
-    """Split into the NS and EW subsequences plus a V/H interleaving mask."""
-    check_walk(w)
-    ns = "".join(c for c in w if c in "NS")
-    ew = "".join(c for c in w if c in "EW")
-    mask = "".join("V" if c in "NS" else "H" for c in w)
-    return ns, ew, mask
-
-
-def interleave(ns: str, ew: str, mask: str) -> str:
-    """Rebuild a walk from its split; inverse of ns_ew_split."""
-    require(
-        len(ns) + len(ew) == len(mask),
-        "mask length {} does not cover {} + {} steps",
-        len(mask),
-        len(ns),
-        len(ew),
-    )
-    require(set(mask) <= {"V", "H"}, "mask must be over 'V'/'H'")
-    require(len(ns) == mask.count("V"), "vertical step count does not match mask")
-    it_ns, it_ew = iter(ns), iter(ew)
-    return "".join(next(it_ns) if m == "V" else next(it_ew) for m in mask)
-
-
 # the EW-subsequence of a walk as a path, E as U and W as D
 _EW_AS_PATH = str.maketrans("EW", "UD", "NS")
 _IS_EW = bytes.maketrans(b"ENSW", b"\x01\x00\x00\x01")

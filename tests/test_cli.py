@@ -297,6 +297,8 @@ def test_exit_codes(capsys):
         ("count", "--family", "Z9", "--n", "2"),
         ("count", "--family", "G2", "--n", "4", "--method", "mystery"),
         ("count", "--family", "G2", "--n", "4", "--i", "2", "--j", "0", "--method", "det"),
+        ("count", "--family", "O", "--n", "4", "--i", "1", "--j", "1", "--method", "formula"),
+        ("count", "--family", "A", "--n", "4", "--s", "2", "--method", "formula"),
         ("count", "--family", "A", "--n", "13"),
         ("count", "--family", "Gk", "--n", "4", "--method", "det"),
         ("count", "--family", "A", "--n", "100001", "--method", "formula"),

@@ -1,13 +1,18 @@
 """Memory stays bounded while one process maps a long stream of distinct
-inputs: the per-input caches keep at most CACHE_SIZE entries each, and
-nothing else accumulates across calls."""
+inputs or enumerates a stream of distinct families: the per-input caches
+keep at most CACHE_SIZE entries each, and nothing else accumulates across
+calls."""
 
 import random
 import tracemalloc
 
 from pathbij import (
+    FamilySpec,
+    WalkFamilySpec,
+    end_height,
+    enumerate_family,
+    enumerate_walk_family,
     heights,
-    infer_ij,
     match_faces,
     omega,
     omega_inv,
@@ -19,6 +24,7 @@ from pathbij import (
     psi_inv,
     psi_tilde,
     tri_heights,
+    valid_ij,
     xi,
     xi_inv,
 )
@@ -68,7 +74,8 @@ def test_stream_of_distinct_inputs_keeps_memory_bounded():
         before = tracemalloc.get_traced_memory()[0]
         for w in walks:
             p, q = omega_inv(w)
-            i, j = infer_ij(p, q)
+            hp, hq = end_height(p), end_height(q)
+            i, j = (hp + hq) // 2, (hp - hq) // 2
             assert xi_inv(xi(p)) == p
             pt, qt, _ = phi(p, q)
             assert phi_inv(pt, qt, i, j)[:2] == (p, q)
@@ -85,4 +92,19 @@ def test_stream_of_distinct_inputs_keeps_memory_bounded():
         info = cache.cache_info()
         assert info.maxsize == CACHE_SIZE
         assert info.currsize <= CACHE_SIZE
+    assert growth < GROWTH_LIMIT_BYTES, f"grew by {growth / 2**20:.1f} MiB"
+
+
+def test_stream_of_distinct_families_keeps_memory_bounded():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(11):
+            assert enumerate_walk_family(WalkFamilySpec("H", n))
+        for n in range(9):
+            for i, j in valid_ij(n):
+                assert enumerate_family(FamilySpec("M2", n, i=i, j=j))
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
     assert growth < GROWTH_LIMIT_BYTES, f"grew by {growth / 2**20:.1f} MiB"

@@ -13,13 +13,12 @@ import pathbij
 SUBMODULES = ("counting", "families", "matching", "pairs", "partitions", "paths", "single", "walks")
 PUBLIC = (
     "FamilySpec", "FlipRecord", "Matching", "WalkFamilySpec", "WalkGeometry",
-    "agreement", "brute_count", "catalan", "classify", "count_g2_sum",
+    "agreement", "brute_count", "catalan", "count_g2_sum",
     "count_grand_tuples_det", "count_macmahon", "count_octant_diag",
-    "count_octant_total", "count_octant_xaxis", "disagreement", "ell",
+    "count_octant_total", "count_octant_xaxis", "disagreement",
     "end_height", "enumerate_family", "enumerate_pp", "enumerate_walk_family",
-    "flip_below", "flip_below_inv", "format_pp", "heights", "infer_ij",
-    "interleave", "is_weakly_below", "match_faces", "min_height", "negate",
-    "ns_ew_split", "nu", "nu_inv", "omega", "omega_inv", "parse_pp",
+    "flip_below", "flip_below_inv", "heights", "is_weakly_below",
+    "match_faces", "negate", "nu", "nu_inv", "omega", "omega_inv", "parse_pp",
     "path_to_diagram", "phi", "phi_inv", "phi_tilde", "phi_tilde_inv",
     "pp_to_tuple", "psi", "psi_inv", "psi_s", "psi_s_inv", "psi_tilde",
     "psi_tilde_inv", "psi_tilde_s", "psi_tilde_s_inv", "shadow_contains",
@@ -29,7 +28,7 @@ PUBLIC = (
 
 
 def test_all_lists_the_public_names_and_their_submodules():
-    assert len(PUBLIC) == 60
+    assert len(PUBLIC) == 53
     assert pathbij.__all__ == sorted(PUBLIC + SUBMODULES)
 
 

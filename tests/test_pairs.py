@@ -12,13 +12,11 @@ from pathbij import (
     FamilySpec,
     agreement,
     disagreement,
-    ell,
     end_height,
     enumerate_family,
     flip_below,
     flip_below_inv,
     heights,
-    infer_ij,
     phi,
     phi_inv,
     psi,
@@ -65,6 +63,11 @@ def test_halving_identities():
                 )
 
 
+def ell(p, q):
+    """The lowest height of the agreement path, its start included."""
+    return min((0,) + tri_heights(agreement(p, q)))
+
+
 def test_ell_examples():
     assert ell("UD", "DU") == 0
     assert ell("DU", "DU") == -1
@@ -73,9 +76,9 @@ def test_ell_examples():
 
 
 def test_infer_ij():
-    assert infer_ij("UU", "UD") == (1, 1)
-    assert infer_ij("UD", "UD") == (0, 0)
-    assert infer_ij(WP, WQ) == (4, 1)
+    # phi reads (i, j) off the ending heights, h(P) = i+j and h(Q) = i-j
+    for p, q, ij in (("UU", "UD", (1, 1)), ("UD", "UD", (0, 0)), (WP, WQ, (4, 1))):
+        assert phi(p, q) == phi(p, q, *ij)
 
 
 def test_check_m2_names_the_violated_predicate():

@@ -7,12 +7,10 @@ from hypothesis import given, strategies as st
 
 from pathbij import (
     FamilySpec,
-    classify,
     end_height,
     enumerate_family,
     heights,
     is_weakly_below,
-    min_height,
     negate,
     valid_ij,
 )
@@ -42,9 +40,10 @@ def test_heights_examples():
 def test_end_and_min_height():
     assert end_height("UUDD") == 0
     assert end_height("") == 0
-    assert min_height("UD") == 0
-    assert min_height("DU") == -1
-    assert min_height("") == 0
+    # the lowest height, the start at 0 included
+    assert min((0,) + heights("UD")) == 0
+    assert min((0,) + heights("DU")) == -1
+    assert min((0,) + heights("")) == 0
 
 
 @given(paths)
@@ -132,15 +131,6 @@ def test_negate_reverses_nesting():
     for n in range(9):
         for p, q in itertools.combinations(enumerate_family(FamilySpec("A", n)), 2):
             assert is_weakly_below(q, p) == is_weakly_below(negate(p), negate(q))
-
-
-def test_classify_examples():
-    c = classify("UD")
-    assert (c.is_dyck, c.is_grand, c.is_prefix) == (True, True, True)
-    c = classify("DU")
-    assert (c.is_dyck, c.is_grand, c.is_prefix) == (False, True, False)
-    c = classify("U")
-    assert (c.is_dyck, c.is_grand, c.is_prefix) == (False, True, True)
 
 
 def test_family_cardinalities():

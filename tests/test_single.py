@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pathbij import end_height, match_faces, min_height, nu, nu_inv, verify
+from pathbij import end_height, heights, match_faces, nu, nu_inv, verify
 from pathbij import xi, xi_inv, xi_s, xi_s_inv
 
 
@@ -62,7 +62,7 @@ def test_xi_s_examples():
     assert xi_s("UU", 2) == "UU"
     assert xi_s("UU", 0) == "DU"
     assert xi_s("UUUU", 2) == "DUUU"
-    assert min_height("DUUU") == -1
+    assert min(heights("DUUU")) == -1
 
 
 def test_xi_s_rejects_bad_targets():

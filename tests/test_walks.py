@@ -9,8 +9,6 @@ from pathbij import (
     WalkFamilySpec,
     enumerate_walk_family,
     heights,
-    interleave,
-    ns_ew_split,
     omega,
     omega_inv,
     phi_inv,
@@ -205,27 +203,6 @@ def test_phi_tilde_inv_error_messages():
 def test_phi_tilde_fixes_octant_walks_on_the_axis(suite_report):
     line = suite_report["phi_tilde_axis_identity"]
     assert line.passed, line.line()
-
-
-def test_ns_ew_split_example():
-    assert ns_ew_split("ENSE") == ("NS", "EE", "HVVH")
-    assert ns_ew_split("") == ("", "", "")
-
-
-def test_interleave_validates():
-    assert interleave("NS", "EE", "HVVH") == "ENSE"
-    with pytest.raises(ValueError):
-        interleave("NS", "EE", "HVH")
-    with pytest.raises(ValueError):
-        interleave("NS", "EE", "HVXH")
-    with pytest.raises(ValueError):
-        interleave("NSS", "E", "HVVH")
-
-
-@given(walks)
-def test_split_interleave_roundtrip(w):
-    ns, ew, mask = ns_ew_split(w)
-    assert interleave(ns, ew, mask) == w
 
 
 def test_psi_tilde_examples():
