@@ -21,6 +21,12 @@ def require(cond: bool, msg: str, *args) -> None:
         raise ValueError(msg.format(*args))
 
 
+def reject_unread(obj, fields: str, reads: str, user: str) -> None:
+    """Raise ValueError if a one-letter field of obj in fields is set but user does not read it."""
+    unread = [f for f in fields if f not in reads and getattr(obj, f, None) is not None]
+    require(not unread, "{} does not read {}", user, ", ".join(unread))
+
+
 def step_pair_table(images: dict[str, str]) -> bytes:
     """Table for map_step_pairs from {"UU": c, "UD": c, "DU": c, "DD": c}."""
     codes = bytes(2 * ord(a) + ord(b) for a, b in images)

@@ -20,16 +20,9 @@ _PATH_TAGS = ("A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", 
 _WALK_TAGS = ("Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh")
 
 
-def _ambient(args):
-    if args.i is not None or args.j is not None or args.s is not None:
-        raise ValueError(
-            f"--method {args.method} counts the full family; drop --i/--j/--s or use --method brute"
-        )
-
-
 # closed-form counts, keyed by (family, method); P, P2 and Pk are counted as
-# G, G2 and Gk, the sets the bijections map them onto. Every one but Qend
-# counts a full family, so _run_count rejects --i, --j and --s for it
+# G, G2 and Gk, the sets the bijections map them onto. Each counts a full
+# family, so it reads no flag but --n, Gk's --k and Qend's --i and --j
 _COUNTS = {
     ("A", "formula"): lambda a: 2**a.n,
     ("D", "formula"): lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0,
@@ -60,11 +53,10 @@ _MAX_N_K = {
 
 
 # the largest --max-n and --k that verify takes, the acceptance gate's
-# budget. Each sweep keeps its family in memory, and past the bounds the
-# families grow about fourfold per step of --max-n (floor_pair_bijection
-# builds the 352,716 nested pairs of length 10, 1,352,078 at 11) and seven-
-# to tenfold per step of --k (tuple_count_agreement enumerates 24,696
-# nested 3-tuples of length 8 for each of P^3 and G^3, 232,848 at --k 4)
+# budget. At the bounds the largest set a check holds is the 226,512 nested
+# pairs of length 12 that tuple_count_agreement counts in P2 and G2; at
+# --max-n 11 it would count those of length 13, past the enumeration budget
+# of pathbij.families, and at --k 4 the 232,848 nested 4-tuples of length 8
 _VERIFY_MAX_N_K = (10, 3)
 
 
@@ -88,8 +80,8 @@ def _family_spec(args):
     if args.family in _PATH_TAGS:
         return pb.FamilySpec(args.family, args.n, k=args.k, i=args.i, j=args.j, s=args.s)
     if args.family in _WALK_TAGS:
-        if args.s is not None:
-            raise ValueError("--s does not apply to walk families")
+        if args.k is not None or args.s is not None:
+            raise ValueError("--k and --s do not apply to walk families")
         return pb.WalkFamilySpec(args.family, args.n, i=args.i, j=args.j)
     raise ValueError(f"unknown family: {args.family!r}")
 
@@ -98,12 +90,7 @@ def _run_count(args) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.method == "brute":
-        spec = _family_spec(args)
-        value = (
-            pb.brute_count(spec, args.max_n)
-            if args.max_n is not None
-            else pb.brute_count(spec)
-        )
+        value = pb.brute_count(_family_spec(args))
     else:
         family = _SAME_COUNT.get(args.family, args.family)
         fn = _COUNTS.get((family, args.method))
@@ -117,8 +104,9 @@ def _run_count(args) -> int:
             raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
         if family == "Gk" and args.k is not None and not 1 <= args.k <= max_k:
             raise ValueError(f"--method {args.method} takes --k from 1 to {max_k}, got {args.k}")
-        if family != "Qend":
-            _ambient(args)
+        from ._base import reject_unread
+        reads = {"Gk": "k", "Qend": "ij"}.get(family, "")
+        reject_unread(args, "kijs", reads, f"--method {args.method}, which counts a full family,")
         value = fn(args)
     if not args.json:
         print(_exact(str, value))
@@ -187,30 +175,30 @@ def _ij(args):
     return _need(args, "i"), _need(args, "j")
 
 
-# map name -> (input kind, call(input, args), name of the inverse)
+# map name -> (input kind, call(input, args), name of the inverse, the flags it reads)
 _MAPS = {
-    "xi": (_PATH, lambda p, a: pb.xi(p), "xi_inv"),
-    "xi_inv": (_PATH, lambda g, a: pb.xi_inv(g), "xi"),
-    "xi_s": (_PATH, lambda p, a: pb.xi_s(p, _need(a, "s")), "xi_s_inv"),
-    "xi_s_inv": (_PATH, lambda r, a: pb.xi_s_inv(r), "xi_s"),
-    "nu": (_PATH, lambda p, a: pb.nu(p), "nu_inv"),
-    "nu_inv": (_PATH, lambda g, a: pb.nu_inv(g), "nu"),
-    "phi": (_PAIR, lambda pq, a: pb.phi(*pq, *_ij(a)), "phi_inv"),
-    "phi_inv": (_PAIR, lambda pq, a: pb.phi_inv(*pq, *_ij(a)), "phi"),
-    "psi": (_PAIR, lambda pq, a: pb.psi(*pq), "psi_inv"),
-    "psi_inv": (_PAIR, lambda pq, a: pb.psi_inv(*pq), "psi"),
-    "psi_s": (_PAIR, lambda pq, a: pb.psi_s(*pq, _need(a, "s")), "psi_s_inv"),
-    "psi_s_inv": (_PAIR, lambda pq, a: pb.psi_s_inv(*pq), "psi_s"),
-    "omega": (_PAIR, lambda pq, a: pb.omega(*pq), "omega_inv"),
-    "omega_inv": (_WALK, lambda w, a: pb.omega_inv(w), "omega"),
-    "phi_tilde": (_WALK, lambda w, a: pb.phi_tilde(w), "phi_tilde_inv"),
-    "phi_tilde_inv": (_WALK, lambda w, a: pb.phi_tilde_inv(w, *_ij(a)), "phi_tilde"),
-    "psi_tilde": (_WALK, lambda w, a: pb.psi_tilde(w), "psi_tilde_inv"),
-    "psi_tilde_inv": (_WALK, lambda w, a: pb.psi_tilde_inv(w), "psi_tilde"),
-    "psi_tilde_s": (_WALK, lambda w, a: pb.psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv"),
-    "psi_tilde_s_inv": (_WALK, lambda w, a: pb.psi_tilde_s_inv(w), "psi_tilde_s"),
-    "tuple_to_pp": (_PATHS, lambda ps, a: _tuple_to_pp(ps), "pp_to_tuple"),
-    "pp_to_tuple": (_PP, _pp_to_tuple, "tuple_to_pp"),
+    "xi": (_PATH, lambda p, a: pb.xi(p), "xi_inv", ""),
+    "xi_inv": (_PATH, lambda g, a: pb.xi_inv(g), "xi", ""),
+    "xi_s": (_PATH, lambda p, a: pb.xi_s(p, _need(a, "s")), "xi_s_inv", "s"),
+    "xi_s_inv": (_PATH, lambda r, a: pb.xi_s_inv(r), "xi_s", ""),
+    "nu": (_PATH, lambda p, a: pb.nu(p), "nu_inv", ""),
+    "nu_inv": (_PATH, lambda g, a: pb.nu_inv(g), "nu", ""),
+    "phi": (_PAIR, lambda pq, a: pb.phi(*pq, *_ij(a)), "phi_inv", "ij"),
+    "phi_inv": (_PAIR, lambda pq, a: pb.phi_inv(*pq, *_ij(a)), "phi", "ij"),
+    "psi": (_PAIR, lambda pq, a: pb.psi(*pq), "psi_inv", ""),
+    "psi_inv": (_PAIR, lambda pq, a: pb.psi_inv(*pq), "psi", ""),
+    "psi_s": (_PAIR, lambda pq, a: pb.psi_s(*pq, _need(a, "s")), "psi_s_inv", "s"),
+    "psi_s_inv": (_PAIR, lambda pq, a: pb.psi_s_inv(*pq), "psi_s", ""),
+    "omega": (_PAIR, lambda pq, a: pb.omega(*pq), "omega_inv", ""),
+    "omega_inv": (_WALK, lambda w, a: pb.omega_inv(w), "omega", ""),
+    "phi_tilde": (_WALK, lambda w, a: pb.phi_tilde(w), "phi_tilde_inv", ""),
+    "phi_tilde_inv": (_WALK, lambda w, a: pb.phi_tilde_inv(w, *_ij(a)), "phi_tilde", "ij"),
+    "psi_tilde": (_WALK, lambda w, a: pb.psi_tilde(w), "psi_tilde_inv", ""),
+    "psi_tilde_inv": (_WALK, lambda w, a: pb.psi_tilde_inv(w), "psi_tilde", ""),
+    "psi_tilde_s": (_WALK, lambda w, a: pb.psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv", "s"),
+    "psi_tilde_s_inv": (_WALK, lambda w, a: pb.psi_tilde_s_inv(w), "psi_tilde_s", ""),
+    "tuple_to_pp": (_PATHS, lambda ps, a: _tuple_to_pp(ps), "pp_to_tuple", ""),
+    "pp_to_tuple": (_PP, _pp_to_tuple, "tuple_to_pp", "kn"),
 }
 
 
@@ -238,7 +226,10 @@ def _run_apply(args) -> int:
         raise ValueError(
             f"unknown map {args.map!r}; available: {', '.join(sorted(_MAPS))}"
         )
-    kind, call, inverse = entry
+    from ._base import reject_unread
+
+    kind, call, inverse, reads = entry
+    reject_unread(args, "nkijs", reads, f"map {args.map}")
     x = kind.parse(args.input)
     image, info = _split(call(x, args))
     # the round trip: the inverse reads what it cannot read off the image
@@ -340,7 +331,6 @@ def _parser() -> argparse.ArgumentParser:
         default="brute",
         help="brute (default), det, product, sum or formula",
     )
-    c.add_argument("--max-n", type=int, help="budget for --method brute")
     c.add_argument("--json", action="store_true")
     c.set_defaults(run=_run_count)
 

@@ -127,18 +127,13 @@ def count_octant_total(n: int) -> int:
     return (2 * m + 1) * catalan(m) * catalan(m + 1)
 
 
-def brute_count(spec, max_n: int = 12) -> int:
-    """Cardinality by exhaustive generation and filtering; no formulas.
-
-    Refuses specs with n beyond max_n instead of truncating.
-    """
+def brute_count(spec) -> int:
+    """Cardinality by exhaustive generation, no formulas; refuses a family too big to enumerate."""
     # the enumerators load here, so the closed forms run without them
     from .families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
 
     if not isinstance(spec, (FamilySpec, WalkFamilySpec)):
         raise TypeError(f"not a family spec: {spec!r}")
-    if spec.n > max_n:
-        raise ValueError(f"brute-force budget exceeded: n = {spec.n} > {max_n}")
     if isinstance(spec, WalkFamilySpec):
         return len(enumerate_walk_family(spec))
     return len(enumerate_family(spec))

@@ -23,11 +23,15 @@ import operator
 import sys
 from typing import NamedTuple
 
-from ._base import require
+from ._base import reject_unread, require
 from .paths import check_ij, lexkey
 
 # the walk step of each joint step UU, UD, DU, DD of the two layers
 _WALK_STEPS = ("E", "N", "S", "W")
+# the most characters of words _grow builds for one family, summed over its
+# levels: about a second and 150 MB at the limit (README.md, count). The 2^k
+# joint steps come before any word, so k has its own cap, as in det and product
+_BUDGET, _MAX_K = 1 << 25, 10
 
 
 class FamilySpec(NamedTuple):
@@ -62,7 +66,6 @@ class WalkFamilySpec(NamedTuple):
     n: int
     i: int | None = None
     j: int | None = None
-    s: int | None = None
 
 
 def _tuple_key(paths: tuple[str, ...]) -> str:
@@ -84,8 +87,11 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     set, every layer ends at one height). Final filter: the prune with no
     step left, the lowest agreement height equal to low, and with meet the
     top and bottom layers ending together. Nothing is kept between calls:
-    a family lives only as long as its caller holds it.
+    a family lives only as long as its caller holds it. Raises ValueError
+    for n < 0, k outside 1.._MAX_K, or words past _BUDGET characters.
     """
+    require(n >= 0, "n must be nonnegative")
+    require(1 <= k <= _MAX_K, "need 1 <= k <= {} layers, got k={}", _MAX_K, k)
     letters = _WALK_STEPS if form == "walk" else map("".join, itertools.product("UD", repeat=k))
     steps = tuple(zip(itertools.product((1, -1), repeat=k), letters))
     bounds = tuple((l, a, b) for l, (a, b) in enumerate(ends or ()))
@@ -100,9 +106,12 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     start = (0,) * k
     frontier = {(start, 0): [""]} if alive(start, 0, n) else {}
     add, lt = operator.add, operator.lt
+    left = _BUDGET
     for m in range(n - 1, -1, -1):
         grown: dict = {}
+        size = (n - m) * (1 if form == "walk" else k)  # the characters of a word after this step
         for (h, c), words in frontier.items():
+            cost = size * len(words)
             for dv, letter in steps:
                 nh = tuple(map(add, h, dv))
                 bottom = nh[-1]
@@ -119,6 +128,9 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
                 else:
                     nc = c
                 if alive(nh, nc, m):
+                    left -= cost
+                    if left < 0:
+                        raise ValueError(f"family too large to enumerate: > {_BUDGET:,} characters")
                     more = [w + letter for w in words]
                     have = grown.setdefault((nh, nc), more)
                     if have is not more:
@@ -142,8 +154,6 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
 def _nested_tuples(n: int, k: int, floor: bool, end: int | None) -> tuple[tuple[str, ...], ...]:
     """Nested k-tuples; floor keeps the bottom path at heights >= 0,
     end fixes the ending height of every layer."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
     return _grow(n, k, floor=0 if floor else None, ends=None if end is None else ((end, end),) * k)
 
 
@@ -154,10 +164,9 @@ def _g2_sector(n: int, i: int, j: int, form: str):
     return _grow(n, 2, form, ends=((j + d, j + d), (d - j, d - j)), low=-(i // 2))
 
 
-def _need_k(spec: FamilySpec) -> int:
-    if spec.k is None or spec.k < 1:
-        raise ValueError(f"family {spec.family} needs k >= 1")
-    return spec.k
+# the fields besides n that each family reads; any other field set is an error
+_READS = dict.fromkeys(("M2", "G2", "P2", "Osh", "Qend", "Hend", "Hij"), "ij")
+_READS.update(dict.fromkeys(("Ak", "Pk", "Gk"), "k"), Pend="s", Aend="is")
 
 
 def enumerate_family(spec: FamilySpec):
@@ -165,8 +174,7 @@ def enumerate_family(spec: FamilySpec):
     step words under U < D. Single-path families yield strings, tuple
     families yield tuples of strings."""
     f, n = spec.family, spec.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    reject_unread(spec, "kijs", _READS.get(f, ""), f"family {f}")
     if f == "A":
         return _grow(n, 1, "path")
     if f == "D":
@@ -189,7 +197,8 @@ def enumerate_family(spec: FamilySpec):
             raise ValueError(f"need i >= s with i = s (mod 2), got i={spec.i}, s={spec.s}")
         return _grow(n, 1, "path", ends=ends, low=-(spec.i - spec.s) // 2)
     if f in ("Ak", "Pk", "Gk"):
-        return _nested_tuples(n, _need_k(spec), f == "Pk", n % 2 if f == "Gk" else None)
+        require(spec.k is not None, "family {} needs k", f)
+        return _nested_tuples(n, spec.k, f == "Pk", n % 2 if f == "Gk" else None)
     if f == "M2":
         i, j = check_ij(n, spec.i, spec.j)
         return _grow(n, 2, mirror=True, ends=((i + j, i + j), (i - j, i - j)))
@@ -217,10 +226,9 @@ _REGIONS = {
 def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
     """All members, each once, in lexicographic step order E < N < S < W."""
     f, n = spec.family, spec.n
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if f not in _REGIONS:
         raise ValueError(f"unknown walk family tag: {spec.family!r}")
+    reject_unread(spec, "ij", _READS.get(f, ""), f"family {f}")
     region = _REGIONS[f]
     if f in ("O", "Q", "H"):
         return _grow(n, 2, "walk", **region)

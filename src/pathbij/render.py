@@ -165,7 +165,6 @@ def _render_walk(w, show_shadow, i, j):
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     if show_shadow:
-        require(i is not None and j is not None, "show-shadow needs i and j")
         xs.extend((i, i + j))
         ys.append(0)
     xmin, xmax = min(xs + [0]), max(xs + [1])
@@ -214,6 +213,7 @@ def render_svg(
     ]
     for name in asked:
         require(name in VALID_DECORATIONS[kind], "{} does not apply to a {}", name, kind)
+    require((i is None) == (j is None) != show_shadow, "show-shadow needs i and j, which need it")
     if kind == "path":
         return _render_single(check_path(text), kind, show_matching, show_flips)
     if kind == "tripath":

@@ -391,8 +391,8 @@ def _check_tuple_counts(n_max_by_k):
     """|P^k_n| = |G^k_n| by enumeration, and = det for k = 2; n <= n_max_by_k[k]."""
     for k, n_max in n_max_by_k.items():
         for n in range(n_max + 1):
-            pk = brute_count(FamilySpec("Pk", n, k=k), max_n=n_max)
-            gk = brute_count(FamilySpec("Gk", n, k=k), max_n=n_max)
+            pk = brute_count(FamilySpec("Pk", n, k=k))
+            gk = brute_count(FamilySpec("Gk", n, k=k))
             if pk != gk:
                 return f"|P^{k}| != |G^{k}| at n={n}"
             if k == 2 and pk != count_grand_tuples_det(n, 2):
@@ -402,14 +402,14 @@ def _check_tuple_counts(n_max_by_k):
 
 def _check_octant_census(n_max):
     for n in range(n_max + 1):
-        o = brute_count(WalkFamilySpec("O", n), max_n=n_max)
-        ox = brute_count(WalkFamilySpec("Ox", n), max_n=n_max)
+        o = brute_count(WalkFamilySpec("O", n))
+        ox = brute_count(WalkFamilySpec("Ox", n))
         if o != count_octant_total(n):
             return f"octant total fails at n={n}"
         if ox != count_octant_xaxis(n):
             return f"x-axis count fails at n={n}"
         if n % 2 == 0:
-            od = brute_count(WalkFamilySpec("Odiag", n), max_n=n_max)
+            od = brute_count(WalkFamilySpec("Odiag", n))
             if od != count_octant_diag(n // 2):
                 return f"diagonal count fails at n={n}"
     return None

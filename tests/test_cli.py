@@ -153,7 +153,7 @@ def test_apply_checks_the_round_trip(capsys, monkeypatch):
 def test_every_map_names_an_inverse_in_the_table():
     from pathbij.cli import _MAPS
 
-    for name, (_, _, inverse) in _MAPS.items():
+    for name, (_, _, inverse, _) in _MAPS.items():
         assert inverse in _MAPS, name
         assert _MAPS[inverse][2] == name
 
@@ -299,7 +299,22 @@ def test_exit_codes(capsys):
         ("count", "--family", "G2", "--n", "4", "--i", "2", "--j", "0", "--method", "det"),
         ("count", "--family", "O", "--n", "4", "--i", "1", "--j", "1", "--method", "formula"),
         ("count", "--family", "A", "--n", "4", "--s", "2", "--method", "formula"),
-        ("count", "--family", "A", "--n", "13"),
+        ("count", "--family", "A", "--n", "4", "--k", "3", "--method", "formula"),
+        # past the enumeration budget, or the cap on k (families._grow)
+        ("count", "--family", "A", "--n", "20"),
+        ("count", "--family", "Gk", "--k", "3", "--n", "12"),
+        ("count", "--family", "Ak", "--k", "2", "--n", "12"),
+        ("count", "--family", "D", "--n", "60"),
+        ("count", "--family", "Gk", "--k", "40", "--n", "1"),
+        ("count", "--family", "Gk", "--k", "0", "--n", "4"),
+        # fields the family does not read
+        ("count", "--family", "A", "--n", "4", "--s", "2"),
+        ("count", "--family", "D", "--n", "4", "--i", "1", "--j", "1"),
+        ("count", "--family", "Gk", "--n", "4", "--k", "2", "--i", "3"),
+        ("count", "--family", "M2", "--n", "4", "--i", "2", "--j", "0", "--k", "5"),
+        ("count", "--family", "Pend", "--n", "4", "--s", "2", "--i", "1"),
+        ("count", "--family", "O", "--n", "4", "--k", "2"),
+        ("count", "--family", "O", "--n", "4", "--s", "0"),
         ("count", "--family", "Gk", "--n", "4", "--method", "det"),
         ("count", "--family", "A", "--n", "100001", "--method", "formula"),
         ("count", "--family", "G2", "--n", "10001", "--method", "det"),
@@ -315,12 +330,20 @@ def test_exit_codes(capsys):
         ("apply", "--map", "phi", "--input", "UD,UD", "--i", "1", "--j", "1"),
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2"),
         ("apply", "--map", "pp_to_tuple", "--input", "2 x", "--k", "2"),
+        # flags the map does not read
+        ("apply", "--map", "xi", "--input", "UU", "--s", "3"),
+        ("apply", "--map", "psi", "--input", "UD,DU", "--i", "5", "--j", "9"),
+        ("apply", "--map", "tuple_to_pp", "--input", "UDDU,DUDU", "--k", "7"),
+        ("apply", "--map", "phi_tilde", "--input", "EN", "--i", "1", "--j", "1"),
+        ("apply", "--map", "pp_to_tuple", "--input", "1", "--k", "1", "--s", "0"),
         ("verify", "--max-n", "-1"),
         ("verify", "--max-n", "11"),
         ("verify", "--k", "4"),
         ("verify", "--max-n", "12", "--k", "10"),
         ("render", "--kind", "path", "--input", "UD", "--show-shadow"),
         ("render", "--kind", "nothing", "--input", "UD"),
+        ("render", "--kind", "pair", "--input", "UD,DU", "--i", "1"),
+        ("render", "--kind", "walk", "--input", "EN", "--i", "1", "--j", "1"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -372,7 +395,7 @@ _VALUES = {
 _SWITCHES = ("--json", "--show-matching", "--show-flips", "--show-shadow")
 _REQUIRED = {"count": ("--family", "--n"), "apply": ("--map", "--input"), "render": ("--kind", "--input")}
 _FLAGS = {
-    "count": ("--k", "--i", "--j", "--s", "--method", "--max-n", "--json"),
+    "count": ("--k", "--i", "--j", "--s", "--method", "--json"),
     "apply": ("--n", "--k", "--i", "--j", "--s", "--json"),
     # verify always gets a --max-n of at most 1, below
     "verify": ("--k", "--json"),
@@ -428,11 +451,38 @@ def test_every_argument_list_ends_in_an_exit_code(tmp_path_factory):
     check()
 
 
-def test_budget_override(capsys):
-    assert run(capsys, "count", "--family", "A", "--n", "13", "--max-n", "13")[:2] == (
-        0,
-        "8192",
-    )
+def test_brute_count_is_bounded_by_work_not_n(capsys):
+    # one walk of 3000 steps: a long family, but a small one
+    got = run(capsys, "count", "--family", "Qend", "--n", "3000", "--i", "3000", "--j", "0")
+    assert got == (0, "1", "")
+
+
+def test_over_budget_counts_exit_2_in_bounded_memory():
+    """Under a 1 GB address-space limit, each call that would enumerate a
+    family past the budget ends with one error line and exit code 2, not a
+    MemoryError traceback."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for argv in (
+        ("--family", "Gk", "--k", "3", "--n", "12"),
+        ("--family", "Ak", "--k", "2", "--n", "12"),
+        ("--family", "D", "--n", "60"),
+        ("--family", "Gk", "--k", "40", "--n", "1"),
+    ):
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pathbij", "count", *argv],
+                capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            )
+        except subprocess.TimeoutExpired:
+            raise
+        except subprocess.SubprocessError:  # setrlimit failed in the child
+            pytest.skip("RLIMIT_AS cannot be set here")
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, argv
 
 
 def test_help_exits_zero(capsys):

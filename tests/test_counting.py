@@ -1,5 +1,7 @@
 """Closed counting formulas against each other and against brute censuses."""
 
+import time
+
 import pytest
 
 from pathbij import (
@@ -15,6 +17,7 @@ from pathbij import (
     count_octant_xaxis,
 )
 from pathbij.counting import binom
+from pathbij.families import enumerate_family
 
 
 def test_binom():
@@ -137,8 +140,19 @@ def test_brute_count_examples():
 
 
 def test_brute_count_budget_and_type_errors():
-    with pytest.raises(ValueError, match="budget"):
-        brute_count(FamilySpec("A", 15))
-    assert brute_count(FamilySpec("A", 13), max_n=13) == 8192
+    """The enumeration budget bounds the work of a family, whatever its n
+    or k: 2^19 paths fit and 2^20 do not, and neither 5,200,300 nested pairs
+    of length 12 nor nested 10-tuples of length 200 are built."""
+    assert brute_count(FamilySpec("A", 19)) == 2**19
+    with pytest.raises(ValueError, match="too large"):
+        brute_count(FamilySpec("A", 20))
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_family(FamilySpec("Ak", 12, k=2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        brute_count(FamilySpec("Gk", 200, k=10))
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ValueError, match="k <= 10"):
+        enumerate_family(FamilySpec("Pk", 1, k=11))
     with pytest.raises(TypeError):
         brute_count("A4")

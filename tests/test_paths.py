@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from pathbij import (
     FamilySpec,
+    WalkFamilySpec,
     end_height,
     enumerate_family,
+    enumerate_walk_family,
     heights,
     is_weakly_below,
     negate,
@@ -250,6 +252,25 @@ def test_enumeration_is_sorted_and_duplicate_free():
             keys = [lexkey(p) for p in out]
             assert keys == sorted(keys)
             assert len(set(out)) == len(out)
+
+
+def test_enumerators_reject_fields_their_family_does_not_read():
+    for spec in (
+        FamilySpec("A", 4, s=2),
+        FamilySpec("D", 4, i=1, j=1),
+        FamilySpec("Gk", 4, k=2, i=3),
+        FamilySpec("M2", 4, i=2, j=0, k=5),
+        FamilySpec("Pend", 4, s=2, i=1),
+        FamilySpec("G2", 4, s=0),
+    ):
+        with pytest.raises(ValueError, match="does not read"):
+            enumerate_family(spec)
+    for spec in (WalkFamilySpec("O", 4, i=1), WalkFamilySpec("Q", 4, i=0, j=0)):
+        with pytest.raises(ValueError, match="does not read"):
+            enumerate_walk_family(spec)
+    # the fields a family does read still work, and walk families have no s
+    assert enumerate_family(FamilySpec("Aend", 4, s=0, i=2)) == ("UDDU", "DUUD", "DUDU")
+    assert "s" not in WalkFamilySpec._fields
 
 
 def test_enumerate_family_rejects_bad_specs():
