@@ -20,22 +20,21 @@ _PATH_TAGS = ("A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", 
 _WALK_TAGS = ("Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh")
 
 
-# closed-form counts, keyed by (family, method); P, P2 and Pk are counted as
-# G, G2 and Gk, the sets the bijections map them onto. Each counts a full
-# family, so it reads no flag but --n, Gk's --k and Qend's --i and --j
+# closed-form counts by (family, method), and the flags besides --n each reads;
+# P, P2 and Pk are counted as G, G2 and Gk, the sets the bijections map them onto
 _COUNTS = {
-    ("A", "formula"): lambda a: 2**a.n,
-    ("D", "formula"): lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0,
-    ("G", "formula"): lambda a: pb.counting.binom(a.n, a.n // 2),
-    ("G2", "det"): lambda a: pb.count_grand_tuples_det(a.n, 2),
-    ("G2", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, 2),
-    ("G2", "sum"): lambda a: pb.count_g2_sum(a.n),
-    ("Gk", "det"): lambda a: pb.count_grand_tuples_det(a.n, _need(a, "k")),
-    ("Gk", "product"): lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")),
-    ("O", "formula"): lambda a: pb.count_octant_total(a.n),
-    ("Ox", "formula"): lambda a: pb.count_octant_xaxis(a.n),
-    ("Odiag", "formula"): lambda a: pb.count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0,
-    ("Qend", "formula"): lambda a: _qend(a),
+    ("A", "formula"): (lambda a: 2**a.n, ""),
+    ("D", "formula"): (lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0, ""),
+    ("G", "formula"): (lambda a: pb.counting.binom(a.n, a.n // 2), ""),
+    ("G2", "det"): (lambda a: pb.count_grand_tuples_det(a.n, 2), ""),
+    ("G2", "product"): (lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, 2), ""),
+    ("G2", "sum"): (lambda a: pb.count_g2_sum(a.n), ""),
+    ("Gk", "det"): (lambda a: pb.count_grand_tuples_det(a.n, _need(a, "k")), "k"),
+    ("Gk", "product"): (lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")), "k"),
+    ("O", "formula"): (lambda a: pb.count_octant_total(a.n), ""),
+    ("Ox", "formula"): (lambda a: pb.count_octant_xaxis(a.n), ""),
+    ("Odiag", "formula"): (lambda a: pb.count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0, ""),
+    ("Qend", "formula"): (lambda a: _qend(a), "ij"),
 }
 _SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
 # the largest --n, and --k for Gk, that each method takes, so that no call
@@ -67,6 +66,12 @@ def _need(args, name):
     return value
 
 
+def _reject_unread(args, fields, reads, user):
+    from ._base import reject_unread  # on use: importing the CLI alone loads no submodule
+
+    reject_unread(args, fields, reads, user)
+
+
 def _qend(args):
     if (_need(args, "i"), _need(args, "j")) != (0, 0):
         raise ValueError("the closed form covers walks returning to the origin only")
@@ -93,8 +98,8 @@ def _run_count(args) -> int:
         value = pb.brute_count(_family_spec(args))
     else:
         family = _SAME_COUNT.get(args.family, args.family)
-        fn = _COUNTS.get((family, args.method))
-        if fn is None:
+        entry = _COUNTS.get((family, args.method))
+        if entry is None:
             have = sorted({m for f, m in _COUNTS if f == family} | {"brute"})
             raise ValueError(
                 f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
@@ -104,9 +109,8 @@ def _run_count(args) -> int:
             raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
         if family == "Gk" and args.k is not None and not 1 <= args.k <= max_k:
             raise ValueError(f"--method {args.method} takes --k from 1 to {max_k}, got {args.k}")
-        from ._base import reject_unread
-        reads = {"Gk": "k", "Qend": "ij"}.get(family, "")
-        reject_unread(args, "kijs", reads, f"--method {args.method}, which counts a full family,")
+        fn, reads = entry
+        _reject_unread(args, "kijs", reads, f"--method {args.method}, which counts a full family,")
         value = fn(args)
     if not args.json:
         print(_exact(str, value))
@@ -223,13 +227,9 @@ def _text(value) -> str:
 def _run_apply(args) -> int:
     entry = _MAPS.get(args.map)
     if entry is None:
-        raise ValueError(
-            f"unknown map {args.map!r}; available: {', '.join(sorted(_MAPS))}"
-        )
-    from ._base import reject_unread
-
+        raise ValueError(f"unknown map {args.map!r}; available: {', '.join(sorted(_MAPS))}")
     kind, call, inverse, reads = entry
-    reject_unread(args, "nkijs", reads, f"map {args.map}")
+    _reject_unread(args, "nkijs", reads, f"map {args.map}")
     x = kind.parse(args.input)
     image, info = _split(call(x, args))
     # the round trip: the inverse reads what it cannot read off the image
@@ -326,11 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--i", type=int)
     c.add_argument("--j", type=int)
     c.add_argument("--s", type=int, help="end height for Pend/Aend")
-    c.add_argument(
-        "--method",
-        default="brute",
-        help="brute (default), det, product, sum or formula",
-    )
+    c.add_argument("--method", default="brute", help="brute (default), det, product, sum, formula")
     c.add_argument("--json", action="store_true")
     c.set_defaults(run=_run_count)
 

@@ -108,6 +108,8 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     add, lt = operator.add, operator.lt
     left = _BUDGET
     for m in range(n - 1, -1, -1):
+        if not frontier:  # no state left: no level costs work, and n may be huge
+            break
         grown: dict = {}
         size = (n - m) * (1 if form == "walk" else k)  # the characters of a word after this step
         for (h, c), words in frontier.items():

@@ -213,7 +213,8 @@ def render_svg(
     ]
     for name in asked:
         require(name in VALID_DECORATIONS[kind], "{} does not apply to a {}", name, kind)
-    require((i is None) == (j is None) != show_shadow, "show-shadow needs i and j, which need it")
+    shadow = show_shadow == (i is not None) == (j is not None)
+    require(shadow, "show-shadow needs i and j, which need it")
     if kind == "path":
         return _render_single(check_path(text), kind, show_matching, show_flips)
     if kind == "tripath":

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +456,18 @@ def test_brute_count_is_bounded_by_work_not_n(capsys):
     # one walk of 3000 steps: a long family, but a small one
     got = run(capsys, "count", "--family", "Qend", "--n", "3000", "--i", "3000", "--j", "0")
     assert got == (0, "1", "")
+    # an end out of reach leaves no state at the start: empty at once, however long
+    n, far = str(10**12), str(10**12 + 1)
+    for argv in (
+        ("--family", "Pend", "--n", n, "--s", far),
+        ("--family", "Aend", "--n", n, "--s=-" + far),
+        ("--family", "Qend", "--n", n, "--i", n, "--j", "1"),
+        ("--family", "Hend", "--n", n, "--i", n, "--j", "1"),
+        ("--family", "Osh", "--n", n, "--i", n, "--j", "1"),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, "count", *argv) == (0, "0", ""), argv
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_over_budget_counts_exit_2_in_bounded_memory():
