@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import namedtuple
 from functools import lru_cache
 
 # every computational module loads on first use through the package
@@ -41,7 +40,7 @@ _SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
 # runs unbounded. formula: count prints every digit and int-to-str is
 # quadratic; at the limit the slowest formula call takes about 0.3 s, and
 # printing 2^n at ten times it about 1 s. det, product and sum: a whole
-# call at the limits, k included, takes 1.1 to 1.4 s (2-vCPU Linux,
+# call at the limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux,
 # Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
 _MAX_N_K = {
     "formula": (100_000, None),
@@ -138,82 +137,40 @@ def _exact(fmt, value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-# how a map's input is read from text, and the parameters an inverse reads
-# off the object it must give back (the forward map's input)
-_Kind = namedtuple("_Kind", "parse params")
+# the largest --n and --k of apply, read by pp_to_tuple alone: the --n of
+# --method formula and the --k of det and product; a call at both takes 0.2 s
+_APPLY_MAX_N_K = (100_000, 10)
 
 
-def _parse_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
+def _parse(kind, text):
+    if kind == "pp":
+        return pb.parse_pp(text)
+    if kind in ("path", "walk"):
+        return text
+    paths = tuple(text.split(","))
+    if kind == "pair" and len(paths) != 2:
         raise ValueError("a pair is encoded as two paths joined by a comma")
-    return tuple(parts)
+    return paths
 
 
-def _walk_params(w):
-    x, y = pb.walk_geometry(w).endpoint
-    return {"s": x, "i": x, "j": y}
+def _own(kind, x):
+    """The parameters a map reads off its own input: the box sides of a path
+    tuple; the path length of an array with rows, whatever --n says."""
+    if kind == "paths":
+        return {"p": x[0].count("U"), "q": x[0].count("D")}
+    return {"n": len(x) + len(x[0])} if kind == "pp" and x else {}
 
 
-_PATH = _Kind(str, lambda p: {"s": pb.end_height(p)})
-_PAIR = _Kind(_parse_pair, lambda pq: {"s": (pb.end_height(pq[0]) + pb.end_height(pq[1])) // 2})
-_WALK = _Kind(str, _walk_params)
-_PATHS = _Kind(lambda t: tuple(t.split(",")), lambda ps: {"k": len(ps), "n": len(ps[0])})
-_PP = _Kind(lambda t: pb.parse_pp(t), lambda a: {})
-
-
-def _tuple_to_pp(ps):
-    return pb.tuple_to_pp(ps, ps[0].count("U"), ps[0].count("D"))
-
-
-def _pp_to_tuple(a, args):
-    # tuple_to_pp reads the box sides off the first path, so there must be one;
-    # an array without rows leaves the path length to --n
-    k = _need(args, "k")
-    if k < 1:
-        raise ValueError(f"--k must be at least 1, got {k}")
-    return pb.pp_to_tuple(a, k, p=args.n if a else _need(args, "n"))
-
-
-def _ij(args):
-    return _need(args, "i"), _need(args, "j")
-
-
-# map name -> (input kind, call(input, args), name of the inverse, the flags it reads)
-_MAPS = {
-    "xi": (_PATH, lambda p, a: pb.xi(p), "xi_inv", ""),
-    "xi_inv": (_PATH, lambda g, a: pb.xi_inv(g), "xi", ""),
-    "xi_s": (_PATH, lambda p, a: pb.xi_s(p, _need(a, "s")), "xi_s_inv", "s"),
-    "xi_s_inv": (_PATH, lambda r, a: pb.xi_s_inv(r), "xi_s", ""),
-    "nu": (_PATH, lambda p, a: pb.nu(p), "nu_inv", ""),
-    "nu_inv": (_PATH, lambda g, a: pb.nu_inv(g), "nu", ""),
-    "phi": (_PAIR, lambda pq, a: pb.phi(*pq, *_ij(a)), "phi_inv", "ij"),
-    "phi_inv": (_PAIR, lambda pq, a: pb.phi_inv(*pq, *_ij(a)), "phi", "ij"),
-    "psi": (_PAIR, lambda pq, a: pb.psi(*pq), "psi_inv", ""),
-    "psi_inv": (_PAIR, lambda pq, a: pb.psi_inv(*pq), "psi", ""),
-    "psi_s": (_PAIR, lambda pq, a: pb.psi_s(*pq, _need(a, "s")), "psi_s_inv", "s"),
-    "psi_s_inv": (_PAIR, lambda pq, a: pb.psi_s_inv(*pq), "psi_s", ""),
-    "omega": (_PAIR, lambda pq, a: pb.omega(*pq), "omega_inv", ""),
-    "omega_inv": (_WALK, lambda w, a: pb.omega_inv(w), "omega", ""),
-    "phi_tilde": (_WALK, lambda w, a: pb.phi_tilde(w), "phi_tilde_inv", ""),
-    "phi_tilde_inv": (_WALK, lambda w, a: pb.phi_tilde_inv(w, *_ij(a)), "phi_tilde", "ij"),
-    "psi_tilde": (_WALK, lambda w, a: pb.psi_tilde(w), "psi_tilde_inv", ""),
-    "psi_tilde_inv": (_WALK, lambda w, a: pb.psi_tilde_inv(w), "psi_tilde", ""),
-    "psi_tilde_s": (_WALK, lambda w, a: pb.psi_tilde_s(w, _need(a, "s")), "psi_tilde_s_inv", "s"),
-    "psi_tilde_s_inv": (_WALK, lambda w, a: pb.psi_tilde_s_inv(w), "psi_tilde_s", ""),
-    "tuple_to_pp": (_PATHS, lambda ps, a: _tuple_to_pp(ps), "pp_to_tuple", ""),
-    "pp_to_tuple": (_PP, _pp_to_tuple, "tuple_to_pp", "kn"),
-}
-
-
-def _split(out):
-    """The map's image, and the side outputs a pair map returns with it."""
-    extra = out[-1] if isinstance(out, tuple) and len(out) == 3 else None
-    if hasattr(extra, "_asdict"):  # a FlipRecord
-        return out[:2], extra._asdict()
-    if isinstance(extra, tuple) and isinstance(out[0], str):  # flipped positions
-        return out[:2], {"flips": list(extra)}
-    return out, {}
+def _given_back(kind, x):
+    """The parameters an inverse reads off x, the object it must give back."""
+    if kind == "path":
+        return {"s": pb.end_height(x)}
+    if kind == "pair":
+        return {"s": (pb.end_height(x[0]) + pb.end_height(x[1])) // 2}
+    if kind == "walk":
+        i, j = pb.walk_geometry(x).endpoint
+        return {"s": i, "i": i, "j": j}
+    return {"k": len(x), "n": len(x[0])} if kind == "paths" else {}
 
 
 def _text(value) -> str:
@@ -225,17 +182,30 @@ def _text(value) -> str:
 
 
 def _run_apply(args) -> int:
-    entry = _MAPS.get(args.map)
+    from . import _maps  # on use: importing the CLI alone loads no submodule
+
+    entry = _maps.MAPS.get(args.map)
     if entry is None:
-        raise ValueError(f"unknown map {args.map!r}; available: {', '.join(sorted(_MAPS))}")
-    kind, call, inverse, reads = entry
+        raise ValueError(f"unknown map {args.map!r}; available: {', '.join(sorted(_maps.MAPS))}")
+    kind, reads, inverse = entry
     _reject_unread(args, "nkijs", reads, f"map {args.map}")
-    x = kind.parse(args.input)
-    image, info = _split(call(x, args))
+    x = _parse(kind, args.input)
+    max_n, max_k = _APPLY_MAX_N_K
+    if args.k is not None and not 1 <= args.k <= max_k:
+        raise ValueError(f"apply takes --k from 1 to {max_k}, got {args.k}")
+    if args.n is not None and args.n > max_n:
+        raise ValueError(f"apply takes --n up to {max_n}, got {args.n}")
+
+    def call(name, obj, values):
+        # what the map reads off obj, else from values: the flags, or what x gives
+        entry = _maps.MAPS[name]
+        given = argparse.Namespace(**{**values, **_own(entry.kind, obj)})
+        return _maps.call(name, obj, *(_need(given, c) for c in entry.reads))
+
+    image, side = call(args.map, x, vars(args))
     # the round trip: the inverse reads what it cannot read off the image
     # from x, the object it must give back
-    back_args = argparse.Namespace(**{**vars(args), **kind.params(x)})
-    back, _ = _split(_MAPS[inverse][1](image, back_args))
+    back, _ = call(inverse, image, {**vars(args), **_given_back(kind, x)})
     if back != x:
         print(
             f"error: {inverse} sends the image {_text(image)!r} to {_text(back)!r}, "
@@ -247,6 +217,9 @@ def _run_apply(args) -> int:
     if args.json:
         import json
 
+        info = {}
+        if side is not None:  # a pair map's side output: its FlipRecord, or its flip positions
+            info = side._asdict() if hasattr(side, "_asdict") else {"flips": list(side)}
         print(json.dumps({"map": args.map, "input": args.input, "result": text, **info}))
     else:
         print(text)

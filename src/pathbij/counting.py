@@ -1,9 +1,9 @@
 """Exact counting: closed formulas and the brute-force censuses they are
 checked against.
 
-Every routine returns a plain Python integer computed exactly; product
-formulas go through Fraction and any non-integral residue is a hard error
-rather than a rounding.
+Every routine returns a plain Python integer computed exactly, in integer
+arithmetic except the box product, which goes through Fraction; any
+non-integral residue is a hard error rather than a rounding.
 """
 
 from __future__ import annotations
@@ -82,22 +82,14 @@ def count_macmahon(p: int, q: int, k: int) -> int:
 
 def count_g2_sum(n: int) -> int:
     """Sum form of the nested Grand Dyck pair count:
-    sum over l of multinomial(n; l, l, floor(n/2)-l, ceil(n/2)-l) / (l+1)."""
+    sum over l of multinomial(n; l, l, floor(n/2)-l, ceil(n/2)-l) / (l+1),
+    each term taken as binom(n, 2l) C_l binom(n-2l, floor(n/2)-l)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = Fraction(0)
-    fn = math.factorial(n)
-    for l in range(n // 2 + 1):
-        parts = (l, l, n // 2 - l, (n + 1) // 2 - l)
-        if any(x < 0 for x in parts):
-            continue
-        multinomial = fn
-        for x in parts:
-            multinomial //= math.factorial(x)
-        total += Fraction(multinomial, l + 1)
-    if total.denominator != 1:
-        raise ArithmeticError("sum formula did not cancel to an integer")
-    return total.numerator
+    half = n // 2
+    return sum(
+        math.comb(n, 2 * l) * catalan(l) * math.comb(n - 2 * l, half - l) for l in range(half + 1)
+    )
 
 
 def count_octant_xaxis(n: int) -> int:

@@ -94,7 +94,11 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     require(1 <= k <= _MAX_K, "need 1 <= k <= {} layers, got k={}", _MAX_K, k)
     letters = _WALK_STEPS if form == "walk" else map("".join, itertools.product("UD", repeat=k))
     steps = tuple(zip(itertools.product((1, -1), repeat=k), letters))
-    bounds = tuple((l, a, b) for l, (a, b) in enumerate(ends or ()))
+    # a layer ends at the parity of n, so each end bound is rounded inward to it
+    bounds = tuple(
+        (l, a if a is None else a + (a - n) % 2, b if b is None else b - (b - n) % 2)
+        for l, (a, b) in enumerate(ends or ())
+    )
     back = None if low is None else (ends[0][0] + ends[-1][0]) // 2
 
     def alive(h, c, m):
@@ -104,7 +108,8 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
         return low is None or c == low or (h[0] + h[-1]) // 2 + back - 2 * low <= m
 
     start = (0,) * k
-    frontier = {(start, 0): [""]} if alive(start, 0, n) else {}
+    reachable = all(a is None or b is None or a <= b for _, a, b in bounds)
+    frontier = {(start, 0): [""]} if reachable and alive(start, 0, n) else {}
     add, lt = operator.add, operator.lt
     left = _BUDGET
     for m in range(n - 1, -1, -1):

@@ -107,8 +107,8 @@ def pp_to_tuple(a: PlanePartition, k: int, p: int | None = None) -> tuple[str, .
     q = len(a)
     if q:
         p = len(a[0])
-    elif p is None:
-        raise ValueError("p is needed when the array has no rows")
+    else:
+        require(p is not None and p >= 0, "need p >= 0 when the array has no rows, got p={}", p)
     paths = []
     for l in range(1, k + 1):
         threshold = k + 1 - l

@@ -17,6 +17,9 @@ import os
 import time
 from typing import NamedTuple
 
+import pathbij as pb  # every map is looked up here at call time: a patch reaches every check
+
+from ._maps import MAPS, call
 from .counting import (
     binom,
     brute_count,
@@ -36,22 +39,9 @@ from .families import (
     enumerate_walk_family,
 )
 from .matching import match_faces, tri_heights, unmatched_steps
-from .pairs import flip_below, flip_below_inv, phi, phi_inv, psi, psi_inv, psi_s, psi_s_inv
-from .partitions import enumerate_pp, pp_to_tuple, tuple_to_pp
+from .partitions import enumerate_pp
 from .paths import end_height, heights, lexkey, valid_ij
-from .single import nu, nu_inv, xi, xi_inv, xi_s, xi_s_inv
-from .walks import (
-    _DXY,
-    omega,
-    omega_inv,
-    phi_tilde,
-    phi_tilde_inv,
-    psi_tilde,
-    psi_tilde_inv,
-    psi_tilde_s,
-    psi_tilde_s_inv,
-    shadow_contains,
-)
+from .walks import _DXY, shadow_contains
 
 
 class CheckResult(NamedTuple):
@@ -112,17 +102,25 @@ def _check_matching(n_max):
     return None
 
 
-def _bijection(classes, forward, inverse=None):
+def _bijection(classes, forward):
     """The proof the bijection checks share. A class is (label, domain,
-    codomain, params): forward(x, *params) maps the domain onto the codomain
-    one-to-one, and inverse(y, *params), if given, gives each x back.
-    Returns None or the first failure, naming its class and element."""
+    codomain, params). forward maps the domain onto the codomain one-to-one:
+    the name of a map of pathbij._maps, whose inverse gives each x back,
+    each reading its parameters by name from the dict params, or a function
+    of x alone without an inverse. Returns None or the first failure,
+    naming its class and element."""
+    inverse = MAPS[forward].inverse if isinstance(forward, str) else None
     for label, domain, codomain, params in classes:
+        if inverse is not None:
+            there, back = ([params[c] for c in MAPS[m].reads] for m in (forward, inverse))
         image = set()
         for x in domain:
-            y = forward(x, *params)
-            if inverse is not None and inverse(y, *params) != x:
-                return f"{label}: roundtrip fails on {x}"
+            if inverse is None:
+                y = forward(x)
+            else:
+                y = call(forward, x, *there)[0]
+                if call(inverse, y, *back)[0] != x:
+                    return f"{label}: roundtrip fails on {x}"
             image.add(y)
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
             return f"{label}: image is not the codomain"
@@ -132,10 +130,10 @@ def _bijection(classes, forward, inverse=None):
 def _check_xi(n_max):
     for n in range(n_max + 1):
         for p in _paths("P", n):
-            if match_faces(xi(p)).pairs != match_faces(p).pairs:
+            if match_faces(pb.xi(p)).pairs != match_faces(p).pairs:
                 return f"xi breaks facing pairs: {p}"
-    classes = ((f"n={n}", _paths("P", n), _paths("G", n), ()) for n in range(n_max + 1))
-    return _bijection(classes, xi, xi_inv)
+    classes = ((f"n={n}", _paths("P", n), _paths("G", n), {}) for n in range(n_max + 1))
+    return _bijection(classes, "xi")
 
 
 def _check_xi_s(n_max):
@@ -148,35 +146,31 @@ def _check_xi_s(n_max):
                 prefixes = enumerate_family(FamilySpec("Pend", n, s=i))
                 for s in range(i % 2, i + 1, 2):
                     target = enumerate_family(FamilySpec("Aend", n, s=s, i=i))
-                    yield f"n={n}, i={i}, s={s}", prefixes, target, (s,)
+                    yield f"n={n}, i={i}, s={s}", prefixes, target, {"s": s}
 
-    return _bijection(classes(), xi_s, lambda r, s: xi_s_inv(r))
+    return _bijection(classes(), "xi_s")
 
 
 def _check_nu(n_max):
     classes = (
-        (f"n={n}", _paths("P", n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), ())
+        (f"n={n}", _paths("P", n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), {})
         for n in range(n_max + 1)
     )
-    return _bijection(classes, nu, nu_inv)
+    return _bijection(classes, "nu")
 
 
 def _sectors(n_max, codomain):
-    # (label, M2(n,i;j), codomain(n,i;j), (i, j)) for every sector
+    # (label, M2(n,i;j), codomain(n,i;j), {i, j}) for every sector
     for n in range(n_max + 1):
         for i, j in valid_ij(n):
             sector = FamilySpec("M2", n, i=i, j=j)
             image = enumerate_family(sector._replace(family=codomain))
-            yield f"M2({n},{i};{j})", enumerate_family(sector), image, (i, j)
+            yield f"M2({n},{i};{j})", enumerate_family(sector), image, {"i": i, "j": j}
 
 
 def _check_phi_sector(n_max):
     # nesting, the floor and the sector are membership in P2(n,i;j)
-    return _bijection(
-        _sectors(n_max, "P2"),
-        lambda pair, i, j: phi(*pair, i, j)[:2],
-        lambda pair, i, j: phi_inv(*pair, i, j)[:2],
-    )
+    return _bijection(_sectors(n_max, "P2"), "phi")
 
 
 def _check_flip_heights(n_max):
@@ -184,7 +178,7 @@ def _check_flip_heights(n_max):
         for q in _paths("A", n):
             if end_height(q) < 0:
                 continue
-            qp, rec = flip_below(q)
+            qp, rec = pb.flip_below(q)
             hq, hqp = heights(q), heights(qp)
             gained = 0
             for a in range(1, n + 1):
@@ -192,7 +186,7 @@ def _check_flip_heights(n_max):
                     gained += 1
                 if hqp[a - 1] != abs(hq[a - 1]) + 2 * gained:
                     return f"height profile wrong after flips: {q} at a={a}"
-            if flip_below_inv(qp, rec.r) != q:
+            if pb.flip_below_inv(qp, rec.r) != q:
                 return f"flip_below roundtrip fails: {q}"
     return None
 
@@ -201,8 +195,8 @@ def _check_flip_records(n_max):
     for n in range(n_max + 1):
         for i, j in valid_ij(n):
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                qp, _ = flip_below(q)
-                _, _, rec = phi(p, q, i, j)
+                qp, _ = pb.flip_below(q)
+                _, _, rec = pb.phi(p, q, i, j)
                 if not (rec.r - j <= len(rec.chi) <= rec.r):
                     return f"flip count outside bounds: {p}/{q}"
                 hp = (0,) + heights(p)
@@ -219,20 +213,16 @@ def _check_flip_records(n_max):
 
 def _check_psi_sector(n_max):
     # the endpoints and the depth are membership in G2(n,i;j)
-    return _bijection(
-        _sectors(n_max, "G2"),
-        lambda pair, i, j: psi(*pair)[:2],
-        lambda pair, i, j: psi_inv(*pair)[:2],
-    )
+    return _bijection(_sectors(n_max, "G2"), "psi")
 
 
 def _check_composed_map(n_max):
     # psi after phi_inv, with no inverse: the count gives injectivity
     classes = (
-        (f"n={n}", enumerate_family(FamilySpec("P2", n)), enumerate_family(FamilySpec("G2", n)), ())
+        (f"n={n}", enumerate_family(FamilySpec("P2", n)), enumerate_family(FamilySpec("G2", n)), {})
         for n in range(n_max + 1)
     )
-    return _bijection(classes, lambda pair: psi(*phi_inv(*pair, end_height(pair[1]), 0)[:2])[:2])
+    return _bijection(classes, lambda pq: pb.psi(*pb.phi_inv(*pq, end_height(pq[1]), 0)[:2])[:2])
 
 
 def _check_floor_pairs(n_max):
@@ -243,16 +233,12 @@ def _check_floor_pairs(n_max):
     def classes():
         for n in range(n_max + 1):
             p2 = enumerate_family(FamilySpec("P2", n))
-            preimages = [(end_height(qt), phi_inv(pt, qt, end_height(qt), 0)[:2]) for pt, qt in p2]
+            preimages = [(end_height(q), pb.phi_inv(p, q, end_height(q), 0)[:2]) for p, q in p2]
             for s in range(n % 2, n + 1, 2):
                 domain = [pair for i, pair in preimages if i >= s]
-                yield f"n={n}, s={s}", domain, _nested_tuples(n, 2, False, s), (s,)
+                yield f"n={n}, s={s}", domain, _nested_tuples(n, 2, False, s), {"s": s}
 
-    return _bijection(
-        classes(),
-        lambda pair, s: psi_s(*pair, s)[:2],
-        lambda pair, s: psi_s_inv(*pair)[:2],
-    )
+    return _bijection(classes(), "psi_s")
 
 
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
@@ -278,10 +264,10 @@ def _check_step_dictionary(n_max):
         )
         if not all(rows):
             return f"dictionary row fails: {p}/{q}"
-        if omega_inv(w) != (p, q):
+        if pb.omega_inv(w) != (p, q):
             return f"omega roundtrip fails: {p}/{q}"
         for a, b, da, db in _STEP_PAIRS if len(p) < n_max else ():
-            wc = omega(p + a, q + b)
+            wc = pb.omega(p + a, q + b)
             if wc[:-1] != w:
                 return f"omega does not extend step by step: {p + a}/{q + b}"
             dx, dy = _DXY[wc[-1]]
@@ -303,19 +289,19 @@ def _check_conjugation(n_max):
     for n in range(n_max + 1):
         for i, j in valid_ij(n):
             for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                w = omega(p, q)
-                wf = phi_tilde(w)
-                if wf != omega(*phi(p, q, i, j)[:2]):
+                w = pb.omega(p, q)
+                wf = pb.phi_tilde(w)
+                if wf != pb.omega(*pb.phi(p, q, i, j)[:2]):
                     return f"phi conjugation fails: {p}/{q}"
-                if phi_tilde_inv(wf, i, j) != w:
+                if pb.phi_tilde_inv(wf, i, j) != w:
                     return f"phi_tilde roundtrip fails: {w}"
-                wh = psi_tilde(w)
-                if wh != omega(*psi(p, q)[:2]):
+                wh = pb.psi_tilde(w)
+                if wh != pb.omega(*pb.psi(p, q)[:2]):
                     return f"psi conjugation fails: {p}/{q}"
-                if psi_tilde_inv(wh) != w:
+                if pb.psi_tilde_inv(wh) != w:
                     return f"psi_tilde roundtrip fails: {w}"
                 for s in range(i % 2, i + 1, 2):
-                    if psi_tilde_s(w, s) != omega(*psi_s(p, q, s)[:2]):
+                    if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
                         return f"psi_s conjugation fails: {p}/{q}, s={s}"
     return None
 
@@ -332,15 +318,15 @@ def _check_psi_tilde_s_union(n_max):
                         for i in range(s, n - j + 1, 2)
                         for w in enumerate_walk_family(WalkFamilySpec("Qend", n, i=i, j=j))
                     ]
-                    yield f"n={n}, end=({s},{j})", domain, target, (s,)
+                    yield f"n={n}, end=({s},{j})", domain, target, {"s": s}
 
-    return _bijection(classes(), psi_tilde_s, lambda wh, s: psi_tilde_s_inv(wh))
+    return _bijection(classes(), "psi_tilde_s")
 
 
 def _check_phi_tilde_identity(n_max):
     for n in range(n_max + 1):
         for w in enumerate_walk_family(WalkFamilySpec("Ox", n)):
-            if phi_tilde(w) != w:
+            if pb.phi_tilde(w) != w:
                 return f"phi_tilde moves an axis octant walk: {w}"
     return None
 
@@ -360,14 +346,14 @@ def _check_shadow(xy_max):
 
 
 def _check_hij_g2(n_max):
-    # omega maps each G2 sector onto the walks Hij(n, i, j)
+    # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
     def classes():
         for n in range(n_max + 1):
             for i, j in valid_ij(n):
                 walks = enumerate_walk_family(WalkFamilySpec("Hij", n, i=i, j=j))
-                yield f"G2({n},{i};{j})", enumerate_family(FamilySpec("G2", n, i=i, j=j)), walks, ()
+                yield f"G2({n},{i};{j})", enumerate_family(FamilySpec("G2", n, i=i, j=j)), walks, {}
 
-    return _bijection(classes(), lambda pair: omega(*pair))
+    return _bijection(classes(), "omega")
 
 
 def _check_det_vs_box(n_max, k_max):
@@ -421,8 +407,9 @@ def _check_origin_walks(m_max):
         walks = enumerate_walk_family(WalkFamilySpec("Qend", 2 * m, i=0, j=0))
         if len(walks) != catalan(m) * catalan(m + 1):
             return f"origin walk count fails at m={m}"
-        classes.append((f"m={m}", walks, enumerate_walk_family(WalkFamilySpec("Odiag", 2 * m)), ()))
-    return _bijection(classes, phi_tilde, lambda w: phi_tilde_inv(w, 0, 0))
+        diagonal = enumerate_walk_family(WalkFamilySpec("Odiag", 2 * m))
+        classes.append((f"m={m}", walks, diagonal, {"i": 0, "j": 0}))
+    return _bijection(classes, "phi_tilde")
 
 
 def _check_pp(pq_max, k_max, count_pq_max):
@@ -439,12 +426,8 @@ def _check_pp(pq_max, k_max, count_pq_max):
         if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
             return f"box census fails at ({p},{q},{k})"
         if max(p, q) <= pq_max:
-            classes.append((f"box ({p},{q},{k})", box, melons, (k, p, q)))
-    return _bijection(
-        classes,
-        lambda a, k, p, q: pp_to_tuple(a, k, p),
-        lambda t, k, p, q: tuple_to_pp(t, p, q),
-    )
+            classes.append((f"box ({p},{q},{k})", box, melons, dict(k=k, n=p + q, p=p, q=q)))
+    return _bijection(classes, "pp_to_tuple")
 
 
 def _checks(max_n: int, max_k: int) -> tuple:

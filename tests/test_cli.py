@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathbij import cli
+from pathbij import _maps, cli
 from pathbij.cli import main
 from pathbij.counting import count_grand_tuples_det
 from pathbij.families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
@@ -149,14 +149,6 @@ def test_apply_checks_the_round_trip(capsys, monkeypatch):
     code, out, err = run(capsys, "apply", "--map", "xi", "--input", "UU")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "xi_inv" in err
-
-
-def test_every_map_names_an_inverse_in_the_table():
-    from pathbij.cli import _MAPS
-
-    for name, (_, _, inverse, _) in _MAPS.items():
-        assert inverse in _MAPS, name
-        assert _MAPS[inverse][2] == name
 
 
 def test_tuple_to_pp_golden(capsys):
@@ -331,6 +323,13 @@ def test_exit_codes(capsys):
         ("apply", "--map", "phi", "--input", "UD,UD", "--i", "1", "--j", "1"),
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2"),
         ("apply", "--map", "pp_to_tuple", "--input", "2 x", "--k", "2"),
+        # apply takes --k from 1 to 10 and --n up to 100,000; p < 0 is no box
+        ("apply", "--map", "pp_to_tuple", "--input", "0 0", "--k", "0"),
+        ("apply", "--map", "pp_to_tuple", "--input", "1", "--k", "11"),
+        ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "1000000", "--n", "3"),
+        ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "100001"),
+        ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "1000000000"),
+        ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "-3"),
         # flags the map does not read
         ("apply", "--map", "xi", "--input", "UU", "--s", "3"),
         ("apply", "--map", "psi", "--input", "UD,DU", "--i", "5", "--j", "9"),
@@ -385,11 +384,12 @@ _INPUTS = {
     "walk": st.text("ENSW", max_size=8),
     "pp": st.text("0123 ;", max_size=10),
 }
-_INPUT_OF_MAP = {cli._PATH: "path", cli._PAIR: "pair", cli._PATHS: "pair", cli._WALK: "walk", cli._PP: "pp"}
+# a path tuple is encoded as a pair is, with any number of paths
+_INPUT_OF_KIND = {"path": "path", "pair": "pair", "paths": "pair", "walk": "walk", "pp": "pp"}
 _VALUES = {
     "--family": st.sampled_from(cli._PATH_TAGS + cli._WALK_TAGS),
     "--method": st.sampled_from(("brute", "det", "product", "sum", "formula")),
-    "--map": st.sampled_from(sorted(cli._MAPS)),
+    "--map": st.sampled_from(sorted(_maps.MAPS)),
     "--kind": st.sampled_from(("path", "pair", "tripath", "walk")),
     "--input": st.one_of(*_INPUTS.values()),
 }
@@ -429,8 +429,8 @@ def _argvs(draw, out_paths):
         argv.append(draw(_JUNK if rarely() else value))
         if flag == "--kind":
             kind = argv[-1]
-        elif flag == "--map" and argv[-1] in cli._MAPS:
-            kind = _INPUT_OF_MAP[cli._MAPS[argv[-1]][0]]
+        elif flag == "--map" and argv[-1] in _maps.MAPS:
+            kind = _INPUT_OF_KIND[_maps.MAPS[argv[-1]].kind]
     if rarely():
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
     return argv
@@ -456,7 +456,8 @@ def test_brute_count_is_bounded_by_work_not_n(capsys):
     # one walk of 3000 steps: a long family, but a small one
     got = run(capsys, "count", "--family", "Qend", "--n", "3000", "--i", "3000", "--j", "0")
     assert got == (0, "1", "")
-    # an end out of reach leaves no state at the start: empty at once, however long
+    # an end out of reach, or of the wrong parity, leaves no state at the
+    # start: empty at once, however long
     n, far = str(10**12), str(10**12 + 1)
     for argv in (
         ("--family", "Pend", "--n", n, "--s", far),
@@ -464,6 +465,12 @@ def test_brute_count_is_bounded_by_work_not_n(capsys):
         ("--family", "Qend", "--n", n, "--i", n, "--j", "1"),
         ("--family", "Hend", "--n", n, "--i", n, "--j", "1"),
         ("--family", "Osh", "--n", n, "--i", n, "--j", "1"),
+        # an end of the wrong parity: no layer of n steps ends there
+        ("--family", "Pend", "--n", "1000000001", "--s", "0"),
+        ("--family", "Aend", "--n", "1000001", "--s", "0"),
+        ("--family", "Qend", "--n", "1000001", "--i", "0", "--j", "0"),
+        ("--family", "Odiag", "--n", "1000001"),
+        ("--family", "D", "--n", "100001"),
     ):
         start = time.perf_counter()
         assert run(capsys, "count", *argv) == (0, "0", ""), argv
@@ -472,22 +479,23 @@ def test_brute_count_is_bounded_by_work_not_n(capsys):
 
 def test_over_budget_counts_exit_2_in_bounded_memory():
     """Under a 1 GB address-space limit, each call that would enumerate a
-    family past the budget ends with one error line and exit code 2, not a
-    MemoryError traceback."""
+    family past the budget, or build a path tuple past apply's bounds, ends
+    with one error line and exit code 2, not a MemoryError traceback."""
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     for argv in (
-        ("--family", "Gk", "--k", "3", "--n", "12"),
-        ("--family", "Ak", "--k", "2", "--n", "12"),
-        ("--family", "D", "--n", "60"),
-        ("--family", "Gk", "--k", "40", "--n", "1"),
+        ("count", "--family", "Gk", "--k", "3", "--n", "12"),
+        ("count", "--family", "Ak", "--k", "2", "--n", "12"),
+        ("count", "--family", "D", "--n", "60"),
+        ("count", "--family", "Gk", "--k", "40", "--n", "1"),
+        ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "1000000000"),
     ):
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pathbij", "count", *argv],
+                [sys.executable, "-m", "pathbij", *argv],
                 capture_output=True, text=True, timeout=60, preexec_fn=limit,
             )
         except subprocess.TimeoutExpired:

@@ -97,6 +97,8 @@ def test_pp_to_tuple_examples():
     assert pp_to_tuple((), 2, p=3) == ("UUU", "UUU")
     with pytest.raises(ValueError):
         pp_to_tuple((), 2)
+    with pytest.raises(ValueError, match="p >= 0"):
+        pp_to_tuple((), 2, p=-3)
     with pytest.raises(ValueError):
         pp_to_tuple(((3,),), 2)
 

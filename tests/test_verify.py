@@ -3,9 +3,10 @@
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
 run against a corrupted map (the step dictionary against two, omega and
 omega_inv; the walk conjugation and the origin walks against phi_tilde and
-phi_tilde_inv): the map, as the check sees it, answers one domain input with
-the image of another input of the same sector, which keeps every output
-valid but breaks injectivity. The suite runs its checks in
+phi_tilde_inv): the map, patched in the package namespace where every
+check looks it up, answers one domain input with the image of another
+input of the same sector, which keeps every output valid but breaks
+injectivity. The suite runs its checks in
 worker processes; the last tests pin that it reports what the checks give
 in-process, under spawn too, and that a crash or a dead worker is a failure.
 """
@@ -16,9 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import pathbij
 from pathbij import verify
 
-# (check, bound or tuple of bounds, map patched in pathbij.verify, input to corrupt,
+# (check, bound or tuple of bounds, map patched in pathbij, input to corrupt,
 #  input whose image it gets)
 CASES = [
     (verify._check_xi, 2, "xi", ("UU",), ("UD",)),
@@ -37,7 +39,7 @@ CASES = [
     (verify._check_origin_walks, 1, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
     (verify._check_composed_map, 2, "psi", ("UD", "DU"), ("UD", "UD")),
     (verify._check_hij_g2, 2, "omega", ("UD", "DU"), ("UD", "UD")),
-    (verify._check_pp, (1, 1, 1), "pp_to_tuple", (((1,),), 1, 1), (((0,),), 1, 1)),
+    (verify._check_pp, (1, 1, 1), "pp_to_tuple", (((1,),), 1, 2), (((0,),), 1, 2)),
 ]
 # a case against phi_tilde_inv carries the map's name, since its check has a
 # case against phi_tilde too
@@ -47,9 +49,9 @@ IDS = [c[0].__name__ + "-phi_tilde_inv" * (c[2] == "phi_tilde_inv") for c in CAS
 @pytest.mark.parametrize("check, bound, name, victim, donor", CASES, ids=IDS)
 def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, donor):
     bounds = bound if isinstance(bound, tuple) else (bound,)
-    real = getattr(verify, name)
+    real = getattr(pathbij, name)
     assert check(*bounds) is None
-    monkeypatch.setattr(verify, name, lambda *a: real(*(donor if a == victim else a)))
+    monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
     assert check(*bounds) is not None
 
 
