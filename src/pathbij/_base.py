@@ -21,6 +21,13 @@ def require(cond: bool, msg: str, *args) -> None:
         raise ValueError(msg.format(*args))
 
 
+def need(obj, field: str):
+    """The value of a one-letter field of obj; ValueError if it is not set."""
+    value = getattr(obj, field, None)
+    require(value is not None, "--{} is required here", field)
+    return value
+
+
 def reject_unread(obj, fields: str, reads: str, user: str) -> None:
     """Raise ValueError if a one-letter field of obj in fields is set but user does not read it."""
     unread = [f for f in fields if f not in reads and getattr(obj, f, None) is not None]

@@ -15,102 +15,9 @@ from functools import lru_cache
 # namespace, so a call pays only for the modules its verb runs
 import pathbij as pb
 
-_PATH_TAGS = ("A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", "Gk")
-_WALK_TAGS = ("Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh")
-
-
-# closed-form counts by (family, method), and the flags besides --n each reads;
-# P, P2 and Pk are counted as G, G2 and Gk, the sets the bijections map them onto
-_COUNTS = {
-    ("A", "formula"): (lambda a: 2**a.n, ""),
-    ("D", "formula"): (lambda a: pb.catalan(a.n // 2) if a.n % 2 == 0 else 0, ""),
-    ("G", "formula"): (lambda a: pb.counting.binom(a.n, a.n // 2), ""),
-    ("G2", "det"): (lambda a: pb.count_grand_tuples_det(a.n, 2), ""),
-    ("G2", "product"): (lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, 2), ""),
-    ("G2", "sum"): (lambda a: pb.count_g2_sum(a.n), ""),
-    ("Gk", "det"): (lambda a: pb.count_grand_tuples_det(a.n, _need(a, "k")), "k"),
-    ("Gk", "product"): (lambda a: pb.count_macmahon((a.n + 1) // 2, a.n // 2, _need(a, "k")), "k"),
-    ("O", "formula"): (lambda a: pb.count_octant_total(a.n), ""),
-    ("Ox", "formula"): (lambda a: pb.count_octant_xaxis(a.n), ""),
-    ("Odiag", "formula"): (lambda a: pb.count_octant_diag(a.n // 2) if a.n % 2 == 0 else 0, ""),
-    ("Qend", "formula"): (lambda a: _qend(a), "ij"),
-}
-_SAME_COUNT = {"P": "G", "P2": "G2", "Pk": "Gk"}
-# the largest --n, and --k for Gk, that each method takes, so that no call
-# runs unbounded. formula: count prints every digit and int-to-str is
-# quadratic; at the limit the slowest formula call takes about 0.3 s, and
-# printing 2^n at ten times it about 1 s. det, product and sum: a whole
-# call at the limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux,
-# Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
-_MAX_N_K = {
-    "formula": (100_000, None),
-    "det": (10_000, 10),
-    "product": (300, 10),
-    "sum": (3_000, None),
-}
-
-
-# the largest --max-n and --k that verify takes, the acceptance gate's
-# budget. At the bounds the largest set a check holds is the 226,512 nested
-# pairs of length 12 that tuple_count_agreement counts in P2 and G2; at
-# --max-n 11 it would count those of length 13, past the enumeration budget
-# of pathbij.families, and at --k 4 the 232,848 nested 4-tuples of length 8
-_VERIFY_MAX_N_K = (10, 3)
-
-
-def _need(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--{name} is required here")
-    return value
-
-
-def _reject_unread(args, fields, reads, user):
-    from ._base import reject_unread  # on use: importing the CLI alone loads no submodule
-
-    reject_unread(args, fields, reads, user)
-
-
-def _qend(args):
-    if (_need(args, "i"), _need(args, "j")) != (0, 0):
-        raise ValueError("the closed form covers walks returning to the origin only")
-    if args.n % 2:
-        return 0
-    m = args.n // 2
-    return pb.catalan(m) * pb.catalan(m + 1)
-
-
-def _family_spec(args):
-    if args.family in _PATH_TAGS:
-        return pb.FamilySpec(args.family, args.n, k=args.k, i=args.i, j=args.j, s=args.s)
-    if args.family in _WALK_TAGS:
-        if args.k is not None or args.s is not None:
-            raise ValueError("--k and --s do not apply to walk families")
-        return pb.WalkFamilySpec(args.family, args.n, i=args.i, j=args.j)
-    raise ValueError(f"unknown family: {args.family!r}")
-
 
 def _run_count(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
-    if args.method == "brute":
-        value = pb.brute_count(_family_spec(args))
-    else:
-        family = _SAME_COUNT.get(args.family, args.family)
-        entry = _COUNTS.get((family, args.method))
-        if entry is None:
-            have = sorted({m for f, m in _COUNTS if f == family} | {"brute"})
-            raise ValueError(
-                f"family {args.family} has no method {args.method!r}; available: {', '.join(have)}"
-            )
-        max_n, max_k = _MAX_N_K[args.method]
-        if args.n > max_n:
-            raise ValueError(f"--method {args.method} takes --n up to {max_n}, got {args.n}")
-        if family == "Gk" and args.k is not None and not 1 <= args.k <= max_k:
-            raise ValueError(f"--method {args.method} takes --k from 1 to {max_k}, got {args.k}")
-        fn, reads = entry
-        _reject_unread(args, "kijs", reads, f"--method {args.method}, which counts a full family,")
-        value = fn(args)
+    value = pb.counting.count(args, args.method)
     if not args.json:
         print(_exact(str, value))
         return 0
@@ -183,12 +90,13 @@ def _text(value) -> str:
 
 def _run_apply(args) -> int:
     from . import _maps  # on use: importing the CLI alone loads no submodule
+    from ._base import need, reject_unread
 
     entry = _maps.MAPS.get(args.map)
     if entry is None:
         raise ValueError(f"unknown map {args.map!r}; available: {', '.join(sorted(_maps.MAPS))}")
     kind, reads, inverse = entry
-    _reject_unread(args, "nkijs", reads, f"map {args.map}")
+    reject_unread(args, "nkijs", reads, f"map {args.map}")
     x = _parse(kind, args.input)
     max_n, max_k = _APPLY_MAX_N_K
     if args.k is not None and not 1 <= args.k <= max_k:
@@ -200,7 +108,7 @@ def _run_apply(args) -> int:
         # what the map reads off obj, else from values: the flags, or what x gives
         entry = _maps.MAPS[name]
         given = argparse.Namespace(**{**values, **_own(entry.kind, obj)})
-        return _maps.call(name, obj, *(_need(given, c) for c in entry.reads))
+        return _maps.call(name, obj, *(need(given, c) for c in entry.reads))
 
     image, side = call(args.map, x, vars(args))
     # the round trip: the inverse reads what it cannot read off the image
@@ -227,11 +135,6 @@ def _run_apply(args) -> int:
 
 
 def _run_verify(args) -> int:
-    max_n, max_k = _VERIFY_MAX_N_K
-    if args.max_n > max_n:
-        raise ValueError(f"verify takes --max-n up to {max_n}, got {args.max_n}")
-    if args.k > max_k:
-        raise ValueError(f"verify takes --k up to {max_k}, got {args.k}")
     from . import verify
 
     start = time.perf_counter()

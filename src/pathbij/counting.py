@@ -1,5 +1,6 @@
-"""Exact counting: closed formulas and the brute-force censuses they are
-checked against.
+"""Exact counting: closed formulas, the brute-force census they are checked
+against, and count, the one entry point to both that `pathbij count` and
+every counting identity of `pathbij verify` call.
 
 Every routine returns a plain Python integer computed exactly, in integer
 arithmetic except the box product, which goes through Fraction; any
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from ._base import need, reject_unread, require
 
 
 def binom(n: int, k: int) -> int:
@@ -129,3 +132,77 @@ def brute_count(spec) -> int:
     if isinstance(spec, WalkFamilySpec):
         return len(enumerate_walk_family(spec))
     return len(enumerate_family(spec))
+
+
+def _qend(n: int, i: int, j: int) -> int:
+    """Quadrant walks of length 2m returning to the origin: C_m * C_{m+1}."""
+    require((i, j) == (0, 0), "the closed form covers walks returning to the origin only")
+    return 0 if n % 2 else catalan(n // 2) * catalan(n // 2 + 1)
+
+
+# the closed forms by (family, method), each a function of n and then of the
+# fields it reads, in their order here
+_FORMULAS = {
+    ("A", "formula"): (lambda n: 2**n, ""),
+    ("D", "formula"): (lambda n: 0 if n % 2 else catalan(n // 2), ""),
+    ("G", "formula"): (lambda n: binom(n, n // 2), ""),
+    ("G2", "sum"): (count_g2_sum, ""),
+    ("Gk", "det"): (count_grand_tuples_det, "k"),
+    ("Gk", "product"): (lambda n, k: count_macmahon((n + 1) // 2, n // 2, k), "k"),
+    ("O", "formula"): (count_octant_total, ""),
+    ("Ox", "formula"): (count_octant_xaxis, ""),
+    ("Odiag", "formula"): (lambda n: 0 if n % 2 else count_octant_diag(n // 2), ""),
+    ("Qend", "formula"): (_qend, "ij"),
+}
+# the closed forms that count a family besides its own, with the fields they
+# fix: P, P2 and Pk are counted as G, G2 and Gk, the sets the bijections map
+# them onto, and G2 is Gk at k = 2
+_COUNTED_AS = {
+    "P": {"G": {}}, "P2": {"G2": {}, "Gk": {"k": 2}}, "G2": {"Gk": {"k": 2}}, "Pk": {"Gk": {}}
+}
+# the largest n, and k for Gk, that each closed form takes, so that no call
+# runs unbounded. formula: pathbij count prints every digit and int-to-str
+# is quadratic; at the limit the slowest formula call takes about 0.3 s, and
+# printing 2^n at ten times it about 1 s. det, product and sum: a whole
+# call at the limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux,
+# Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
+_MAX_N_K = {
+    "formula": (100_000, None),
+    "det": (10_000, 10),
+    "product": (300, 10),
+    "sum": (3_000, None),
+}
+
+
+def count(spec, method: str = "brute") -> int:
+    """|family| by method: brute enumerates the family, every other method
+    is a closed form of _FORMULAS. spec is any object with the fields
+    family and n and, where the count reads them, k, i, j and s: a
+    FamilySpec, a WalkFamilySpec or the arguments of pathbij count. Raises
+    ValueError for n < 0, an unknown family or method, an input past the
+    method's bound, or a field the count lacks or does not read."""
+    family, n = spec.family, spec.n
+    require(n >= 0, "--n must be nonnegative, got {}", n)
+    fields = {f: getattr(spec, f, None) for f in "kijs"}
+    if method == "brute":
+        # the enumerators load here, so the closed forms run without them
+        from .families import _REGIONS, FamilySpec, WalkFamilySpec
+
+        if family not in _REGIONS:
+            return brute_count(FamilySpec(family, n, **fields))
+        k, s = fields.pop("k"), fields.pop("s")
+        require(k is None and s is None, "--k and --s do not apply to walk families")
+        return brute_count(WalkFamilySpec(family, n, **fields))
+    options = {family: {}, **_COUNTED_AS.get(family, {})}
+    found = [(_FORMULAS[t, method], fix) for t, fix in options.items() if (t, method) in _FORMULAS]
+    if not found:
+        have = sorted({m for t, m in _FORMULAS if t in options} | {"brute"})
+        raise ValueError(f"family {family} has no method {method!r}; available: {', '.join(have)}")
+    (fn, reads), fixed = found[0]
+    max_n, max_k = _MAX_N_K[method]
+    require(n <= max_n, "--method {} takes --n up to {}, got {}", method, max_n, n)
+    unfixed, k = "".join(c for c in reads if c not in fixed), fields["k"]
+    in_range = "k" not in unfixed or k is None or 1 <= k <= max_k
+    require(in_range, "--method {} takes --k from 1 to {}, got {}", method, max_k, k)
+    reject_unread(spec, "kijs", unfixed, f"--method {method}, which counts a full family,")
+    return fn(n, *(fixed[c] if c in fixed else need(spec, c) for c in reads))

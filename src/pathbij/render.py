@@ -224,4 +224,9 @@ def render_svg(
         require(len(parts) == 2, "a pair is encoded as two paths joined by a comma")
         p, q = check_path(parts[0]), check_path(parts[1])
         return _render_pair(p, q, show_matching, show_flips)
-    return _render_walk(check_walk(text), show_shadow, i, j)
+    w = check_walk(text)
+    # the canvas grows with |i| and |j|: bound them as valid_ij bounds a sector
+    # of w's length, but for parity
+    sector = not show_shadow or i >= j >= 0 and i + j <= len(w)
+    require(sector, "show-shadow needs i >= j >= 0 and i + j <= {}, the walk's length", len(w))
+    return _render_walk(w, show_shadow, i, j)

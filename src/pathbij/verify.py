@@ -2,9 +2,11 @@
 
 Each _check_* function sweeps exactly the range its arguments give and
 returns None or the first counterexample; the eleven bijection checks share
-one proof, _bijection. verify_suite(max_n, max_k) derives every bound from
-its two budgets: element sweeps run to max_n (the 4^n ones capped),
-counting identities a little beyond, arithmetic ones to 2 * max_n. The
+one proof, _bijection, and the counting identities another, _agree, over
+the counts of pathbij.counting.count, the ones `pathbij count` prints.
+verify_suite(max_n, max_k) derives every bound from its two budgets, at
+most 10 and 3: element sweeps run to max_n, counting identities a little
+beyond, arithmetic ones to 2 * max_n. The
 checks are independent, so verify_suite runs them in worker processes, one
 per available CPU, and reports them in table order.
 tests/test_acceptance.py gates on verify_suite(10, 3).
@@ -19,18 +21,9 @@ from typing import NamedTuple
 
 import pathbij as pb  # every map is looked up here at call time: a patch reaches every check
 
+from ._base import require
 from ._maps import MAPS, call
-from .counting import (
-    binom,
-    brute_count,
-    catalan,
-    count_g2_sum,
-    count_grand_tuples_det,
-    count_macmahon,
-    count_octant_diag,
-    count_octant_total,
-    count_octant_xaxis,
-)
+from .counting import count, count_macmahon
 from .families import (
     FamilySpec,
     WalkFamilySpec,
@@ -68,20 +61,16 @@ def _paths(family, n):
 
 def _check_families(n_max):
     for n in range(n_max + 1):
-        central = binom(n, n // 2)
-        for fam, size in (
-            ("A", 2**n),
-            ("D", catalan(n // 2) if n % 2 == 0 else 0),
-            ("G", central),
-            ("P", central),
-        ):
+        for fam in "ADGP":
             members = _paths(fam, n)
             keys = [lexkey(p) for p in members]
             if keys != sorted(keys) or len(set(members)) != len(members):
                 return f"family {fam}, n={n}: unsorted or duplicated"
-            if len(members) != size:
-                return f"|{fam}_{n}| = {len(members)}, expected {size}"
-    return None
+    return _agree(
+        [(spec, "brute"), (spec, "formula")]
+        for n in range(n_max + 1)
+        for spec in (FamilySpec(fam, n) for fam in "ADGP")
+    )
 
 
 def _check_matching(n_max):
@@ -125,6 +114,24 @@ def _bijection(classes, forward):
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
             return f"{label}: image is not the codomain"
     return None
+
+
+def _agree(cases):
+    """The proof the counting checks share. A case is a list of (spec,
+    method) pairs that pathbij.counting.count must give one count. Returns
+    None or the first case that fails, with each pair's count."""
+    for case in cases:
+        counts = [count(spec, method) for spec, method in case]
+        if len(set(counts)) > 1:
+            return ", ".join(f"{_label(s)} {m} {c}" for (s, m), c in zip(case, counts))
+    return None
+
+
+def _label(spec):
+    # Gk(n=5, k=2): the family and the fields it sets
+    family, *values = spec
+    fields = ", ".join(f"{f}={v}" for f, v in zip(spec._fields[1:], values) if v is not None)
+    return f"{family}({fields})"
 
 
 def _check_xi(n_max):
@@ -357,58 +364,47 @@ def _check_hij_g2(n_max):
 
 
 def _check_det_vs_box(n_max, k_max):
-    for n in range(n_max + 1):
-        for k in range(1, k_max + 1):
-            if count_grand_tuples_det(n, k) != count_macmahon(
-                (n + 1) // 2, n // 2, k
-            ):
-                return f"det != box product at n={n}, k={k}"
-    return None
+    return _agree(
+        [(spec, "det"), (spec, "product")]
+        for n in range(n_max + 1)
+        for spec in (FamilySpec("Gk", n, k=k) for k in range(1, k_max + 1))
+    )
 
 
 def _check_g2_sum(n_max):
-    for n in range(n_max + 1):
-        if count_g2_sum(n) != count_grand_tuples_det(n, 2):
-            return f"sum formula fails at n={n}"
-    return None
+    # G2 by det and product is Gk at k = 2, and P2 is counted as G2
+    return _agree(
+        [(g2, "sum"), (g2, "det"), (g2._replace(family="P2"), "product")]
+        for g2 in (FamilySpec("G2", n) for n in range(n_max + 1))
+    )
 
 
 def _check_tuple_counts(n_max_by_k):
-    """|P^k_n| = |G^k_n| by enumeration, and = det for k = 2; n <= n_max_by_k[k]."""
-    for k, n_max in n_max_by_k.items():
-        for n in range(n_max + 1):
-            pk = brute_count(FamilySpec("Pk", n, k=k))
-            gk = brute_count(FamilySpec("Gk", n, k=k))
-            if pk != gk:
-                return f"|P^{k}| != |G^{k}| at n={n}"
-            if k == 2 and pk != count_grand_tuples_det(n, 2):
-                return f"pair count != det at n={n}"
-    return None
+    """|P^k_n| = |G^k_n| by enumeration, and = det; n <= n_max_by_k[k]."""
+    return _agree(
+        [(pk, "brute"), (pk._replace(family="Gk"), "brute"), (pk, "det")]
+        for k, n_max in n_max_by_k.items()
+        for pk in (FamilySpec("Pk", n, k=k) for n in range(n_max + 1))
+    )
 
 
 def _check_octant_census(n_max):
-    for n in range(n_max + 1):
-        o = brute_count(WalkFamilySpec("O", n))
-        ox = brute_count(WalkFamilySpec("Ox", n))
-        if o != count_octant_total(n):
-            return f"octant total fails at n={n}"
-        if ox != count_octant_xaxis(n):
-            return f"x-axis count fails at n={n}"
-        if n % 2 == 0:
-            od = brute_count(WalkFamilySpec("Odiag", n))
-            if od != count_octant_diag(n // 2):
-                return f"diagonal count fails at n={n}"
-    return None
+    return _agree(
+        [(spec, "brute"), (spec, "formula")]
+        for n in range(n_max + 1)
+        for spec in (WalkFamilySpec(fam, n) for fam in ("O", "Ox", "Odiag"))
+    )
 
 
 def _check_origin_walks(m_max):
+    origin = [WalkFamilySpec("Qend", 2 * m, i=0, j=0) for m in range(m_max + 1)]
+    counted = _agree([(spec, "brute"), (spec, "formula")] for spec in origin)
+    if counted:
+        return counted
     classes = []
-    for m in range(m_max + 1):
-        walks = enumerate_walk_family(WalkFamilySpec("Qend", 2 * m, i=0, j=0))
-        if len(walks) != catalan(m) * catalan(m + 1):
-            return f"origin walk count fails at m={m}"
+    for m, spec in enumerate(origin):
         diagonal = enumerate_walk_family(WalkFamilySpec("Odiag", 2 * m))
-        classes.append((f"m={m}", walks, diagonal, {"i": 0, "j": 0}))
+        classes.append((f"m={m}", enumerate_walk_family(spec), diagonal, {"i": 0, "j": 0}))
     return _bijection(classes, "phi_tilde")
 
 
@@ -432,20 +428,21 @@ def _check_pp(pq_max, k_max, count_pq_max):
 
 def _checks(max_n: int, max_k: int) -> tuple:
     """The suite's table: (name, range text, check, bounds) per identity,
-    in report order, every bound derived from the two budgets."""
-    n8, n9, n10 = min(max_n, 8), min(max_n, 9), min(max_n, 10)
-    ncap, n2 = min(max_n + 2, 14), 2 * max_n
+    in report order, every bound derived from the two budgets, which
+    verify_suite keeps within 10 and 3."""
+    n8, n9 = min(max_n, 8), min(max_n, 9)
+    ncap, n2 = max_n + 2, 2 * max_n
     tuple_ns = {k: ncap if k <= 2 else n8 for k in range(1, max_k + 1)}
     tuple_text = f"k <= {max_k}, n <= {ncap}" + (f" ({n8} for k>2)" if max_k > 2 else "")
-    n_octant, m_origin = min(max_n + 1, 11), min(max_n // 2, 5)
-    pmax, kmax = min(max(max_n // 3, 1), 4), min(max_k + 1, 3)
+    n_octant, m_origin = max_n + 1, max_n // 2
+    pmax, kmax = max(max_n // 3, 1), min(max_k + 1, 3)
     # the box census enumerates path tuples of length p + q <= max_n - 2
-    pcount = min(max((max_n - 2) // 2, pmax), 4)
+    pcount = max((max_n - 2) // 2, pmax)
     pp_counted = f" ({pcount} counted)" if pcount > pmax else ""
     pp_text = f"p,q <= {pmax}{pp_counted}, k <= {kmax}"
     return (
         ("families_sorted_counted", f"n <= {n8}", _check_families, (n8,)),
-        ("matching_structure", f"n <= {n10}", _check_matching, (n10,)),
+        ("matching_structure", f"n <= {max_n}", _check_matching, (max_n,)),
         ("xi_bijection", f"n <= {max_n}", _check_xi, (max_n,)),
         ("xi_s_bijection", f"n <= {max_n}", _check_xi_s, (max_n,)),
         ("nu_bijection", f"n <= {max_n}", _check_nu, (max_n,)),
@@ -455,7 +452,7 @@ def _checks(max_n: int, max_k: int) -> tuple:
         ("psi_sector_bijection", f"n <= {max_n}", _check_psi_sector, (max_n,)),
         ("composed_map_bijection", f"n <= {max_n}", _check_composed_map, (max_n,)),
         ("floor_pair_bijection", f"n <= {max_n}", _check_floor_pairs, (max_n,)),
-        ("step_dictionary", f"n <= {n10}", _check_step_dictionary, (n10,)),
+        ("step_dictionary", f"n <= {max_n}", _check_step_dictionary, (max_n,)),
         ("walk_conjugation", f"n <= {max_n}", _check_conjugation, (max_n,)),
         ("psi_tilde_s_union", f"n <= {n9}", _check_psi_tilde_s_union, (n9,)),
         ("phi_tilde_axis_identity", f"n <= {max_n}", _check_phi_tilde_identity, (max_n,)),
@@ -519,8 +516,13 @@ def _run_checks(checks) -> tuple[CheckResult, ...]:
 
 def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:
     """Run every identity check within the budgets, in parallel worker
-    processes, and return the results in report order; never raises on
-    failure."""
-    if max_n < 0 or max_k < 1:
-        raise ValueError("need max_n >= 0 and max_k >= 1")
+    processes, and return the results in report order. Raises ValueError
+    for a budget outside 0 <= max_n <= 10 and 1 <= max_k <= 3, the
+    acceptance gate's, and never on a failed check. At the bounds the
+    largest set a check holds is the 226,512 nested pairs of length 12 that
+    tuple_count_agreement counts in P2 and G2; at max_n = 11 it would count
+    those of length 13, past the enumeration budget of pathbij.families, and
+    at max_k = 4 the 232,848 nested 4-tuples of length 8."""
+    bounded = 0 <= max_n <= 10 and 1 <= max_k <= 3
+    require(bounded, "need 0 <= max_n <= 10 and 1 <= max_k <= 3, got {} and {}", max_n, max_k)
     return _run_checks(_checks(max_n, max_k))

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathbij import _maps, cli
+from pathbij import _maps
 from pathbij.cli import main
 from pathbij.counting import count_grand_tuples_det
 from pathbij.families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
@@ -344,6 +344,12 @@ def test_exit_codes(capsys):
         ("render", "--kind", "nothing", "--input", "UD"),
         ("render", "--kind", "pair", "--input", "UD,DU", "--i", "1"),
         ("render", "--kind", "walk", "--input", "EN", "--i", "1", "--j", "1"),
+        # the shadow's corner (i, j) is bounded by the walk's length, as a sector's is
+        ("render", "--kind", "walk", "--input", "E", "--show-shadow", "--i", "1000000000",
+         "--j", "0"),
+        ("render", "--kind", "walk", "--input", "EN", "--show-shadow", "--i", "2", "--j", "1"),
+        ("render", "--kind", "walk", "--input", "EN", "--show-shadow", "--i", "-1000000000",
+         "--j", "0"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -386,8 +392,13 @@ _INPUTS = {
 }
 # a path tuple is encoded as a pair is, with any number of paths
 _INPUT_OF_KIND = {"path": "path", "pair": "pair", "paths": "pair", "walk": "walk", "pp": "pp"}
+# every family tag: path and tuple families, then walk families
+_FAMILIES = (
+    "A", "D", "G", "P", "Pend", "Aend", "M2", "P2", "G2", "Ak", "Pk", "Gk",
+    "Q", "Qx", "Qend", "H", "Hend", "Hij", "O", "Ox", "Odiag", "Osh",
+)
 _VALUES = {
-    "--family": st.sampled_from(cli._PATH_TAGS + cli._WALK_TAGS),
+    "--family": st.sampled_from(_FAMILIES),
     "--method": st.sampled_from(("brute", "det", "product", "sum", "formula")),
     "--map": st.sampled_from(sorted(_maps.MAPS)),
     "--kind": st.sampled_from(("path", "pair", "tripath", "walk")),

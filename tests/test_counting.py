@@ -1,5 +1,9 @@
-"""Closed counting formulas against each other and against brute censuses."""
+"""Closed counting formulas: examples, edge cases and the brute census.
 
+The identity suite compares the closed forms with each other and with the
+brute census over whole ranges (pathbij.verify, the counting checks)."""
+
+import argparse
 import time
 
 import pytest
@@ -16,7 +20,7 @@ from pathbij import (
     count_octant_total,
     count_octant_xaxis,
 )
-from pathbij.counting import binom
+from pathbij.counting import binom, count
 from pathbij.families import enumerate_family
 
 
@@ -40,6 +44,7 @@ def test_determinant_examples():
     assert count_grand_tuples_det(4, 2) == 20
     assert count_grand_tuples_det(2, 2) == 3
     assert count_grand_tuples_det(0, 3) == 1
+    assert count_g2_sum(4) == 20
     with pytest.raises(ValueError):
         count_grand_tuples_det(4, 0)
     with pytest.raises(ValueError):
@@ -72,20 +77,6 @@ def test_macmahon_is_symmetric_in_the_box_sides():
         assert len(counts) == 1
 
 
-def test_determinant_equals_macmahon():
-    for n in range(21):
-        for k in range(1, 5):
-            assert count_grand_tuples_det(n, k) == count_macmahon(
-                (n + 1) // 2, n // 2, k
-            )
-
-
-def test_sum_formula_equals_determinant():
-    assert count_g2_sum(4) == 20
-    for n in range(21):
-        assert count_g2_sum(n) == count_grand_tuples_det(n, 2)
-
-
 def test_octant_formula_examples():
     assert count_octant_total(2) == 3
     assert count_octant_total(4) == 20
@@ -96,18 +87,6 @@ def test_octant_formula_examples():
     assert count_octant_diag(0) == 1
 
 
-def test_octant_formulas_against_brute_census():
-    for n in range(9):
-        assert brute_count(WalkFamilySpec("O", n)) == count_octant_total(n)
-        assert brute_count(WalkFamilySpec("Ox", n)) == count_octant_xaxis(n)
-        if n % 2 == 0:
-            assert brute_count(WalkFamilySpec("Odiag", n)) == count_octant_diag(
-                n // 2
-            )
-        else:
-            assert brute_count(WalkFamilySpec("Odiag", n)) == 0
-
-
 def test_octant_total_matches_pair_families():
     """The same number counts octant walks, nested prefix pairs and nested
     grand pairs; the first two are brute-forced independently."""
@@ -115,21 +94,6 @@ def test_octant_total_matches_pair_families():
         total = count_octant_total(n)
         assert brute_count(FamilySpec("P2", n)) == total
         assert brute_count(FamilySpec("G2", n)) == total
-
-
-def test_nested_tuple_counts_match_determinant():
-    for k in (1, 2, 3):
-        for n in range(9 - k):
-            det = count_grand_tuples_det(n, k)
-            assert brute_count(FamilySpec("Gk", n, k=k)) == det
-            assert brute_count(FamilySpec("Pk", n, k=k)) == det
-
-
-def test_quadrant_origin_walks_cor_count():
-    for m in range(4):
-        assert brute_count(WalkFamilySpec("Qend", 2 * m, i=0, j=0)) == catalan(
-            m
-        ) * catalan(m + 1)
 
 
 def test_brute_count_examples():
@@ -156,3 +120,18 @@ def test_brute_count_budget_and_type_errors():
         enumerate_family(FamilySpec("Pk", 1, k=11))
     with pytest.raises(TypeError):
         brute_count("A4")
+
+
+def test_count_takes_any_spec_and_rejects_what_its_method_does_not_read():
+    assert count(FamilySpec("P2", 4)) == count(FamilySpec("P2", 4), "det") == 20
+    assert count(WalkFamilySpec("Qend", 6, i=0, j=0), "formula") == 70
+    args = argparse.Namespace(family="Pk", n=4, k=3, i=None, j=None, s=None)
+    assert count(args, "product") == count(args, "brute") == 50
+    with pytest.raises(ValueError, match="nonnegative"):
+        count(WalkFamilySpec("O", -1), "formula")
+    with pytest.raises(ValueError, match="has no method 'det'; available: brute, formula"):
+        count(WalkFamilySpec("O", 4), "det")
+    with pytest.raises(ValueError, match="does not read k"):
+        count(FamilySpec("G2", 4, k=2), "det")
+    with pytest.raises(ValueError, match="do not apply to walk families"):
+        count(argparse.Namespace(family="O", n=4, k=2, i=None, j=None, s=None))

@@ -121,6 +121,8 @@ def test_decoration_validity():
         render_svg("path", "UD", show_shadow=True)
     with pytest.raises(ValueError, match="needs i and j"):
         render_svg("walk", "EN", show_shadow=True)
+    with pytest.raises(ValueError, match="i \\+ j <= 2, the walk's length"):
+        render_svg("walk", "EN", show_shadow=True, i=3, j=0)
     with pytest.raises(ValueError, match="unknown render kind"):
         render_svg("diagram", "UD")
     with pytest.raises(ValueError, match="comma"):

@@ -1,4 +1,4 @@
-"""The identity checks fail when the map they certify is broken.
+"""The identity checks fail when the map or closed form they certify is broken.
 
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
 run against a corrupted map (the step dictionary against two, omega and
@@ -6,11 +6,15 @@ omega_inv; the walk conjugation and the origin walks against phi_tilde and
 phi_tilde_inv): the map, patched in the package namespace where every
 check looks it up, answers one domain input with the image of another
 input of the same sector, which keeps every output valid but breaks
-injectivity. The suite runs its checks in
+injectivity. Each closed form of pathbij.counting, the table that
+`pathbij count` prints from, is corrupted in turn too, and a named counting
+check must fail. The suite runs its checks in
 worker processes; the last tests pin that it reports what the checks give
 in-process, under spawn too, and that a crash or a dead worker is a failure.
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import pathbij
-from pathbij import verify
+from pathbij import counting, verify
 
 # (check, bound or tuple of bounds, map patched in pathbij, input to corrupt,
 #  input whose image it gets)
@@ -53,6 +57,60 @@ def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, 
     assert check(*bounds) is None
     monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
     assert check(*bounds) is not None
+
+
+# each closed form of pathbij.counting, and a check of verify._checks(4, 2)
+# that compares it with another count
+COUNT_CASES = {
+    ("A", "formula"): "families_sorted_counted",
+    ("D", "formula"): "families_sorted_counted",
+    ("G", "formula"): "families_sorted_counted",
+    ("G2", "sum"): "g2_sum_formula",
+    ("Gk", "det"): "det_vs_box_product",
+    ("Gk", "product"): "det_vs_box_product",
+    ("O", "formula"): "octant_census_formulas",
+    ("Ox", "formula"): "octant_census_formulas",
+    ("Odiag", "formula"): "octant_census_formulas",
+    ("Qend", "formula"): "origin_walk_bijection",
+}
+
+
+def test_every_closed_form_has_a_case():
+    assert set(COUNT_CASES) == set(counting._FORMULAS)
+
+
+@pytest.mark.parametrize(
+    "key, name", COUNT_CASES.items(), ids=[f"{f}-{m}-{name}" for (f, m), name in COUNT_CASES.items()]
+)
+def test_check_catches_a_corrupted_closed_form(monkeypatch, key, name):
+    """The closed form, patched in the one table that pathbij count and
+    verify both read, answers every input with its value + 1."""
+    check = {entry[0]: entry for entry in verify._checks(4, 2)}[name]
+    assert verify._run_check(check).passed
+    fn, reads = counting._FORMULAS[key]
+    monkeypatch.setitem(counting._FORMULAS, key, (lambda *a: fn(*a) + 1, reads))
+    assert not verify._run_check(check).passed
+
+
+def test_range_texts_are_the_same_for_every_budget():
+    """verify_suite holds the budget bound, 10 and 3, so no check caps its
+    own range below it: every range text of _checks(n, k), n <= 10, k <= 3,
+    is as it was when the checks did (the digest of their JSON list)."""
+    texts = [[e[1] for e in verify._checks(n, k)] for n in range(11) for k in range(1, 4)]
+    digest = hashlib.sha256(json.dumps(texts).encode()).hexdigest()
+    assert digest == "6327c9c9459e8b1a16f1c5ad6ab8a86130beeeac3db6d2d0c25a2a65596529af"
+    assert [e[1] for e in verify._checks(10, 3)] == [
+        "n <= 8", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 12",
+        "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 9",
+        "n <= 10", "|x|,|y| <= 12", "n <= 8", "n <= 20, k <= 5", "n <= 20",
+        "k <= 3, n <= 12 (8 for k>2)", "n <= 11", "m <= 5", "p,q <= 3 (4 counted), k <= 3",
+    ]
+
+
+@pytest.mark.parametrize("max_n, max_k", [(11, 2), (10, 4), (-1, 2), (4, 0)])
+def test_suite_refuses_a_budget_past_its_bounds(max_n, max_k):
+    with pytest.raises(ValueError, match="max_n <= 10 and 1 <= max_k <= 3"):
+        verify.verify_suite(max_n, max_k)
 
 
 def test_parallel_suite_matches_the_checks_run_in_process():
