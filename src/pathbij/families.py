@@ -171,9 +171,12 @@ def _g2_sector(n: int, i: int, j: int, form: str):
     return _grow(n, 2, form, ends=((j + d, j + d), (d - j, d - j)), low=-(i // 2))
 
 
-# the fields besides n that each family reads; any other field set is an error
-_READS = dict.fromkeys(("M2", "G2", "P2", "Osh", "Qend", "Hend", "Hij"), "ij")
-_READS.update(dict.fromkeys(("Ak", "Pk", "Gk"), "k"), Pend="s", Aend="is")
+# the fields besides n that each family reads; any other field set is an
+# error. _READS has a key for every path family tag
+_READS = dict.fromkeys(("A", "D", "G", "P"), "")
+_READS.update(dict.fromkeys(("M2", "G2", "P2"), "ij"), Pend="s", Aend="is")
+_READS.update(dict.fromkeys(("Ak", "Pk", "Gk"), "k"))
+_WALK_READS = dict.fromkeys(("Osh", "Qend", "Hend", "Hij"), "ij")
 
 
 def enumerate_family(spec: FamilySpec):
@@ -181,7 +184,9 @@ def enumerate_family(spec: FamilySpec):
     step words under U < D. Single-path families yield strings, tuple
     families yield tuples of strings."""
     f, n = spec.family, spec.n
-    reject_unread(spec, "kijs", _READS.get(f, ""), f"family {f}")
+    if f not in _READS:
+        raise ValueError(f"unknown family tag: {spec.family!r}")
+    reject_unread(spec, "kijs", _READS[f], f"family {f}")
     if f == "A":
         return _grow(n, 1, "path")
     if f == "D":
@@ -214,12 +219,11 @@ def enumerate_family(spec: FamilySpec):
             return _nested_tuples(n, 2, False, n % 2)
         i, j = check_ij(n, spec.i, spec.j)
         return _g2_sector(n, i, j, "tuple")
-    if f == "P2":
-        if spec.i is None and spec.j is None:
-            return _nested_tuples(n, 2, True, None)
-        i, j = check_ij(n, spec.i, spec.j)
-        return _grow(n, 2, floor=0, ends=((i + j, None), (i - j, i + j)))
-    raise ValueError(f"unknown family tag: {spec.family!r}")
+    # f == "P2"
+    if spec.i is None and spec.j is None:
+        return _nested_tuples(n, 2, True, None)
+    i, j = check_ij(n, spec.i, spec.j)
+    return _grow(n, 2, floor=0, ends=((i + j, None), (i - j, i + j)))
 
 
 # each walk family's region: the octant, the quadrant or the upper half-plane
@@ -235,7 +239,7 @@ def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
     f, n = spec.family, spec.n
     if f not in _REGIONS:
         raise ValueError(f"unknown walk family tag: {spec.family!r}")
-    reject_unread(spec, "ij", _READS.get(f, ""), f"family {f}")
+    reject_unread(spec, "ij", _WALK_READS.get(f, ""), f"family {f}")
     region = _REGIONS[f]
     if f in ("O", "Q", "H"):
         return _grow(n, 2, "walk", **region)

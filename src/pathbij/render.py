@@ -44,20 +44,21 @@ VALID_DECORATIONS = {
 
 
 class _Canvas:
-    """Collects SVG elements over a y-up integer coordinate box."""
+    """Collects SVG elements over a y-up integer box.
+
+    Every coordinate handed to a drawing method is in half units, so step
+    midpoints (tunnels, flip markers) stay integral like the lattice points.
+    """
 
     def __init__(self, xmin, xmax, ymin, ymax):
-        self.xmin, self.ymax = xmin, ymax
+        self.box = xmin, xmax, ymin, ymax
         self.width = (xmax - xmin) * UNIT + 2 * PAD
         self.height = (ymax - ymin) * UNIT + 2 * PAD
         self.body: list[str] = []
 
     def px(self, x, y):
-        # doubled coordinates let half-unit geometry stay integral
-        return (
-            PAD + (2 * x - 2 * self.xmin) * UNIT // 2,
-            PAD + (2 * self.ymax - 2 * y) * UNIT // 2,
-        )
+        xmin, _, _, ymax = self.box
+        return PAD + (x - 2 * xmin) * UNIT // 2, PAD + (2 * ymax - y) * UNIT // 2
 
     def line(self, cls, x1, y1, x2, y2, color=None):
         a, b = self.px(x1, y1)
@@ -76,12 +77,13 @@ class _Canvas:
         text = " ".join("{},{}".format(*self.px(x, y)) for x, y in points)
         self.body.append(f'<polygon class="{cls}" points="{text}"/>')
 
-    def grid(self, xmin, xmax, ymin, ymax):
+    def grid(self):
+        """Unit grid lines over the whole box, the x-axis drawn as an axis."""
+        xmin, xmax, ymin, ymax = self.box
         for x in range(xmin, xmax + 1):
-            self.line("grid", x, ymin, x, ymax)
+            self.line("grid", 2 * x, 2 * ymin, 2 * x, 2 * ymax)
         for y in range(ymin, ymax + 1):
-            cls = "axis" if y == 0 else "grid"
-            self.line(cls, xmin, y, xmax, y)
+            self.line("axis" if y == 0 else "grid", 2 * xmin, 2 * y, 2 * xmax, 2 * y)
 
     def document(self):
         return (
@@ -92,83 +94,57 @@ class _Canvas:
         )
 
 
-def _draw_profile(cv, word, color, flips=(), matching=False):
-    """One path or tripath as per-step lines plus optional decorations."""
-    h = (0,) + tri_heights(word)
-    for a in range(1, len(word) + 1):
-        cls = "step flip" if a in flips else "step"
-        cv.line(cls, a - 1, h[a - 1], a, h[a], color)
-    if matching:
-        m = match_faces(word)
-        for a, b in m.pairs:
-            y2 = 2 * h[a - 1] + 1  # tunnel sits half a unit above the takeoff
-            cv.body.append(_half_line(cv, "tunnel", 2 * a - 1, y2, 2 * b - 1, y2, color))
+def _render_profiles(words, colors, show_matching, flips=(), sites=()):
+    """Equal-length paths or tripaths as per-step lines, in drawing order.
 
-
-def _half_line(cv, cls, x2, y2, x3, y3, color):
-    a = PAD + (x2 - 2 * cv.xmin) * UNIT // 2
-    b = PAD + (2 * cv.ymax - y2) * UNIT // 2
-    c = PAD + (x3 - 2 * cv.xmin) * UNIT // 2
-    d = PAD + (2 * cv.ymax - y3) * UNIT // 2
-    return f'<line class="{cls}" x1="{a}" y1="{b}" x2="{c}" y2="{d}" stroke="{color}"/>'
-
-
-def _marker(cv, word, a, color, cls="flip"):
-    h = (0,) + tri_heights(word)
-    x = PAD + (2 * a - 1 - 2 * cv.xmin) * UNIT // 2
-    y = PAD + (2 * cv.ymax - h[a - 1] - h[a]) * UNIT // 2
-    cv.body.append(f'<circle class="{cls}" cx="{x}" cy="{y}" r="5" stroke="{color}"/>')
-
-
-def _profile_canvas(words):
-    n = max(len(w) for w in words)
-    ys = [0]
-    for w in words:
-        ys.extend(tri_heights(w))
-    cv = _Canvas(0, max(n, 1), min(ys), max(ys))
-    cv.grid(0, max(n, 1), min(ys), max(ys))
-    return cv
+    Steps whose index is in flips are drawn thick; each (a, cls) of sites
+    puts a marker of class cls on step a of every word.
+    """
+    profiles = [(0,) + tri_heights(w) for w in words]
+    ys = [y for h in profiles for y in h]
+    cv = _Canvas(0, max(len(words[0]), 1), min(ys), max(ys))
+    cv.grid()
+    for w, h, color in zip(words, profiles, colors):
+        for a in range(1, len(h)):
+            cls = "step flip" if a in flips else "step"
+            cv.line(cls, 2 * a - 2, 2 * h[a - 1], 2 * a, 2 * h[a], color)
+        if show_matching:
+            for a, b in match_faces(w).pairs:
+                y = 2 * h[a - 1] + 1  # tunnel sits half a unit above the takeoff
+                cv.line("tunnel", 2 * a - 1, y, 2 * b - 1, y, color)
+    for a, cls in sites:
+        for h, color in zip(profiles, colors):
+            cv.circle(cls, 2 * a - 1, h[a - 1] + h[a], 5, color)
+    return cv.document()
 
 
 def _render_single(word, kind, show_matching, show_flips):
     color = _T_COLOR if kind == "tripath" else _P_COLOR
-    cv = _profile_canvas([word])
     flips = ()
     if show_flips:
         m = match_faces(word)
-        flips = m.unmatched_u + m.unmatched_d
-    _draw_profile(cv, word, color, flips, show_matching)
-    return cv.document()
+        flips = set(m.unmatched_u + m.unmatched_d)
+    return _render_profiles([word], [color], show_matching, flips)
 
 
 def _render_pair(p, q, show_matching, show_flips):
     """Markers sit where the paths disagree; filled ones are the unmatched
     descents of the disagreement word, the sites the pair maps may flip."""
     require(len(p) == len(q), "paths in a pair must have equal length")
-    cv = _profile_canvas([p, q])
-    _draw_profile(cv, q, _Q_COLOR, (), show_matching)
-    _draw_profile(cv, p, _P_COLOR, (), show_matching)
+    sites = ()
     if show_flips:
         word = disagreement(p, q)
         hot = set(match_faces(word).unmatched_d)
-        for a in range(1, len(word) + 1):
-            if word[a - 1] == "H":
-                continue
-            cls = "flip chi" if a in hot else "flip"
-            _marker(cv, q, a, _Q_COLOR, cls)
-            _marker(cv, p, a, _P_COLOR, cls)
-    return cv.document()
+        sites = [(a, "flip chi" if a in hot else "flip")
+                 for a, c in enumerate(word, 1) if c != "H"]
+    return _render_profiles([q, p], [_Q_COLOR, _P_COLOR], show_matching, sites=sites)
 
 
 def _render_walk(w, show_shadow, i, j):
     pts = ((0, 0),) + positions(w)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    if show_shadow:
-        xs.extend((i, i + j))
-        ys.append(0)
-    xmin, xmax = min(xs + [0]), max(xs + [1])
-    ymin, ymax = min(ys + [0]), max(ys + [1])
+    xs, ys = zip(*pts)
+    xmin, xmax = min(xs), max(*xs, 1)
+    ymin, ymax = min(ys), max(*ys, 1)
     if show_shadow:
         xmax = max(xmax, i + j + 1)
         ymax = max(ymax, j + 1)
@@ -179,13 +155,11 @@ def _render_walk(w, show_shadow, i, j):
         quad = ((i, j), (i + j, 0), (i + j + t, t), (i + t, j + t))
         for x, y in quad:
             assert shadow_contains(i, j, x, y)
-        cv.polygon("shadow", quad)
-    cv.grid(xmin, xmax, ymin, ymax)
-    if ymin < 0 or ymax > 0:
-        cv.line("axis", 0, ymin, 0, ymax)
-    for a in range(1, len(pts)):
-        (x1, y1), (x2, y2) = pts[a - 1], pts[a]
-        cv.line("step", x1, y1, x2, y2, _P_COLOR)
+        cv.polygon("shadow", [(2 * x, 2 * y) for x, y in quad])
+    cv.grid()
+    cv.line("axis", 0, 2 * ymin, 0, 2 * ymax)  # ymax >= 1, so the y-axis always shows
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        cv.line("step", 2 * x1, 2 * y1, 2 * x2, 2 * y2, _P_COLOR)
     cv.circle("start", 0, 0, 4)
     return cv.document()
 
@@ -202,17 +176,12 @@ def render_svg(
 ) -> str:
     """Render one object, given in its text encoding, as an SVG document."""
     require(kind in VALID_DECORATIONS, "unknown render kind: {!r}", kind)
-    asked = [
-        name
-        for name, on in (
-            ("show-matching", show_matching),
-            ("show-flips", show_flips),
-            ("show-shadow", show_shadow),
-        )
-        if on
-    ]
-    for name in asked:
-        require(name in VALID_DECORATIONS[kind], "{} does not apply to a {}", name, kind)
+    for name, on in (
+        ("show-matching", show_matching),
+        ("show-flips", show_flips),
+        ("show-shadow", show_shadow),
+    ):
+        require(not on or name in VALID_DECORATIONS[kind], "{} does not apply to a {}", name, kind)
     shadow = show_shadow == (i is not None) == (j is not None)
     require(shadow, "show-shadow needs i and j, which need it")
     if kind == "path":

@@ -4,10 +4,13 @@ Everything here recomputes its answer from first principles: heights by
 explicit accumulation, matchings from the geometric facing definition, and
 family membership by filtering a full ambient product space. These routines
 exist so that the fast implementations are never checked against themselves.
+The quadrant-walk generator at the end feeds the map tests their long inputs.
 """
 
 import functools
 import itertools
+
+from hypothesis import strategies as st
 
 STEP = {"U": 1, "D": -1, "H": 0}
 
@@ -152,3 +155,34 @@ def naive_walks(n, keep):
     """All length-n N/S/E/W walks whose point list satisfies keep(pts)."""
     out = [w for w, pts in _all_walks(n) if keep(pts)]
     return sorted(out, key=lambda w: w.translate(str.maketrans("ENSW", "0123")))
+
+
+_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
+
+
+def quadrant_walk(length, choose):
+    """A walk of length steps in the quadrant x, y >= 0 that ends weakly
+    below the diagonal. choose (random.Random.choice, say) picks each step
+    from the list of moves, in E, N, S, W order, that keep the walk in the
+    quadrant; the walk is then mirrored in the diagonal if it ends above it.
+
+    Under omega_inv the walk is an M2 pair (P, Q) with (i, j) its endpoint,
+    and P is a prefix, so one walk feeds every map.
+    """
+    x = y = 0
+    steps = []
+    for _ in range(length):
+        c = choose([c for c, (dx, dy) in _MOVES.items() if x + dx >= 0 and y + dy >= 0])
+        steps.append(c)
+        x, y = x + _MOVES[c][0], y + _MOVES[c][1]
+    w = "".join(steps)
+    return w.translate(str.maketrans("ENWS", "NESW")) if y > x else w
+
+
+@st.composite
+def quadrant_walks(draw, max_size):
+    """quadrant_walk of up to max_size steps, each picked by a drawn
+    integer in 0..3 taken modulo the number of moves allowed."""
+    picks = draw(st.lists(st.integers(0, 3), max_size=max_size))
+    pick = iter(picks)
+    return quadrant_walk(len(picks), lambda moves: moves[next(pick) % len(moves)])

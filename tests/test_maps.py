@@ -5,24 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathbij import _maps, end_height, omega_inv
 
-_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
-_MIRROR = str.maketrans("ENWS", "NESW")
-
-
-@st.composite
-def _quadrant_walks(draw):
-    """A quadrant walk of up to 256 steps that ends weakly below the
-    diagonal, as in test_memory: under omega_inv it is an M2 pair (P, Q)
-    with (i, j) its endpoint, and P is a prefix."""
-    x = y = 0
-    steps = []
-    for choice in draw(st.lists(st.integers(0, 3), max_size=256)):
-        allowed = [c for c, (dx, dy) in _MOVES.items() if x + dx >= 0 and y + dy >= 0]
-        c = allowed[choice % len(allowed)]
-        steps.append(c)
-        x, y = x + _MOVES[c][0], y + _MOVES[c][1]
-    w = "".join(steps)
-    return w.translate(_MIRROR) if y > x else w
+from oracles import quadrant_walks
 
 
 @st.composite
@@ -45,7 +28,7 @@ def _image(name, x, params):
 
 
 @settings(deadline=None)
-@given(_quadrant_walks(), st.integers(0, 2**16), _boxes())
+@given(quadrant_walks(256), st.integers(0, 2**16), _boxes())
 def test_every_row_gives_its_input_back(w, t, box):
     p, q = omega_inv(w)
     hp, hq = end_height(p), end_height(q)

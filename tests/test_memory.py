@@ -31,35 +31,21 @@ from pathbij import (
 from pathbij._base import CACHE_SIZE
 from pathbij.matching import unmatched_steps
 
+from oracles import quadrant_walk
+
 LENGTH = 256
 COUNT = 2000
 GROWTH_LIMIT_BYTES = 4 * 2**20
 
-_MOVES = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
-_MIRROR = str.maketrans("ENWS", "NESW")
-
 
 def _quadrant_walks(seed: int) -> list[str]:
     """COUNT seeded quadrant walks of length LENGTH that end weakly below
-    the diagonal and whose upper paths P are pairwise distinct.
-
-    Under omega_inv each walk is an M2 pair (P, Q) with (i, j) its
-    endpoint, and P is a prefix, so one walk feeds every map under test.
-    """
+    the diagonal and whose upper paths P are pairwise distinct."""
     rng = random.Random(seed)
     walks: list[str] = []
     seen: set[str] = set()
     while len(walks) < COUNT:
-        x = y = 0
-        steps = []
-        for _ in range(LENGTH):
-            c = rng.choice([c for c, (dx, dy) in _MOVES.items() if x + dx >= 0 and y + dy >= 0])
-            steps.append(c)
-            x += _MOVES[c][0]
-            y += _MOVES[c][1]
-        w = "".join(steps)
-        if y > x:
-            w = w.translate(_MIRROR)
+        w = quadrant_walk(LENGTH, rng.choice)
         p = omega_inv(w)[0]
         if p not in seen:
             seen.add(p)

@@ -281,5 +281,7 @@ def test_enumerate_family_rejects_bad_specs():
         enumerate_family(FamilySpec("M2", 4))
     with pytest.raises(ValueError):
         enumerate_family(FamilySpec("Z", 4))
+    with pytest.raises(ValueError, match="unknown family tag"):
+        enumerate_family(FamilySpec("Z9", 3, k=2))
     with pytest.raises(ValueError):
         enumerate_family(FamilySpec("Pk", 4))

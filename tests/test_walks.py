@@ -140,33 +140,13 @@ def test_phi_tilde_inv_examples():
     assert phi_tilde_inv("EN", 1, 1) == "EN"
 
 
-_MOVES = (("E", 1, 0), ("N", 0, 1), ("S", 0, -1), ("W", -1, 0))
-
-
-@st.composite
-def quadrant_walks(draw, max_size):
-    """A quadrant walk that ends weakly below the diagonal: each step is
-    drawn from the moves that stay in the quadrant, then the walk is
-    mirrored in the diagonal if it ends above it."""
-    picks = draw(st.lists(st.integers(0, 3), max_size=max_size))
-    steps = []
-    x = y = 0
-    for pick in picks:
-        options = [m for m in _MOVES if x + m[1] >= 0 and y + m[2] >= 0]
-        c, dx, dy = options[pick % len(options)]
-        steps.append(c)
-        x, y = x + dx, y + dy
-    w = "".join(steps)
-    return w.translate(str.maketrans("ENSW", "NEWS")) if y > x else w
-
-
 def _phi_inv_conjugated(w2, i, j):
     """The reference: phi_inv on the pair that omega sends to w2."""
     return omega(*phi_inv(*omega_inv(w2), i, j)[:2])
 
 
 @settings(deadline=None)
-@given(quadrant_walks(256))
+@given(oracles.quadrant_walks(256))
 def test_phi_tilde_inv_undoes_phi_tilde_as_the_pair_inverse_does(w):
     i, j = walk_geometry(w).endpoint
     w2 = phi_tilde(w)
@@ -175,7 +155,7 @@ def test_phi_tilde_inv_undoes_phi_tilde_as_the_pair_inverse_does(w):
 
 @settings(deadline=None)
 @given(
-    st.one_of(walks, quadrant_walks(30).map(phi_tilde)),
+    st.one_of(walks, oracles.quadrant_walks(30).map(phi_tilde)),
     st.integers(-1, 12),
     st.integers(-1, 12),
 )
