@@ -3,6 +3,9 @@
 A U step and a later D step face each other when the horizontal segment
 joining their midpoints lies weakly below the path; those pairs form the
 unique proper parenthesis matching of the word, with H steps ignored.
+The steps left unmatched are the flip kernel: unmatched_steps finds them,
+_up_flips picks the ones a forward map flips, and paths.flip_steps flips
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._base import CACHE_SIZE
+from ._base import CACHE_SIZE, require
 
 _STEP = {"U": 1, "D": -1, "H": 0}
 
@@ -61,6 +64,24 @@ def unmatched_steps(t: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             else:
                 unmatched_d.append(a)
     return tuple(unmatched_d), tuple(stack)
+
+
+def _up_flips(word: str, s: int | None) -> tuple[int, ...]:
+    """The forward choice of every map: the leftmost (i-s)/2 of the i
+    unmatched U steps of a word with no unmatched D; s = i mod 2 when None.
+    xi_s flips them in a prefix, psi_s in a pair's agreement path and
+    psi_tilde_s in a walk's agreement path; the inverses flip every
+    unmatched D step."""
+    unmatched_d, unmatched_u = unmatched_steps(word)
+    # an unmatched D step is a new minimum below the start
+    require(not unmatched_d, "need a Dyck path prefix, got {!r}", word)
+    i = len(unmatched_u)
+    if s is None:
+        s = i % 2
+    require(s >= 0, "need s >= 0, got s={}", s)
+    require(i >= s, "need i >= s, got i={}, s={}", i, s)
+    require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
+    return unmatched_u[: (i - s) // 2]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -21,9 +21,8 @@ import operator
 from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
-from .matching import unmatched_steps
+from .matching import _up_flips, unmatched_steps
 from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
-from .single import _up_flips
 
 
 def _same_length(p: str, q: str) -> int:

@@ -19,7 +19,6 @@ DOWN = "D"
 _NEGATE = str.maketrans("UD", "DU")
 _LEXKEY = str.maketrans("UD", "01")
 _STEP = {UP: 1, DOWN: -1}
-_U, _D = ord(UP), ord(DOWN)
 
 
 def check_path(path: str) -> str:
@@ -47,21 +46,27 @@ def negate(path: str) -> str:
     return check_path(path).translate(_NEGATE)
 
 
-def flip_steps(path: str, positions) -> str:
-    """Swap U/D at the given 1-based positions; a position off the path or
-    on a step other than U or D raises ValueError."""
-    steps = bytearray(path, "ascii")
+def flip_steps(word: str, positions, swap: str = "UD") -> str:
+    """Swap the two letters of swap at the given 1-based positions: the one
+    applier of unmatched-step flips. A position off the word or on any
+    other letter raises ValueError.
+
+    "UD" flips a path; on a walk, "EW" flips both paths of the pair at an
+    agreement step and "NS" at a disagreement step.
+    """
+    first, second = map(ord, swap)
+    steps = bytearray(word, "ascii")
     n = len(steps)
     for a in positions:
         if not 1 <= a <= n:
             raise ValueError(f"flip position {a} outside 1..{n}")
         c = steps[a - 1]
-        if c == _U:
-            steps[a - 1] = _D
-        elif c == _D:
-            steps[a - 1] = _U
+        if c == first:
+            steps[a - 1] = second
+        elif c == second:
+            steps[a - 1] = first
         else:
-            raise ValueError(f"flip position {a} holds {chr(c)!r}, not U or D")
+            raise ValueError(f"flip position {a} holds {chr(c)!r}, not {swap[0]} or {swap[1]}")
     return steps.decode()
 
 

@@ -9,25 +9,8 @@ codomain is documented as "ends at -(n mod 2)" throughout.
 from __future__ import annotations
 
 from ._base import require
-from .matching import unmatched_steps
+from .matching import _up_flips, unmatched_steps
 from .paths import check_path, flip_steps, heights, negate
-
-
-def _up_flips(word: str, s: int | None) -> tuple[int, ...]:
-    """The flip kernel: the leftmost (i-s)/2 of the i unmatched U steps of a
-    word with no unmatched D; s = i mod 2 when None. xi_s flips them in a
-    prefix, psi_s in a pair's agreement path, psi_tilde_s in a walk's
-    EW-subsequence; the inverses flip every unmatched D step."""
-    unmatched_d, unmatched_u = unmatched_steps(word)
-    # an unmatched D step is a new minimum below the start
-    require(not unmatched_d, "need a Dyck path prefix, got {!r}", word)
-    i = len(unmatched_u)
-    if s is None:
-        s = i % 2
-    require(s >= 0, "need s >= 0, got s={}", s)
-    require(i >= s, "need i >= s, got i={}, s={}", i, s)
-    require((i - s) % 2 == 0, "need i = s (mod 2), got i={}, s={}", i, s)
-    return unmatched_u[: (i - s) // 2]
 
 
 def _xi_s_inv(r: str, grand: bool) -> str:

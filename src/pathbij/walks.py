@@ -5,18 +5,18 @@ position: UU -> E, UD -> N, DU -> S, DD -> W. After l steps the walk sits at
 ((h_l(P)+h_l(Q))/2, (h_l(P)-h_l(Q))/2), which turns nesting and endpoint
 conditions on pairs into region and endpoint conditions on walks. The maps
 phi_tilde, psi_tilde and psi_tilde_s are the walk-level forms of phi, psi
-and psi_s, implemented directly on walks, and so are their inverses.
+and psi_s, implemented directly on walks, and so are their inverses: they
+read the pair maps' derived words on the walk, so a flip position is a walk
+position.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
-from .matching import unmatched_steps
-from .paths import check_ij, check_path, heights, swap_fragments
-from .single import _up_flips
+from .matching import _up_flips, unmatched_steps
+from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
 
 _PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
 _STEP_TO_P = str.maketrans("ENSW", "UUDD")
@@ -25,9 +25,10 @@ _DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
 # swapping N with E and S with W is a flip of Q alone
 _SWAP_DIAG = {"N": "E", "E": "N", "S": "W", "W": "S"}
 _SWAP_DIAG_TABLE = str.maketrans(_SWAP_DIAG)
-# the y-walk: N as U, S as D, E and W as H
+# the derived words of the pair omega_inv(w), read on w itself: the y-walk
+# is the disagreement path (P-Q)/2 and the agreement path is (P+Q)/2
 _Y_WALK = str.maketrans("NSEW", "UDHH")
-_S = ord("S")
+_AGREEMENT = str.maketrans("ENSW", "UHHD")
 
 
 def check_walk(w: str) -> str:
@@ -150,39 +151,20 @@ def phi_tilde_inv(w2: str, i: int, j: int) -> str:
     x = y + (diag[-1] if diag else 0)
     require(shadow_contains(i, j, x, y), "walk must end in sh({}, {}), got ({}, {})", i, j, x, y)
     # x - y <= i+j, so the y-walk has y >= (x+y-i-j)/2 unmatched N steps
-    steps = bytearray(w2, "ascii")
-    for a in ups[: (x + y - i - j) // 2]:
-        steps[a - 1] = _S
-    w1 = steps.decode()
+    w1 = flip_steps(w2, ups[: (x + y - i - j) // 2], "NS")
     return swap_fragments(w1, heights(w1.translate(_STEP_TO_Q)), x - i, _SWAP_DIAG_TABLE)
-
-
-# the EW-subsequence of a walk as a path, E as U and W as D
-_EW_AS_PATH = str.maketrans("EW", "UD", "NS")
-_IS_EW = bytes.maketrans(b"ENSW", b"\x01\x00\x00\x01")
-_E, _W = ord("E"), ord("W")
-
-
-def _flip_ew(w: str, flips) -> str:
-    """Swap E and W at the given 1-based positions of the EW-subsequence
-    of a checked walk, leaving the N and S steps in place."""
-    where = tuple(compress(range(len(w)), w.encode().translate(_IS_EW)))
-    steps = bytearray(w, "ascii")
-    for a in flips:
-        b = where[a - 1]
-        steps[b] = _W if steps[b] == _E else _E
-    return steps.decode()
 
 
 def _psi_tilde_s(w: str, s: int | None) -> str:
     """psi_tilde_s, and psi_tilde when s is None: the flip kernel on the
-    EW-subsequence of a quadrant walk, E as U and W as D."""
+    agreement path of a quadrant walk, E as U, W as D, N and S as H; a flip
+    there turns E into W in place."""
     require(walk_geometry(w).stays_quadrant, "walk leaves the first quadrant")
-    return _flip_ew(w, _up_flips(w.translate(_EW_AS_PATH), s))
+    return flip_steps(w, _up_flips(w.translate(_AGREEMENT), s), "EW")
 
 
 def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:
-    """Apply xi_s_inv to the EW-subsequence of an upper-half-plane walk,
+    """Apply xi_s_inv to the agreement path of an upper-half-plane walk,
     flipping its unmatched W steps; with bottom, the walk must end at x = 0
     or 1, as psi_tilde images do."""
     geo = walk_geometry(wh)
@@ -191,21 +173,22 @@ def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:
         require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
     else:
         require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
-    return _flip_ew(wh, unmatched_steps(wh.translate(_EW_AS_PATH))[0])
+    return flip_steps(wh, unmatched_steps(wh.translate(_AGREEMENT))[0], "EW")
 
 
 def psi_tilde(w: str) -> str:
-    """Walk-level psi: apply xi to the EW-subsequence, E as U and W as D."""
+    """Walk-level psi: apply xi to the agreement path, E as U, W as D, N
+    and S as H."""
     return _psi_tilde_s(w, None)
 
 
 def psi_tilde_inv(wh: str) -> str:
-    """Inverse of psi_tilde: apply xi_inv to the EW-subsequence."""
+    """Inverse of psi_tilde: apply xi_inv to the agreement path."""
     return _psi_tilde_s_inv(wh, True)
 
 
 def psi_tilde_s(w: str, s: int) -> str:
-    """Ending-abscissa-s variant: apply xi_s to the EW-subsequence.
+    """Ending-abscissa-s variant: apply xi_s to the agreement path.
 
     The image ends at (s, j) and its leftmost point lies on x = -(i-s)/2.
     """

@@ -74,6 +74,16 @@ def test_flip_steps_examples():
     assert flip_steps("UHD", [1, 3]) == "DHU"
     with pytest.raises(ValueError, match="not U or D"):
         flip_steps("UHD", [2])
+    # on a walk, E/W flips both paths at an agreement step, N/S at a
+    # disagreement step; the other steps stay where they are
+    assert flip_steps("ENWS", [1, 3], "EW") == "WNES"
+    assert flip_steps("ENWS", [2, 4], "NS") == "ESWN"
+    with pytest.raises(ValueError, match="outside 1..3"):
+        flip_steps("ENW", [4], "EW")
+    with pytest.raises(ValueError, match="not E or W"):
+        flip_steps("ENW", [2], "EW")
+    with pytest.raises(ValueError, match="not N or S"):
+        flip_steps("ENW", [1], "NS")
 
 
 @given(paths, st.data())
@@ -83,6 +93,12 @@ def test_flip_steps_involution(p, data):
     )
     pos = [a for a in pos if a <= len(p)]
     assert flip_steps(flip_steps(p, pos), pos) == p
+    w = data.draw(st.text(alphabet="ENSW", max_size=40))
+    for swap in ("EW", "NS"):
+        pos = [a for a, c in enumerate(w, 1) if c in swap and data.draw(st.booleans())]
+        flipped = flip_steps(w, pos, swap)
+        assert flip_steps(flipped, pos, swap) == w
+        assert [a for a, (b, c) in enumerate(zip(w, flipped), 1) if b != c] == pos
 
 
 @given(paths, st.data())

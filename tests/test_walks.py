@@ -14,6 +14,8 @@ from pathbij import (
     phi_inv,
     phi_tilde,
     phi_tilde_inv,
+    psi_s,
+    psi_s_inv,
     psi_tilde,
     psi_tilde_inv,
     psi_tilde_s,
@@ -204,6 +206,19 @@ def test_psi_tilde_s_examples():
     assert psi_tilde_s_inv("WEE") == "EEE"
     g = walk_geometry("WEE")
     assert g.endpoint == (1, 0) and g.min_x == -1
+
+
+@settings(deadline=None)
+@given(oracles.quadrant_walks(256))
+def test_psi_tilde_s_is_psi_s_read_on_the_walk(w):
+    """psi_tilde_s and its inverse are psi_s and psi_s_inv conjugated by
+    omega, for every valid s of a walk of up to 256 steps."""
+    p, q = omega_inv(w)
+    i = walk_geometry(w).endpoint[0]
+    for s in range(i % 2, i + 1, 2):
+        wh = psi_tilde_s(w, s)
+        assert wh == omega(*psi_s(p, q, s)[:2])
+        assert psi_tilde_s_inv(wh) == omega(*psi_s_inv(*omega_inv(wh))[:2]) == w
 
 
 def test_psi_tilde_maps_endpoint_classes():
