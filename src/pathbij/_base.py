@@ -6,8 +6,10 @@ from __future__ import annotations
 # Entries kept by each per-input cache (paths.heights, matching.tri_heights,
 # matching.unmatched_steps, matching.match_faces). Every map builds each
 # profile or set of unmatched steps it needs once per call, so the caches
-# only serve repeats across nearby calls, as in the exhaustive sweeps; a
-# bound keeps a stream of distinct inputs from growing the process.
+# only serve repeats across nearby calls: the exhaustive sweeps, and the
+# inverse of a psi map, which rereads the kernel of the word its forward
+# map left unchanged. A bound keeps a stream of distinct inputs from
+# growing the process.
 CACHE_SIZE = 64
 
 

@@ -6,6 +6,12 @@ unique proper parenthesis matching of the word, with H steps ignored.
 The steps left unmatched are the flip kernel: unmatched_steps finds them,
 _up_flips picks the ones a forward map flips, and paths.flip_steps flips
 them.
+
+With (d, u) = unmatched_steps(t), t ends at height len(u) - len(d) and
+never goes below its start exactly when d is empty; its lowest point,
+-len(d), is first reached at step d[-1]; and when d is empty its last
+point at a height v below its end is u[v] - 1. The maps that need no
+other fact read these instead of a height profile.
 """
 
 from __future__ import annotations

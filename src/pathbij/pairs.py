@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
-from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
+from .paths import check_ij, check_path, end_height, flip_steps, heights, swap_fragments
 
 
 def _same_length(p: str, q: str) -> int:
@@ -40,14 +40,18 @@ def _end(h: tuple[int, ...]) -> int:
     return h[-1] if h else 0
 
 
-def _read_ij(hp: tuple[int, ...], hq: tuple[int, ...]) -> tuple[int, int]:
+def _read_ij(ep: int, eq: int) -> tuple[int, int]:
     """(i, j) with h(P) = i+j and h(Q) = i-j."""
-    ep, eq = _end(hp), _end(hq)
     return (ep + eq) // 2, (ep - eq) // 2
 
 
-def _require_nested(hp: tuple[int, ...], hq: tuple[int, ...]) -> None:
-    require(all(map(operator.le, hq, hp)), "Q is not weakly below P")
+def _below(lower, upper) -> bool:
+    """Whether each height of lower is at most the one of upper."""
+    return all(map(operator.le, lower, upper))
+
+
+def _require_nested(nested: bool) -> None:
+    require(nested, "Q is not weakly below P")
 
 
 # step pair (P, Q) -> step of (P-Q)/2 and of (P+Q)/2
@@ -78,21 +82,21 @@ def agreement(p: str, q: str) -> str:
     return _agreement(p, q)
 
 
-def _check_m2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
-    """Raise naming the first violated M2(n,i;j) predicate."""
+def _check_m2(n: int, ep: int, eq: int, i: int, j: int, nested: bool, above: bool) -> None:
+    """Raise naming the first violated M2(n,i;j) predicate, from the end
+    heights of P and Q and whether Q <= P (nested) and -P <= Q (above)."""
     check_ij(n, i, j)
-    ep, eq = _end(hp), _end(hq)
     require(ep == i + j, "h(P) = {}, need i+j = {}", ep, i + j)
     require(eq == i - j, "h(Q) = {}, need i-j = {}", eq, i - j)
-    _require_nested(hp, hq)
-    require(all(map(operator.le, map(operator.neg, hp), hq)), "-P is not weakly below Q")
+    _require_nested(nested)
+    require(above, "-P is not weakly below Q")
 
 
 def _check_p2(n: int, hp: tuple[int, ...], hq: tuple[int, ...], i: int, j: int) -> None:
     """Raise naming the first violated P2(n,i;j) predicate."""
     check_ij(n, i, j)
     require(min(hq, default=0) >= 0, "Q goes below the x-axis")
-    _require_nested(hp, hq)
+    _require_nested(_below(hq, hp))
     ep, eq = _end(hp), _end(hq)
     require(i - j <= eq, "h(Q) = {}, need at least i-j = {}", eq, i - j)
     require(eq <= i + j, "h(Q) = {}, need at most i+j = {}", eq, i + j)
@@ -189,9 +193,10 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
     omitted.
     """
     n, hp, hq = _profiles(p, q)
+    ep, eq = _end(hp), _end(hq)
     if i is None and j is None:
-        i, j = _read_ij(hp, hq)
-    _check_m2(n, hp, hq, i, j)
+        i, j = _read_ij(ep, eq)
+    _check_m2(n, ep, eq, i, j, _below(hq, hp), _below(map(operator.neg, hp), hq))
     qp, returns = _flip_below(q, hq)
     chi = unmatched_steps(_disagreement(p, qp))[0]
     return flip_steps(p, chi), flip_steps(qp, chi), FlipRecord(chi, returns, len(returns))
@@ -225,10 +230,20 @@ def phi_inv(pt: str, qt: str, i: int, j: int):
 
 def _psi_s(p: str, q: str, s: int | None):
     """psi_s, and psi when s is None: the flip kernel on the agreement path,
-    a prefix ending at height i for an M2(n,i;j) pair."""
-    n, hp, hq = _profiles(p, q)
-    _check_m2(n, hp, hq, *_read_ij(hp, hq))
-    return _flip_both(p, q, _up_flips(_agreement(p, q), s))
+    a prefix ending at height i for an M2(n,i;j) pair.
+
+    Q <= P and -P <= Q hold when the disagreement and the agreement path
+    have no unmatched D step, so the M2 check reads their kernels, not
+    profiles. The flips leave the disagreement path as it is, so the
+    inverse finds its kernel in the cache.
+    """
+    n = _same_length(p, q)
+    ep, eq = end_height(p), end_height(q)
+    agree = _agreement(p, q)
+    nested = not unmatched_steps(_disagreement(p, q))[0]
+    above = not unmatched_steps(agree)[0]
+    _check_m2(n, ep, eq, *_read_ij(ep, eq), nested, above)
+    return _flip_both(p, q, _up_flips(agree, s))
 
 
 def _psi_s_inv(ps: str, qs: str, bottom: bool):
@@ -237,11 +252,11 @@ def _psi_s_inv(ps: str, qs: str, bottom: bool):
     The agreement path ends at s and has -ell unmatched D steps, its new
     minima, so i = s + 2 * (-ell).
     """
-    n, hp, hq = _profiles(ps, qs)
-    s, j = _read_ij(hp, hq)
+    n = _same_length(ps, qs)
+    s, j = _read_ij(end_height(ps), end_height(qs))
     require(s >= 0, "agreement path must end at height >= 0, got {}", s)
     require(j >= 0, "Q must end weakly below P")
-    _require_nested(hp, hq)
+    _require_nested(not unmatched_steps(_disagreement(ps, qs))[0])
     flips = unmatched_steps(_agreement(ps, qs))[0]
     if bottom:  # a psi image: s = i mod 2 and (i, j) a sector
         require(s <= 1, "agreement path must end at 0 or 1, got {}", s)

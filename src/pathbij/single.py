@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._base import require
 from .matching import _up_flips, unmatched_steps
-from .paths import check_path, flip_steps, heights, negate
+from .paths import check_path, flip_steps, negate
 
 
 def _xi_s_inv(r: str, grand: bool) -> str:
@@ -60,19 +60,27 @@ def _reflect(piece: str) -> str:
 
 def nu(p: str) -> str:
     """Split at the last point at height floor(h(P)/2), reflect the right
-    piece and put it in front."""
-    profile = (0,) + heights(p)
-    require(min(profile) >= 0, "nu needs a Dyck path prefix")
-    half = profile[-1] // 2
-    cut = len(p) - profile[::-1].index(half)
+    piece and put it in front.
+
+    A prefix has no unmatched D step, and its last point at a height v
+    below its end h(P) is where its unmatched U step number v+1 starts.
+    """
+    unmatched_d, unmatched_u = unmatched_steps(check_path(p))
+    require(not unmatched_d, "nu needs a Dyck path prefix")
+    half = len(unmatched_u) // 2
+    cut = unmatched_u[half] - 1 if unmatched_u else len(p)
     return _reflect(p[cut:]) + p[:cut]
 
 
 def nu_inv(g: str) -> str:
     """Split at the leftmost lowest point, reflect the left piece and
-    append it; inverse of nu on paths ending at -(n mod 2)."""
-    profile = (0,) + heights(g)
-    target = -(len(g) % 2)
-    require(profile[-1] == target, "nu_inv needs end height {}, got {}", target, profile[-1])
-    cut = profile.index(min(profile))
+    append it; inverse of nu on paths ending at -(n mod 2).
+
+    The lowest point lies d steps below the start, d the number of
+    unmatched D steps, and is first reached by the last of them.
+    """
+    unmatched_d, unmatched_u = unmatched_steps(check_path(g))
+    target, end = -(len(g) % 2), len(unmatched_u) - len(unmatched_d)
+    require(end == target, "nu_inv needs end height {}, got {}", target, end)
+    cut = unmatched_d[-1] if unmatched_d else 0
     return g[cut:] + _reflect(g[:cut])

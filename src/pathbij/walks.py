@@ -158,22 +158,37 @@ def phi_tilde_inv(w2: str, i: int, j: int) -> str:
 def _psi_tilde_s(w: str, s: int | None) -> str:
     """psi_tilde_s, and psi_tilde when s is None: the flip kernel on the
     agreement path of a quadrant walk, E as U, W as D, N and S as H; a flip
-    there turns E into W in place."""
-    require(walk_geometry(w).stays_quadrant, "walk leaves the first quadrant")
-    return flip_steps(w, _up_flips(w.translate(_AGREEMENT), s), "EW")
+    there turns E into W in place.
+
+    The agreement path is the walk's x-coordinate and the y-walk its
+    y-coordinate, so the walk stays in the quadrant when neither has an
+    unmatched D step. The flips leave the y-walk as it is, so the inverse
+    finds its kernel in the cache.
+    """
+    agree = check_walk(w).translate(_AGREEMENT)
+    quadrant = not unmatched_steps(agree)[0] and not unmatched_steps(w.translate(_Y_WALK))[0]
+    require(quadrant, "walk leaves the first quadrant")
+    return flip_steps(w, _up_flips(agree, s), "EW")
 
 
 def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:
     """Apply xi_s_inv to the agreement path of an upper-half-plane walk,
     flipping its unmatched W steps; with bottom, the walk must end at x = 0
-    or 1, as psi_tilde images do."""
-    geo = walk_geometry(wh)
-    require(geo.stays_upper_half, "walk leaves the upper half-plane")
+    or 1, as psi_tilde images do.
+
+    The walk stays in the upper half-plane when its y-walk has no unmatched
+    D step; it then ends at y = the y-walk's unmatched U steps, and at x =
+    the agreement path's unmatched U steps less its unmatched D steps.
+    """
+    below, ups = unmatched_steps(check_walk(wh).translate(_Y_WALK))
+    require(not below, "walk leaves the upper half-plane")
+    flips, rights = unmatched_steps(wh.translate(_AGREEMENT))
+    end = (len(rights) - len(flips), len(ups))
     if bottom:
-        require(geo.endpoint[0] in (0, 1), "walk must end at x = 0 or 1, got {}", geo.endpoint)
+        require(end[0] in (0, 1), "walk must end at x = 0 or 1, got {}", end)
     else:
-        require(geo.endpoint[0] >= 0, "walk must end at x >= 0, got {}", geo.endpoint)
-    return flip_steps(wh, unmatched_steps(wh.translate(_AGREEMENT))[0], "EW")
+        require(end[0] >= 0, "walk must end at x >= 0, got {}", end)
+    return flip_steps(wh, flips, "EW")
 
 
 def psi_tilde(w: str) -> str:

@@ -1,10 +1,15 @@
-"""The map/inverse table of pathbij._maps on long inputs: for every row,
-the inverse gives back what the forward map was given."""
+"""The map/inverse table of pathbij._maps: on long inputs, for every row,
+the inverse gives back what the forward map was given; on every small
+input, valid or not, each map's image or error text is pinned."""
+
+import hashlib
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from pathbij import _maps, end_height, omega_inv
+from pathbij import _maps, end_height, enumerate_pp, omega_inv
 
+import oracles
 from oracles import quadrant_walks
 
 
@@ -46,3 +51,59 @@ def test_every_row_gives_its_input_back(w, t, box):
     for forward, kind, _, inverse, _, _ in _maps.ROWS:
         x, params = inputs[kind]
         assert _image(inverse, _image(forward, x, params), params) == x, (forward, x, params)
+
+
+def _small_inputs():
+    """(kind, input) for every U/D word and equal-length pair of at most 5
+    steps, every N/S/E/W walk of at most 5 steps, the plane partitions in
+    boxes of sides at most 2 and the nested pairs of at most 4 steps, with
+    foreign letters, length mismatches and arrays that are no plane
+    partition."""
+    paths = [w for n in range(6) for w in oracles.words(n)]
+    yield from (("path", p) for p in paths + ["X", "UX", "HU", "u", "NE"])
+    yield from (("pair", (p, q)) for p in paths for q in paths if len(p) == len(q))
+    bad_pairs = [("UD", "U"), ("U", "UD"), ("UX", "UD"), ("UD", "UX"), ("X", ""), ("H", "H")]
+    yield from (("pair", x) for x in bad_pairs)
+    walks = [w for n in range(6) for w in oracles.words(n, "NSEW")]
+    yield from (("walk", w) for w in walks + ["U", "NX", "nE", "EH"])
+    boxes = [a for p in range(3) for q in range(3) for k in range(3) for a in enumerate_pp(p, q, k)]
+    bad = [((1, 2),), ((2,), (3,)), ((1,), ()), ((-1,),), ((3,),)]
+    yield from (("pp", a) for a in sorted(set(boxes)) + bad)
+    short = [p for p in paths if len(p) <= 4]
+    tuples = [()] + [(p,) for p in short]
+    tuples += [(p, q) for p in short for q in short if len(p) == len(q)]
+    yield from (("paths", t) for t in tuples + [("UX",), ("UD", "U")])
+
+
+def _params(reads, x):
+    """Every assignment of the parameters read, valid or not: each runs from
+    -1 to one past the input's length (or size), k from 0 to 3."""
+    n = len(x[0]) if isinstance(x, tuple) and x and isinstance(x[0], str) else len(x)
+    ranges = {c: range(0, 4) if c == "k" else range(-1, n + 2) for c in reads}
+    return list(itertools.product(*(ranges[c] for c in reads)))
+
+
+def test_every_map_keeps_its_outputs_and_error_texts():
+    """Each map and inverse of _maps.ROWS on every small input and every
+    parameter assignment of _params: the image, or the ValueError text,
+    hashed together, so a change to any image or to the text or order of
+    any check shows here."""
+    names = [name for row in _maps.ROWS for name in (row[0], row[3])]
+    digest = hashlib.sha256()
+    calls = 0
+    for kind, x in _small_inputs():
+        for name in names:
+            entry = _maps.MAPS[name]
+            if entry.kind != kind:
+                continue
+            for params in _params(entry.reads, x):
+                try:
+                    out = repr(_maps.call(name, x, *params))
+                except ValueError as exc:
+                    out = f"ValueError: {exc}"
+                digest.update(f"{name} {x!r} {params!r} {out}\n".encode())
+                calls += 1
+    assert (calls, digest.hexdigest()) == (
+        294420,
+        "6d24ba0262af977d0c608e6f1d803149f567a4b1d6c33a0e21a1e3780c552b7e",
+    )

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pathbij import Matching, match_faces, tri_heights
+from pathbij import Matching, match_faces, tri_heights, walk_geometry
 from pathbij.matching import check_tripath, unmatched_steps
 
 import oracles
@@ -150,3 +150,34 @@ def test_unmatched_counts_measure_depth_and_rise(w):
     low = min(h)
     assert len(m.unmatched_d) == -min(low, 0)
     assert len(m.unmatched_u) == h[-1] - min(low, 0)
+
+
+@given(st.text(alphabet="UDH", max_size=256))
+def test_kernel_gives_the_end_the_lowest_point_and_the_last_points(w):
+    """The facts the maps read off the flip kernel instead of a profile."""
+    h = oracles.profile(w)
+    unmatched_d, unmatched_u = unmatched_steps(w)
+    assert h[-1] == len(unmatched_u) - len(unmatched_d)
+    # the lowest point, and the step that first reaches it
+    assert min(h) == -len(unmatched_d)
+    assert h.index(min(h)) == (unmatched_d[-1] if unmatched_d else 0)
+    if not unmatched_d:
+        for v in range(h[-1]):
+            last = len(h) - 1 - h[::-1].index(v)
+            assert last == unmatched_u[v] - 1
+
+
+# a walk's x-coordinate is its agreement path, E as U and W as D, and its
+# y-coordinate the y-walk, N as U and S as D
+_X_PATH = str.maketrans("ENSW", "UHHD")
+_Y_PATH = str.maketrans("ENSW", "HUDH")
+
+
+@given(st.one_of(oracles.quadrant_walks(256), st.text(alphabet="NSEW", max_size=256)))
+def test_walk_regions_and_endpoint_come_from_two_kernels(w):
+    x_down, x_up = unmatched_steps(w.translate(_X_PATH))
+    y_down, y_up = unmatched_steps(w.translate(_Y_PATH))
+    g = walk_geometry(w)
+    assert g.endpoint == (len(x_up) - len(x_down), len(y_up) - len(y_down))
+    assert g.stays_quadrant == (not x_down and not y_down)
+    assert g.stays_upper_half == (not y_down)

@@ -14,6 +14,8 @@ from pathbij import (
     enumerate_walk_family,
     heights,
     match_faces,
+    nu,
+    nu_inv,
     omega,
     omega_inv,
     phi,
@@ -22,7 +24,12 @@ from pathbij import (
     phi_tilde_inv,
     psi,
     psi_inv,
+    psi_s,
+    psi_s_inv,
     psi_tilde,
+    psi_tilde_inv,
+    psi_tilde_s,
+    psi_tilde_s_inv,
     tri_heights,
     valid_ij,
     xi,
@@ -58,19 +65,24 @@ def test_stream_of_distinct_inputs_keeps_memory_bounded():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for w in walks:
+        for t, w in enumerate(walks):
             p, q = omega_inv(w)
             hp, hq = end_height(p), end_height(q)
             i, j = (hp + hq) // 2, (hp - hq) // 2
+            s = i - 2 * (t % (i // 2 + 1))  # an end height at or below i, of its parity
             assert xi_inv(xi(p)) == p
+            assert nu_inv(nu(p)) == p
             pt, qt, _ = phi(p, q)
             assert phi_inv(pt, qt, i, j)[:2] == (p, q)
             ph, qh, _ = psi(p, q)
             assert psi_inv(ph, qh)[:2] == (p, q)
+            assert psi_s_inv(*psi_s(p, q, s)[:2])[:2] == (p, q)
             # the walk maps are phi and psi conjugated by omega
             assert phi_tilde(w) == omega(pt, qt)
             assert phi_tilde_inv(omega(pt, qt), i, j) == w
             assert psi_tilde(w) == omega(ph, qh)
+            assert psi_tilde_inv(omega(ph, qh)) == w
+            assert psi_tilde_s_inv(psi_tilde_s(w, s)) == w
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
