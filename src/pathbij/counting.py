@@ -124,14 +124,9 @@ def count_octant_total(n: int) -> int:
 
 def brute_count(spec) -> int:
     """Cardinality by exhaustive generation, no formulas; refuses a family too big to enumerate."""
-    # the enumerators load here, so the closed forms run without them
-    from .families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
+    from .families import _members  # on use, so the closed forms run without the enumerators
 
-    if not isinstance(spec, (FamilySpec, WalkFamilySpec)):
-        raise TypeError(f"not a family spec: {spec!r}")
-    if isinstance(spec, WalkFamilySpec):
-        return len(enumerate_walk_family(spec))
-    return len(enumerate_family(spec))
+    return len(_members(spec))
 
 
 def _qend(n: int, i: int, j: int) -> int:

@@ -226,6 +226,15 @@ def enumerate_family(spec: FamilySpec):
     return _grow(n, 2, floor=0, ends=((i + j, None), (i - j, i + j)))
 
 
+def _members(spec):
+    """The members of a path or walk family spec: the one dispatch to the enumerators."""
+    if isinstance(spec, WalkFamilySpec):
+        return enumerate_walk_family(spec)
+    if isinstance(spec, FamilySpec):
+        return enumerate_family(spec)
+    raise TypeError(f"not a family spec: {spec!r}")
+
+
 # each walk family's region: the octant, the quadrant or the upper half-plane
 _REGIONS = {
     **dict.fromkeys(("O", "Ox", "Odiag", "Osh"), {"floor": 0}),

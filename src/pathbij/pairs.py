@@ -258,9 +258,9 @@ def _psi_s_inv(ps: str, qs: str, bottom: bool):
     require(j >= 0, "Q must end weakly below P")
     _require_nested(not unmatched_steps(_disagreement(ps, qs))[0])
     flips = unmatched_steps(_agreement(ps, qs))[0]
-    if bottom:  # a psi image: s = i mod 2 and (i, j) a sector
+    if bottom:  # a psi image: s = i mod 2
         require(s <= 1, "agreement path must end at 0 or 1, got {}", s)
-        check_ij(n, 2 * len(flips) + s, j)
+    check_ij(n, 2 * len(flips) + s, j)  # the preimage's (i, j) is a sector
     return _flip_both(ps, qs, flips)
 
 
@@ -297,6 +297,7 @@ def psi_s_inv(ps: str, qs: str):
     """Undo psi_s; s and i are read off the pair itself.
 
     s is the agreement path's ending height, i = s + 2 * (-ell), and the
-    flips are all unmatched D steps of the agreement path.
+    flips are all unmatched D steps of the agreement path. Raises
+    ValueError for a pair that is no psi_s image, such as one with i < j.
     """
     return _psi_s_inv(ps, qs, False)

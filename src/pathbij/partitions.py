@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_right
 
 from ._base import require
-from .paths import check_path, is_weakly_below
+from .paths import check_path
 
 PlanePartition = tuple[tuple[int, ...], ...]
 
@@ -76,13 +76,11 @@ def tuple_to_pp(paths: tuple[str, ...], p: int, q: int) -> PlanePartition:
     diagram contains the cell, so the result fits a p x q x len(paths) box.
     """
     diagrams = [path_to_diagram(path, p, q) for path in paths]
+    # with p U and q D steps each, a path is weakly below another exactly
+    # when each part of its diagram is at least the matching part of the other's
     for t in range(len(paths) - 1):
-        require(
-            is_weakly_below(paths[t + 1], paths[t]),
-            "path {} is not weakly below path {}",
-            t + 2,
-            t + 1,
-        )
+        nested = all(map(operator.ge, diagrams[t + 1], diagrams[t]))
+        require(nested, "path {} is not weakly below path {}", t + 2, t + 1)
     k = len(paths)
     rows = []
     for r in range(q):

@@ -14,11 +14,13 @@ from .paths import check_path, flip_steps, negate
 
 
 def _xi_s_inv(r: str, grand: bool) -> str:
-    """Flip every unmatched D step of r; with grand, r must end at n mod 2."""
+    """Flip every unmatched D step of r; r must end at n mod 2 with grand,
+    else at height >= 0, as every image of xi_s does."""
     unmatched_d, unmatched_u = unmatched_steps(check_path(r))
+    end = len(unmatched_u) - len(unmatched_d)
     if grand:
-        end = len(unmatched_u) - len(unmatched_d)
         require(end == len(r) % 2, "xi_inv needs a Grand Dyck path, got end height {}", end)
+    require(end >= 0, "xi_s_inv needs end height >= 0, got {}", end)
     return flip_steps(r, unmatched_d)
 
 
@@ -48,7 +50,8 @@ def xi_s_inv(r: str) -> str:
     """Flip every unmatched D step of r; undoes xi_s without extra data.
 
     The ending height s and the minimum height of r pin down i, so the
-    preimage under xi_s is the prefix returned here.
+    preimage under xi_s is the prefix returned here. Raises ValueError when
+    r ends below height 0, where it is no image of xi_s.
     """
     return _xi_s_inv(r, False)
 

@@ -1,9 +1,13 @@
 """The identity suite: one check per published identity, each defined once.
 
 Each _check_* function sweeps exactly the range its arguments give and
-returns None or the first counterexample; the eleven bijection checks share
-one proof, _bijection, and the counting identities another, _agree, over
-the counts of pathbij.counting.count, the ones `pathbij count` prints.
+returns None or the first counterexample. The eleven bijection checks share
+one proof, _bijection, over classes that are data: a class is its
+coordinates (n=4, i=2, j=0), which name it in a failure and give each map
+the parameters it reads, and its domain and codomain, family specs that
+_bijection enumerates itself. The M2 sectors come from one list, _sectors.
+The counting identities share another proof, _agree, over the counts of
+pathbij.counting.count, the ones `pathbij count` prints.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The
@@ -27,6 +31,7 @@ from .counting import count, count_macmahon
 from .families import (
     FamilySpec,
     WalkFamilySpec,
+    _members,
     _nested_tuples,
     enumerate_family,
     enumerate_walk_family,
@@ -55,14 +60,10 @@ def format_report(results) -> str:
     return "\n".join(r.line() for r in results)
 
 
-def _paths(family, n):
-    return enumerate_family(FamilySpec(family, n))
-
-
 def _check_families(n_max):
     for n in range(n_max + 1):
         for fam in "ADGP":
-            members = _paths(fam, n)
+            members = enumerate_family(FamilySpec(fam, n))
             keys = [lexkey(p) for p in members]
             if keys != sorted(keys) or len(set(members)) != len(members):
                 return f"family {fam}, n={n}: unsorted or duplicated"
@@ -92,16 +93,22 @@ def _check_matching(n_max):
 
 
 def _bijection(classes, forward):
-    """The proof the bijection checks share. A class is (label, domain,
-    codomain, params). forward maps the domain onto the codomain one-to-one:
-    the name of a map of pathbij._maps, whose inverse gives each x back,
-    each reading its parameters by name from the dict params, or a function
-    of x alone without an inverse. Returns None or the first failure,
-    naming its class and element."""
+    """The proof the bijection checks share. A class is (at, domain,
+    codomain): at maps each coordinate of the class to its value, and a
+    side is a family spec, or a list of members where the set is no family.
+    forward maps the domain onto the codomain one-to-one: the name of a map
+    of pathbij._maps, whose inverse gives each x back, each reading its
+    parameters by name from at, or a function of x alone without an
+    inverse. Returns None or the first failure: the class's coordinates,
+    then the element."""
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
-    for label, domain, codomain, params in classes:
+    held = {}  # the members of the last class's specs, which the next class may share
+    for at, *sides in classes:
+        held = {s: held[s] if s in held else _members(s) for s in sides if not isinstance(s, list)}
+        domain, codomain = (s if isinstance(s, list) else held[s] for s in sides)
+        label = _fields(at.items())
         if inverse is not None:
-            there, back = ([params[c] for c in MAPS[m].reads] for m in (forward, inverse))
+            there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
         image = set()
         for x in domain:
             if inverse is None:
@@ -127,62 +134,59 @@ def _agree(cases):
     return None
 
 
+def _fields(pairs):
+    # n=5, k=2: each field that is set, with its value
+    return ", ".join(f"{f}={v}" for f, v in pairs if v is not None)
+
+
 def _label(spec):
     # Gk(n=5, k=2): the family and the fields it sets
-    family, *values = spec
-    fields = ", ".join(f"{f}={v}" for f, v in zip(spec._fields[1:], values) if v is not None)
-    return f"{family}({fields})"
+    return f"{spec.family}({_fields(zip(spec._fields[1:], spec[1:]))})"
 
 
 def _check_xi(n_max):
     for n in range(n_max + 1):
-        for p in _paths("P", n):
+        for p in enumerate_family(FamilySpec("P", n)):
             if match_faces(pb.xi(p)).pairs != match_faces(p).pairs:
                 return f"xi breaks facing pairs: {p}"
-    classes = ((f"n={n}", _paths("P", n), _paths("G", n), {}) for n in range(n_max + 1))
+    classes = (({"n": n}, FamilySpec("P", n), FamilySpec("G", n)) for n in range(n_max + 1))
     return _bijection(classes, "xi")
 
 
 def _check_xi_s(n_max):
     """xi_s maps the prefixes ending at i onto Aend(n, s=s, i=i), the paths
-    ending at s with minimum -(i-s)/2, for every valid (i, s)."""
-
-    def classes():
-        for n in range(n_max + 1):
-            for i in range(n % 2, n + 1, 2):
-                prefixes = enumerate_family(FamilySpec("Pend", n, s=i))
-                for s in range(i % 2, i + 1, 2):
-                    target = enumerate_family(FamilySpec("Aend", n, s=s, i=i))
-                    yield f"n={n}, i={i}, s={s}", prefixes, target, {"s": s}
-
-    return _bijection(classes(), "xi_s")
+    ending at s with minimum -(i-s)/2, for every valid (i, s). The classes
+    of one i share their domain, so its prefixes are enumerated once."""
+    classes = (
+        ({"n": n, "i": i, "s": s}, FamilySpec("Pend", n, s=i), FamilySpec("Aend", n, i=i, s=s))
+        for n in range(n_max + 1)
+        for i in range(n % 2, n + 1, 2)
+        for s in range(i % 2, i + 1, 2)
+    )
+    return _bijection(classes, "xi_s")
 
 
 def _check_nu(n_max):
     classes = (
-        (f"n={n}", _paths("P", n), enumerate_family(FamilySpec("Aend", n, s=-(n % 2))), {})
-        for n in range(n_max + 1)
+        ({"n": n}, FamilySpec("P", n), FamilySpec("Aend", n, s=-(n % 2))) for n in range(n_max + 1)
     )
     return _bijection(classes, "nu")
 
 
-def _sectors(n_max, codomain):
-    # (label, M2(n,i;j), codomain(n,i;j), {i, j}) for every sector
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            sector = FamilySpec("M2", n, i=i, j=j)
-            image = enumerate_family(sector._replace(family=codomain))
-            yield f"M2({n},{i};{j})", enumerate_family(sector), image, {"i": i, "j": j}
+def _sectors(n_max):
+    # the coordinates of every M2(n,i;j) sector with n <= n_max
+    return ({"n": n, "i": i, "j": j} for n in range(n_max + 1) for i, j in valid_ij(n))
 
 
 def _check_phi_sector(n_max):
     # nesting, the floor and the sector are membership in P2(n,i;j)
-    return _bijection(_sectors(n_max, "P2"), "phi")
+    classes = ((at, FamilySpec("M2", **at), FamilySpec("P2", **at)) for at in _sectors(n_max))
+    return _bijection(classes, "phi")
 
 
 def _check_flip_heights(n_max):
     for n in range(n_max + 1):
-        for q in _paths("A", n):
+        for q in enumerate_family(FamilySpec("A", n)):
             if end_height(q) < 0:
                 continue
             qp, rec = pb.flip_below(q)
@@ -199,36 +203,34 @@ def _check_flip_heights(n_max):
 
 
 def _check_flip_records(n_max):
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                qp, _ = pb.flip_below(q)
-                _, _, rec = pb.phi(p, q, i, j)
-                if not (rec.r - j <= len(rec.chi) <= rec.r):
-                    return f"flip count outside bounds: {p}/{q}"
-                hp = (0,) + heights(p)
-                hqp = (0,) + heights(qp)
-                chi_seen = ret_seen = running = 0
-                for a in range(n + 1):
-                    running = max(running, hqp[a] - hp[a])
-                    chi_seen += a in rec.chi
-                    ret_seen += a in rec.lower_returns
-                    if 2 * chi_seen != running or running > 2 * ret_seen:
-                        return f"flip prefix identity fails: {p}/{q} at a={a}"
+    for at in _sectors(n_max):
+        m2 = FamilySpec("M2", **at)
+        for p, q in enumerate_family(m2):
+            qp, _ = pb.flip_below(q)
+            _, _, rec = pb.phi(p, q, m2.i, m2.j)
+            if not (rec.r - m2.j <= len(rec.chi) <= rec.r):
+                return f"flip count outside bounds: {p}/{q}"
+            hp = (0,) + heights(p)
+            hqp = (0,) + heights(qp)
+            chi_seen = ret_seen = running = 0
+            for a in range(m2.n + 1):
+                running = max(running, hqp[a] - hp[a])
+                chi_seen += a in rec.chi
+                ret_seen += a in rec.lower_returns
+                if 2 * chi_seen != running or running > 2 * ret_seen:
+                    return f"flip prefix identity fails: {p}/{q} at a={a}"
     return None
 
 
 def _check_psi_sector(n_max):
     # the endpoints and the depth are membership in G2(n,i;j)
-    return _bijection(_sectors(n_max, "G2"), "psi")
+    classes = ((at, FamilySpec("M2", **at), FamilySpec("G2", **at)) for at in _sectors(n_max))
+    return _bijection(classes, "psi")
 
 
 def _check_composed_map(n_max):
     # psi after phi_inv, with no inverse: the count gives injectivity
-    classes = (
-        (f"n={n}", enumerate_family(FamilySpec("P2", n)), enumerate_family(FamilySpec("G2", n)), {})
-        for n in range(n_max + 1)
-    )
+    classes = (({"n": n}, FamilySpec("P2", n), FamilySpec("G2", n)) for n in range(n_max + 1))
     return _bijection(classes, lambda pq: pb.psi(*pb.phi_inv(*pq, end_height(pq[1]), 0)[:2])[:2])
 
 
@@ -243,7 +245,7 @@ def _check_floor_pairs(n_max):
             preimages = [(end_height(q), pb.phi_inv(p, q, end_height(q), 0)[:2]) for p, q in p2]
             for s in range(n % 2, n + 1, 2):
                 domain = [pair for i, pair in preimages if i >= s]
-                yield f"n={n}, s={s}", domain, _nested_tuples(n, 2, False, s), {"s": s}
+                yield {"n": n, "s": s}, domain, list(_nested_tuples(n, 2, False, s))
 
     return _bijection(classes(), "psi_s")
 
@@ -293,23 +295,23 @@ def _check_conjugation(n_max):
     inverses undo them. phi_tilde_inv runs on the walk itself, so its round
     trip tests an implementation independent of phi_inv, whose own round
     trip phi_sector_bijection tests."""
-    for n in range(n_max + 1):
-        for i, j in valid_ij(n):
-            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
-                w = pb.omega(p, q)
-                wf = pb.phi_tilde(w)
-                if wf != pb.omega(*pb.phi(p, q, i, j)[:2]):
-                    return f"phi conjugation fails: {p}/{q}"
-                if pb.phi_tilde_inv(wf, i, j) != w:
-                    return f"phi_tilde roundtrip fails: {w}"
-                wh = pb.psi_tilde(w)
-                if wh != pb.omega(*pb.psi(p, q)[:2]):
-                    return f"psi conjugation fails: {p}/{q}"
-                if pb.psi_tilde_inv(wh) != w:
-                    return f"psi_tilde roundtrip fails: {w}"
-                for s in range(i % 2, i + 1, 2):
-                    if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
-                        return f"psi_s conjugation fails: {p}/{q}, s={s}"
+    for at in _sectors(n_max):
+        m2 = FamilySpec("M2", **at)
+        for p, q in enumerate_family(m2):
+            w = pb.omega(p, q)
+            wf = pb.phi_tilde(w)
+            if wf != pb.omega(*pb.phi(p, q, m2.i, m2.j)[:2]):
+                return f"phi conjugation fails: {p}/{q}"
+            if pb.phi_tilde_inv(wf, m2.i, m2.j) != w:
+                return f"phi_tilde roundtrip fails: {w}"
+            wh = pb.psi_tilde(w)
+            if wh != pb.omega(*pb.psi(p, q)[:2]):
+                return f"psi conjugation fails: {p}/{q}"
+            if pb.psi_tilde_inv(wh) != w:
+                return f"psi_tilde roundtrip fails: {w}"
+            for s in range(m2.i % 2, m2.i + 1, 2):
+                if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
+                    return f"psi_s conjugation fails: {p}/{q}, s={s}"
     return None
 
 
@@ -319,13 +321,9 @@ def _check_psi_tilde_s_union(n_max):
         for n in range(n_max + 1):
             for s in range(n + 1):
                 for j in range((n - s) % 2, n - s + 1, 2):
-                    target = enumerate_walk_family(WalkFamilySpec("Hend", n, i=s, j=j))
-                    domain = [
-                        w
-                        for i in range(s, n - j + 1, 2)
-                        for w in enumerate_walk_family(WalkFamilySpec("Qend", n, i=i, j=j))
-                    ]
-                    yield f"n={n}, end=({s},{j})", domain, target, {"s": s}
+                    columns = (WalkFamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
+                    domain = [w for column in columns for w in enumerate_walk_family(column)]
+                    yield {"n": n, "s": s, "j": j}, domain, WalkFamilySpec("Hend", n, i=s, j=j)
 
     return _bijection(classes(), "psi_tilde_s")
 
@@ -354,13 +352,8 @@ def _check_shadow(xy_max):
 
 def _check_hij_g2(n_max):
     # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
-    def classes():
-        for n in range(n_max + 1):
-            for i, j in valid_ij(n):
-                walks = enumerate_walk_family(WalkFamilySpec("Hij", n, i=i, j=j))
-                yield f"G2({n},{i};{j})", enumerate_family(FamilySpec("G2", n, i=i, j=j)), walks, {}
-
-    return _bijection(classes(), "omega")
+    classes = ((at, FamilySpec("G2", **at), WalkFamilySpec("Hij", **at)) for at in _sectors(n_max))
+    return _bijection(classes, "omega")
 
 
 def _check_det_vs_box(n_max, k_max):
@@ -397,15 +390,13 @@ def _check_octant_census(n_max):
 
 
 def _check_origin_walks(m_max):
-    origin = [WalkFamilySpec("Qend", 2 * m, i=0, j=0) for m in range(m_max + 1)]
+    # the quadrant walks of length 2m back at the origin, counted, then
+    # mapped onto the octant walks ending on the diagonal
+    ats = [{"n": 2 * m, "i": 0, "j": 0} for m in range(m_max + 1)]
+    origin = [WalkFamilySpec("Qend", **at) for at in ats]
     counted = _agree([(spec, "brute"), (spec, "formula")] for spec in origin)
-    if counted:
-        return counted
-    classes = []
-    for m, spec in enumerate(origin):
-        diagonal = enumerate_walk_family(WalkFamilySpec("Odiag", 2 * m))
-        classes.append((f"m={m}", enumerate_walk_family(spec), diagonal, {"i": 0, "j": 0}))
-    return _bijection(classes, "phi_tilde")
+    classes = ((at, spec, WalkFamilySpec("Odiag", spec.n)) for at, spec in zip(ats, origin))
+    return counted or _bijection(classes, "phi_tilde")
 
 
 def _check_pp(pq_max, k_max, count_pq_max):
@@ -422,7 +413,7 @@ def _check_pp(pq_max, k_max, count_pq_max):
         if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
             return f"box census fails at ({p},{q},{k})"
         if max(p, q) <= pq_max:
-            classes.append((f"box ({p},{q},{k})", box, melons, dict(k=k, n=p + q, p=p, q=q)))
+            classes.append(({"p": p, "q": q, "k": k, "n": p + q}, list(box), list(melons)))
     return _bijection(classes, "pp_to_tuple")
 
 

@@ -7,7 +7,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from pathbij import _maps, end_height, enumerate_pp, omega_inv
+from pathbij import _maps, cli, end_height, enumerate_pp, omega_inv
 
 import oracles
 from oracles import quadrant_walks
@@ -51,6 +51,35 @@ def test_every_row_gives_its_input_back(w, t, box):
     for forward, kind, _, inverse, _, _ in _maps.ROWS:
         x, params = inputs[kind]
         assert _image(inverse, _image(forward, x, params), params) == x, (forward, x, params)
+
+
+def test_every_inverse_accepts_only_images():
+    """Each inverse of _maps.ROWS that reads no parameter, on every U/D word,
+    equal-length pair and N/S/E/W walk of at most 6 steps that it accepts:
+    the forward map, given what `pathbij apply` reads off that input (the
+    end height, the agreement path's end or the end abscissa), gives the
+    input back. So an inverse refuses every input that is no image."""
+    paths = [w for n in range(7) for w in oracles.words(n)]
+    inputs = {
+        "path": paths,
+        "pair": [(p, q) for p in paths for q in paths if len(p) == len(q)],
+        "walk": [w for n in range(7) for w in oracles.words(n, "NSEW")],
+    }
+    wrong = []
+    for forward, _, reads, inverse, kind, inverse_reads in _maps.ROWS:
+        for y in inputs[kind] if not inverse_reads else ():
+            try:
+                x = _maps.call(inverse, y)[0]
+            except ValueError:
+                continue
+            given = cli._given_back(kind, y)
+            try:
+                back = _maps.call(forward, x, *[given[c] for c in reads])[0]
+            except ValueError as exc:
+                back = exc
+            if back != y:
+                wrong.append((inverse, y))
+    assert not wrong, (len(wrong), wrong[:5])
 
 
 def _small_inputs():
@@ -105,5 +134,5 @@ def test_every_map_keeps_its_outputs_and_error_texts():
                 calls += 1
     assert (calls, digest.hexdigest()) == (
         294420,
-        "6d24ba0262af977d0c608e6f1d803149f567a4b1d6c33a0e21a1e3780c552b7e",
+        "7cee0ecb0351c4711398eb4acfd10ededf51d6fd349761d4fedf8ffb342abb84",
     )

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import pathbij
-from pathbij import counting, verify
+from pathbij import FamilySpec, counting, verify
 
 # (check, bound or tuple of bounds, map patched in pathbij, input to corrupt,
 #  input whose image it gets)
@@ -57,6 +57,22 @@ def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, 
     assert check(*bounds) is None
     monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
     assert check(*bounds) is not None
+
+
+def test_a_bijection_failure_leads_with_its_class(monkeypatch):
+    """A class of a bijection check is its coordinates and two sides: a
+    family spec, which the proof enumerates, or a list of members. A
+    failure names the class by its coordinates, in the field format of the
+    counting checks, then the element."""
+    at = {"n": 2, "i": 0, "j": 0}
+    m2, g2 = FamilySpec("M2", **at), FamilySpec("G2", **at)
+    assert verify._bijection([(at, m2, g2)], "psi") is None
+    short = list(pathbij.enumerate_family(g2))[1:]
+    assert verify._bijection([(at, m2, short)], "psi") == "n=2, i=0, j=0: image is not the codomain"
+    real = pathbij.phi
+    victim, donor = ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)
+    monkeypatch.setattr(pathbij, "phi", lambda *a: real(*(donor if a == victim else a)))
+    assert verify._check_phi_sector(2) == "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')"
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
