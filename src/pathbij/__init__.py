@@ -44,13 +44,11 @@ _EXPORTS = {
     "paths": (
         "end_height",
         "heights",
-        "is_weakly_below",
         "negate",
         "valid_ij",
     ),
     "single": ("nu", "nu_inv", "xi", "xi_inv", "xi_s", "xi_s_inv"),
     "walks": (
-        "WalkGeometry",
         "omega",
         "omega_inv",
         "phi_tilde",
@@ -60,7 +58,6 @@ _EXPORTS = {
         "psi_tilde_s",
         "psi_tilde_s_inv",
         "shadow_contains",
-        "walk_geometry",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -47,6 +47,9 @@ def _exact(fmt, value) -> str:
 # the largest --n and --k of apply, read by pp_to_tuple alone: the --n of
 # --method formula and the --k of det and product; a call at both takes 0.2 s
 _APPLY_MAX_N_K = (100_000, 10)
+# the most cells of the p x q array tuple_to_pp fills, which grows with the
+# square of the path length: about 0.3 s at the bound
+_APPLY_MAX_CELLS = 1_000_000
 
 
 def _parse(kind, text):
@@ -75,8 +78,9 @@ def _given_back(kind, x):
     if kind == "pair":
         return {"s": (pb.end_height(x[0]) + pb.end_height(x[1])) // 2}
     if kind == "walk":
-        i, j = pb.walk_geometry(x).endpoint
-        return {"s": i, "i": i, "j": j}
+        # the walk ends at the half sum and half difference of its pair's heights
+        hp, hq = map(pb.end_height, pb.omega_inv(x))
+        return {"s": (hp + hq) // 2, "i": (hp + hq) // 2, "j": (hp - hq) // 2}
     return {"k": len(x), "n": len(x[0])} if kind == "paths" else {}
 
 
@@ -90,7 +94,7 @@ def _text(value) -> str:
 
 def _run_apply(args) -> int:
     from . import _maps  # on use: importing the CLI alone loads no submodule
-    from ._base import need, reject_unread
+    from ._base import need, reject_unread, require
 
     entry = _maps.MAPS.get(args.map)
     if entry is None:
@@ -103,6 +107,10 @@ def _run_apply(args) -> int:
         raise ValueError(f"apply takes --k from 1 to {max_k}, got {args.k}")
     if args.n is not None and args.n > max_n:
         raise ValueError(f"apply takes --n up to {max_n}, got {args.n}")
+    box = _own(kind, x)
+    cells = box.get("p", 0) * box.get("q", 0)
+    msg = "apply takes a p x q box of up to {} cells, got {}"
+    require(cells <= _APPLY_MAX_CELLS, msg, _APPLY_MAX_CELLS, cells)
 
     def call(name, obj, values):
         # what the map reads off obj, else from values: the flags, or what x gives

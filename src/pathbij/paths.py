@@ -2,8 +2,8 @@
 
 A path is a plain string of 'U' and 'D' characters; the empty string is the
 length-0 path. This module owns the word primitives: the height geometry,
-step flips, the weakly-below partial order, the U < D sort key and the
-(i, j) sector parameters. pathbij.families enumerates the path families.
+step flips, the U < D sort key and the (i, j) sector parameters.
+pathbij.families enumerates the path families.
 """
 
 from __future__ import annotations
@@ -94,13 +94,6 @@ def swap_fragments(word: str, h: tuple[int, ...], r: int, table) -> str:
         done = stop
     pieces.append(word[done:])
     return "".join(pieces)
-
-
-def is_weakly_below(q: str, p: str) -> bool:
-    """True iff h_a(Q) <= h_a(P) for every a. Lengths must agree."""
-    if len(q) != len(p):
-        raise ValueError(f"length mismatch: {len(q)} vs {len(p)}")
-    return all(a <= b for a, b in zip(heights(q), heights(p)))
 
 
 def lexkey(word: str) -> str:

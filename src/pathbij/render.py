@@ -13,8 +13,8 @@ from __future__ import annotations
 from ._base import require
 from .matching import check_tripath, match_faces, tri_heights
 from .pairs import disagreement
-from .paths import check_path
-from .walks import check_walk, positions, shadow_contains
+from .paths import check_path, heights
+from .walks import check_walk, omega_inv, shadow_contains
 
 UNIT = 20
 PAD = 30
@@ -141,7 +141,9 @@ def _render_pair(p, q, show_matching, show_flips):
 
 
 def _render_walk(w, show_shadow, i, j):
-    pts = ((0, 0),) + positions(w)
+    # each point: the half sum and half difference of the pair's heights
+    p, q = omega_inv(w)
+    pts = [((a + b) // 2, (a - b) // 2) for a, b in zip((0,) + heights(p), (0,) + heights(q))]
     xs, ys = zip(*pts)
     xmin, xmax = min(xs), max(*xs, 1)
     ymin, ymax = min(ys), max(*ys, 1)

@@ -12,8 +12,6 @@ position.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
 from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
@@ -50,54 +48,6 @@ def omega_inv(w: str) -> tuple[str, str]:
     """Decode a plane walk back into its path pair."""
     check_walk(w)
     return w.translate(_STEP_TO_P), w.translate(_STEP_TO_Q)
-
-
-def positions(w: str) -> tuple[tuple[int, int], ...]:
-    """Positions after each step, the origin not included."""
-    check_walk(w)
-    x = y = 0
-    out = []
-    for c in w:
-        dx, dy = _DXY[c]
-        x += dx
-        y += dy
-        out.append((x, y))
-    return tuple(out)
-
-
-class WalkGeometry(NamedTuple):
-    endpoint: tuple[int, int]
-    min_x: int
-    min_y: int
-    stays_octant: bool
-    stays_quadrant: bool
-    stays_upper_half: bool
-
-
-def walk_geometry(w: str) -> WalkGeometry:
-    """Endpoint, coordinate minima and region flags, the origin included."""
-    check_walk(w)
-    x = y = 0
-    min_x = min_y = 0
-    octant = True
-    for c in w:
-        dx, dy = _DXY[c]
-        x += dx
-        y += dy
-        if x < min_x:
-            min_x = x
-        if y < min_y:
-            min_y = y
-        if y > x:
-            octant = False
-    return WalkGeometry(
-        endpoint=(x, y),
-        min_x=min_x,
-        min_y=min_y,
-        stays_octant=octant and min_y >= 0,
-        stays_quadrant=min_x >= 0 and min_y >= 0,
-        stays_upper_half=min_y >= 0,
-    )
 
 
 def phi_tilde(w: str) -> str:

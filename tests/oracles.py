@@ -23,6 +23,11 @@ def profile(word):
     return out
 
 
+def weakly_below(q, p):
+    """h_a(Q) <= h_a(P) for every a: the nesting order."""
+    return all(a <= b for a, b in zip(profile(q), profile(p)))
+
+
 def udkey(words):
     """Sort key for the documented U < D enumeration order."""
     if isinstance(words, str):

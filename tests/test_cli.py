@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathbij import _maps
-from pathbij.cli import main
+from pathbij.cli import _given_back, main
 from pathbij.counting import count_grand_tuples_det
 from pathbij.families import FamilySpec, WalkFamilySpec, enumerate_family, enumerate_walk_family
 from pathbij.paths import end_height, valid_ij
 from pathbij.partitions import enumerate_pp
 from pathbij.render import render_svg
 from pathbij.verify import CheckResult
-from pathbij.walks import walk_geometry
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -106,7 +107,7 @@ def test_walk_maps_inverse_checked(capsys):
             for q in enumerate_family(FamilySpec("A", n)):
                 _mirrors(capsys, "omega", "omega_inv", f"{p},{q}")
         for w in enumerate_walk_family(WalkFamilySpec("Q", n)):
-            x, y = walk_geometry(w).endpoint
+            x, y = oracles.walk_points(w)[-1]
             _mirrors(capsys, "psi_tilde", "psi_tilde_inv", w)
             if x >= y:
                 ij = ("--i", str(x), "--j", str(y))
@@ -115,6 +116,15 @@ def test_walk_maps_inverse_checked(capsys):
                 _mirrors(
                     capsys, "psi_tilde_s", "psi_tilde_s_inv", w, ("--s", str(s))
                 )
+
+
+def test_walk_parameters_given_back_are_the_endpoint():
+    """The walk inverses read i, j and s off the walk through its pair: the
+    endpoint, for every walk of up to 6 steps, in the quadrant or not."""
+    for n in range(7):
+        for w in oracles.words(n, "ENSW"):
+            i, j = oracles.walk_points(w)[-1]
+            assert _given_back("walk", w) == {"s": i, "i": i, "j": j}
 
 
 def _pp_text(a):
@@ -330,6 +340,8 @@ def test_exit_codes(capsys):
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "100001"),
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "1000000000"),
         ("apply", "--map", "pp_to_tuple", "--input", "", "--k", "2", "--n", "-3"),
+        # tuple_to_pp fills a p x q array: apply takes up to 10^6 cells
+        ("apply", "--map", "tuple_to_pp", "--input", "U" * 2001 + "D" * 500),
         # flags the map does not read
         ("apply", "--map", "xi", "--input", "UU", "--s", "3"),
         ("apply", "--map", "psi", "--input", "UD,DU", "--i", "5", "--j", "9"),

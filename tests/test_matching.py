@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pathbij import Matching, match_faces, tri_heights, walk_geometry
+from pathbij import Matching, match_faces, tri_heights
 from pathbij.matching import check_tripath, unmatched_steps
 
 import oracles
@@ -177,7 +177,7 @@ _Y_PATH = str.maketrans("ENSW", "HUDH")
 def test_walk_regions_and_endpoint_come_from_two_kernels(w):
     x_down, x_up = unmatched_steps(w.translate(_X_PATH))
     y_down, y_up = unmatched_steps(w.translate(_Y_PATH))
-    g = walk_geometry(w)
-    assert g.endpoint == (len(x_up) - len(x_down), len(y_up) - len(y_down))
-    assert g.stays_quadrant == (not x_down and not y_down)
-    assert g.stays_upper_half == (not y_down)
+    pts = oracles.walk_points(w)
+    assert pts[-1] == (len(x_up) - len(x_down), len(y_up) - len(y_down))
+    assert all(x >= 0 and y >= 0 for x, y in pts) == (not x_down and not y_down)
+    assert all(y >= 0 for _, y in pts) == (not y_down)

@@ -12,23 +12,23 @@ import pathbij
 
 SUBMODULES = ("counting", "families", "matching", "pairs", "partitions", "paths", "single", "walks")
 PUBLIC = (
-    "FamilySpec", "FlipRecord", "Matching", "WalkFamilySpec", "WalkGeometry",
+    "FamilySpec", "FlipRecord", "Matching", "WalkFamilySpec",
     "agreement", "brute_count", "catalan", "count_g2_sum",
     "count_grand_tuples_det", "count_macmahon", "count_octant_diag",
     "count_octant_total", "count_octant_xaxis", "disagreement",
     "end_height", "enumerate_family", "enumerate_pp", "enumerate_walk_family",
-    "flip_below", "flip_below_inv", "heights", "is_weakly_below",
+    "flip_below", "flip_below_inv", "heights",
     "match_faces", "negate", "nu", "nu_inv", "omega", "omega_inv", "parse_pp",
     "path_to_diagram", "phi", "phi_inv", "phi_tilde", "phi_tilde_inv",
     "pp_to_tuple", "psi", "psi_inv", "psi_s", "psi_s_inv", "psi_tilde",
     "psi_tilde_inv", "psi_tilde_s", "psi_tilde_s_inv", "shadow_contains",
-    "tri_heights", "tuple_to_pp", "valid_ij", "walk_geometry", "xi", "xi_inv",
+    "tri_heights", "tuple_to_pp", "valid_ij", "xi", "xi_inv",
     "xi_s", "xi_s_inv",
 )
 
 
 def test_all_lists_the_public_names_and_their_submodules():
-    assert len(PUBLIC) == 53
+    assert len(PUBLIC) == 50
     assert pathbij.__all__ == sorted(PUBLIC + SUBMODULES)
 
 

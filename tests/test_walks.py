@@ -22,9 +22,8 @@ from pathbij import (
     psi_tilde_s_inv,
     shadow_contains,
     valid_ij,
-    walk_geometry,
 )
-from pathbij.walks import check_walk, positions
+from pathbij.walks import check_walk
 
 import oracles
 
@@ -60,36 +59,6 @@ def test_omega_is_a_bijection_onto_walks():
                 seen.add(w)
                 assert omega_inv(w) == (p, q)
         assert len(seen) == 4**n
-
-
-def test_positions():
-    assert positions("ENSW") == ((1, 0), (1, 1), (1, 0), (0, 0))
-    assert positions("") == ()
-
-
-def test_walk_geometry_examples():
-    g = walk_geometry("EW")
-    assert g.endpoint == (0, 0)
-    assert g.stays_octant
-    g = walk_geometry("N")
-    assert not g.stays_octant
-    assert g.stays_quadrant
-    g = walk_geometry("W")
-    assert g.min_x == -1
-    assert not g.stays_quadrant
-    assert g.stays_upper_half
-
-
-@given(walks)
-def test_walk_geometry_against_oracle(w):
-    pts = oracles.walk_points(w)
-    g = walk_geometry(w)
-    assert g.endpoint == pts[-1]
-    assert g.min_x == min(x for x, _ in pts)
-    assert g.min_y == min(y for _, y in pts)
-    assert g.stays_octant == all(x >= y >= 0 for x, y in pts)
-    assert g.stays_quadrant == all(x >= 0 and y >= 0 for x, y in pts)
-    assert g.stays_upper_half == all(y >= 0 for _, y in pts)
 
 
 def test_step_dictionary():
@@ -150,7 +119,7 @@ def _phi_inv_conjugated(w2, i, j):
 @settings(deadline=None)
 @given(oracles.quadrant_walks(256))
 def test_phi_tilde_inv_undoes_phi_tilde_as_the_pair_inverse_does(w):
-    i, j = walk_geometry(w).endpoint
+    i, j = oracles.walk_points(w)[-1]
     w2 = phi_tilde(w)
     assert phi_tilde_inv(w2, i, j) == w == _phi_inv_conjugated(w2, i, j)
 
@@ -204,8 +173,8 @@ def test_psi_tilde_s_examples():
     assert psi_tilde_s("EE", 0) == "WE"
     assert psi_tilde_s("EEE", 1) == "WEE"
     assert psi_tilde_s_inv("WEE") == "EEE"
-    g = walk_geometry("WEE")
-    assert g.endpoint == (1, 0) and g.min_x == -1
+    pts = oracles.walk_points("WEE")
+    assert pts[-1] == (1, 0) and min(x for x, _ in pts) == -1
 
 
 @settings(deadline=None)
@@ -214,7 +183,7 @@ def test_psi_tilde_s_is_psi_s_read_on_the_walk(w):
     """psi_tilde_s and its inverse are psi_s and psi_s_inv conjugated by
     omega, for every valid s of a walk of up to 256 steps."""
     p, q = omega_inv(w)
-    i = walk_geometry(w).endpoint[0]
+    i = oracles.walk_points(w)[-1][0]
     for s in range(i % 2, i + 1, 2):
         wh = psi_tilde_s(w, s)
         assert wh == omega(*psi_s(p, q, s)[:2])
@@ -228,7 +197,7 @@ def test_psi_tilde_maps_endpoint_classes():
     for n in range(9):
         buckets = {}
         for w in enumerate_walk_family(WalkFamilySpec("Q", n)):
-            buckets.setdefault(walk_geometry(w).endpoint, []).append(w)
+            buckets.setdefault(oracles.walk_points(w)[-1], []).append(w)
         for (i, j), dom in buckets.items():
             image = [psi_tilde(w) for w in dom]
             assert len(set(image)) == len(image)
