@@ -12,6 +12,14 @@ from __future__ import annotations
 # growing the process.
 CACHE_SIZE = 64
 
+# The largest k of a path tuple: an enumeration builds its 2^k joint steps
+# first, and det, product and apply's pp_to_tuple take the same cap
+MAX_K = 10
+# The largest n of a closed form, which pathbij count prints in full while
+# int-to-str is quadratic (the slowest formula call takes about 0.3 s there,
+# printing 2^n about 1 s), and of apply's --n, read by pp_to_tuple alone
+MAX_FORMULA_N = 100_000
+
 
 def require(cond: bool, msg: str, *args) -> None:
     """Raise ValueError(msg.format(*args)) unless cond holds.

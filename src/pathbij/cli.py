@@ -44,9 +44,6 @@ def _exact(fmt, value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-# the largest --n and --k of apply, read by pp_to_tuple alone: the --n of
-# --method formula and the --k of det and product; a call at both takes 0.2 s
-_APPLY_MAX_N_K = (100_000, 10)
 # the most cells of the p x q array tuple_to_pp fills, which grows with the
 # square of the path length: about 0.3 s at the bound
 _APPLY_MAX_CELLS = 1_000_000
@@ -76,11 +73,11 @@ def _given_back(kind, x):
     if kind == "path":
         return {"s": pb.end_height(x)}
     if kind == "pair":
-        return {"s": (pb.end_height(x[0]) + pb.end_height(x[1])) // 2}
+        return {"s": pb.paths.read_ij(*map(pb.end_height, x))[0]}
     if kind == "walk":
         # the walk ends at the half sum and half difference of its pair's heights
-        hp, hq = map(pb.end_height, pb.omega_inv(x))
-        return {"s": (hp + hq) // 2, "i": (hp + hq) // 2, "j": (hp - hq) // 2}
+        s, j = pb.paths.read_ij(*map(pb.end_height, pb.omega_inv(x)))
+        return {"s": s, "i": s, "j": j}
     return {"k": len(x), "n": len(x[0])} if kind == "paths" else {}
 
 
@@ -94,7 +91,7 @@ def _text(value) -> str:
 
 def _run_apply(args) -> int:
     from . import _maps  # on use: importing the CLI alone loads no submodule
-    from ._base import need, reject_unread, require
+    from ._base import MAX_FORMULA_N, MAX_K, need, reject_unread, require
 
     entry = _maps.MAPS.get(args.map)
     if entry is None:
@@ -102,11 +99,10 @@ def _run_apply(args) -> int:
     kind, reads, inverse = entry
     reject_unread(args, "nkijs", reads, f"map {args.map}")
     x = _parse(kind, args.input)
-    max_n, max_k = _APPLY_MAX_N_K
-    if args.k is not None and not 1 <= args.k <= max_k:
-        raise ValueError(f"apply takes --k from 1 to {max_k}, got {args.k}")
-    if args.n is not None and args.n > max_n:
-        raise ValueError(f"apply takes --n up to {max_n}, got {args.n}")
+    if args.k is not None and not 1 <= args.k <= MAX_K:
+        raise ValueError(f"apply takes --k from 1 to {MAX_K}, got {args.k}")
+    if args.n is not None and args.n > MAX_FORMULA_N:
+        raise ValueError(f"apply takes --n up to {MAX_FORMULA_N}, got {args.n}")
     box = _own(kind, x)
     cells = box.get("p", 0) * box.get("q", 0)
     msg = "apply takes a p x q box of up to {} cells, got {}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._base import need, reject_unread, require
+from ._base import MAX_FORMULA_N, MAX_K, need, reject_unread, require
 
 
 def binom(n: int, k: int) -> int:
@@ -124,9 +124,9 @@ def count_octant_total(n: int) -> int:
 
 def brute_count(spec) -> int:
     """Cardinality by exhaustive generation, no formulas; refuses a family too big to enumerate."""
-    from .families import _members  # on use, so the closed forms run without the enumerators
+    from .families import enumerate_family  # on use, so the closed forms run without it
 
-    return len(_members(spec))
+    return len(enumerate_family(spec))
 
 
 def _qend(n: int, i: int, j: int) -> int:
@@ -156,15 +156,13 @@ _COUNTED_AS = {
     "P": {"G": {}}, "P2": {"G2": {}, "Gk": {"k": 2}}, "G2": {"Gk": {"k": 2}}, "Pk": {"Gk": {}}
 }
 # the largest n, and k for Gk, that each closed form takes, so that no call
-# runs unbounded. formula: pathbij count prints every digit and int-to-str
-# is quadratic; at the limit the slowest formula call takes about 0.3 s, and
-# printing 2^n at ten times it about 1 s. det, product and sum: a whole
+# runs unbounded. formula: MAX_FORMULA_N. det, product and sum: a whole
 # call at the limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux,
 # Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
 _MAX_N_K = {
-    "formula": (100_000, None),
-    "det": (10_000, 10),
-    "product": (300, 10),
+    "formula": (MAX_FORMULA_N, None),
+    "det": (10_000, MAX_K),
+    "product": (300, MAX_K),
     "sum": (3_000, None),
 }
 
@@ -173,21 +171,16 @@ def count(spec, method: str = "brute") -> int:
     """|family| by method: brute enumerates the family, every other method
     is a closed form of _FORMULAS. spec is any object with the fields
     family and n and, where the count reads them, k, i, j and s: a
-    FamilySpec, a WalkFamilySpec or the arguments of pathbij count. Raises
+    FamilySpec or the arguments of pathbij count. Raises
     ValueError for n < 0, an unknown family or method, an input past the
     method's bound, or a field the count lacks or does not read."""
     family, n = spec.family, spec.n
     require(n >= 0, "--n must be nonnegative, got {}", n)
     fields = {f: getattr(spec, f, None) for f in "kijs"}
     if method == "brute":
-        # the enumerators load here, so the closed forms run without them
-        from .families import _REGIONS, FamilySpec, WalkFamilySpec
+        from .families import FamilySpec  # here, so the closed forms run without the enumerators
 
-        if family not in _REGIONS:
-            return brute_count(FamilySpec(family, n, **fields))
-        k, s = fields.pop("k"), fields.pop("s")
-        require(k is None and s is None, "--k and --s do not apply to walk families")
-        return brute_count(WalkFamilySpec(family, n, **fields))
+        return brute_count(FamilySpec(family, n, **fields))
     options = {family: {}, **_COUNTED_AS.get(family, {})}
     found = [(_FORMULAS[t, method], fix) for t, fix in options.items() if (t, method) in _FORMULAS]
     if not found:

@@ -23,25 +23,30 @@ import operator
 import sys
 from typing import NamedTuple
 
-from ._base import reject_unread, require
+from ._base import MAX_K, reject_unread, require
 from .paths import check_ij, lexkey
 
 # the walk step of each joint step UU, UD, DU, DD of the two layers
 _WALK_STEPS = ("E", "N", "S", "W")
 # the most characters of words _grow builds for one family, summed over its
 # levels: about a second and 150 MB at the limit (README.md, count). The 2^k
-# joint steps come before any word, so k has its own cap, as in det and product
-_BUDGET, _MAX_K = 1 << 25, 10
+# joint steps come before any word, so k has its own cap, MAX_K
+_BUDGET = 1 << 25
 
 
 class FamilySpec(NamedTuple):
-    """A path family plus its parameters.
+    """A path, tuple or walk family plus its parameters.
 
     Tags for single paths: A (all), D (Dyck), G (Grand Dyck), P (prefixes),
     Pend (prefixes ending at height s), Aend (paths ending at height s; with i
     given, additionally minimum height -(i-s)/2). Tags for nested tuples:
     Ak, Pk, Gk (k paths, parameter k) and M2, P2, G2 (pairs; i and j select
     the endpoint-constrained sets, P2/G2 without them are the full unions).
+    Tags for plane walks: O (octant), Ox (octant, ends on the x-axis), Odiag
+    (octant, ends on y = x), Osh (octant, ends in sh(i,j)), Q (quadrant),
+    Qend (quadrant, ends at (i,j)), Qx (quadrant, ends on the x-axis), H
+    (upper half-plane), Hend (upper half-plane, ends at (i,j)), Hij (upper
+    half-plane, ends at (i mod 2, j) with leftmost abscissa -floor(i/2)).
     """
 
     family: str
@@ -50,22 +55,6 @@ class FamilySpec(NamedTuple):
     i: int | None = None
     j: int | None = None
     s: int | None = None
-
-
-class WalkFamilySpec(NamedTuple):
-    """A walk family plus its parameters.
-
-    Tags: O (octant), Ox (octant, ends on the x-axis), Odiag (octant, ends
-    on y = x), Osh (octant, ends in sh(i,j)), Q (quadrant), Qend (quadrant,
-    ends at (i,j)), Qx (quadrant, ends on the x-axis), H (upper half-plane),
-    Hend (upper half-plane, ends at (i,j)), Hij (upper half-plane, ends at
-    (i mod 2, j) with leftmost abscissa -floor(i/2)).
-    """
-
-    family: str
-    n: int
-    i: int | None = None
-    j: int | None = None
 
 
 def _tuple_key(paths: tuple[str, ...]) -> str:
@@ -88,10 +77,10 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
     step left, the lowest agreement height equal to low, and with meet the
     top and bottom layers ending together. Nothing is kept between calls:
     a family lives only as long as its caller holds it. Raises ValueError
-    for n < 0, k outside 1.._MAX_K, or words past _BUDGET characters.
+    for n < 0, k outside 1..MAX_K, or words past _BUDGET characters.
     """
     require(n >= 0, "n must be nonnegative")
-    require(1 <= k <= _MAX_K, "need 1 <= k <= {} layers, got k={}", _MAX_K, k)
+    require(1 <= k <= MAX_K, "need 1 <= k <= {} layers, got k={}", MAX_K, k)
     letters = _WALK_STEPS if form == "walk" else map("".join, itertools.product("UD", repeat=k))
     steps = tuple(zip(itertools.product((1, -1), repeat=k), letters))
     # a layer ends at the parity of n, so each end bound is rounded inward to it
@@ -171,22 +160,34 @@ def _g2_sector(n: int, i: int, j: int, form: str):
     return _grow(n, 2, form, ends=((j + d, j + d), (d - j, d - j)), low=-(i // 2))
 
 
+# each walk family's region: the octant, the quadrant or the upper half-plane
+_REGIONS = {
+    **dict.fromkeys(("O", "Ox", "Odiag", "Osh"), {"floor": 0}),
+    **dict.fromkeys(("Q", "Qend", "Qx"), {"mirror": True}),
+    **dict.fromkeys(("H", "Hend", "Hij"), {}),
+}
 # the fields besides n that each family reads; any other field set is an
-# error. _READS has a key for every path family tag
-_READS = dict.fromkeys(("A", "D", "G", "P"), "")
-_READS.update(dict.fromkeys(("M2", "G2", "P2"), "ij"), Pend="s", Aend="is")
-_READS.update(dict.fromkeys(("Ak", "Pk", "Gk"), "k"))
-_WALK_READS = dict.fromkeys(("Osh", "Qend", "Hend", "Hij"), "ij")
+# error. _READS has a key for every family tag
+_READS = dict.fromkeys(("A", "D", "G", "P", *_REGIONS), "")
+_READS.update(dict.fromkeys(("M2", "G2", "P2", "Osh", "Qend", "Hend", "Hij"), "ij"))
+_READS.update(dict.fromkeys(("Ak", "Pk", "Gk"), "k"), Pend="s", Aend="is")
 
 
 def enumerate_family(spec: FamilySpec):
-    """All members of the family, each once, sorted by their concatenated
-    step words under U < D. Single-path families yield strings, tuple
-    families yield tuples of strings."""
+    """All members of the family, each once, sorted. Single-path families
+    yield strings and tuple families tuples of strings, both in the order of
+    their concatenated step words under U < D; walk families yield strings
+    in step order E < N < S < W. Raises TypeError for anything but a
+    FamilySpec, ValueError for an unknown tag or a field the family lacks or
+    does not read."""
+    if not isinstance(spec, FamilySpec):
+        raise TypeError(f"not a family spec: {spec!r}")
     f, n = spec.family, spec.n
     if f not in _READS:
         raise ValueError(f"unknown family tag: {spec.family!r}")
     reject_unread(spec, "kijs", _READS[f], f"family {f}")
+    if f in _REGIONS:
+        return _walks(f, n, spec.i, spec.j)
     if f == "A":
         return _grow(n, 1, "path")
     if f == "D":
@@ -226,29 +227,8 @@ def enumerate_family(spec: FamilySpec):
     return _grow(n, 2, floor=0, ends=((i + j, None), (i - j, i + j)))
 
 
-def _members(spec):
-    """The members of a path or walk family spec: the one dispatch to the enumerators."""
-    if isinstance(spec, WalkFamilySpec):
-        return enumerate_walk_family(spec)
-    if isinstance(spec, FamilySpec):
-        return enumerate_family(spec)
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
-# each walk family's region: the octant, the quadrant or the upper half-plane
-_REGIONS = {
-    **dict.fromkeys(("O", "Ox", "Odiag", "Osh"), {"floor": 0}),
-    **dict.fromkeys(("Q", "Qend", "Qx"), {"mirror": True}),
-    **dict.fromkeys(("H", "Hend", "Hij"), {}),
-}
-
-
-def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
-    """All members, each once, in lexicographic step order E < N < S < W."""
-    f, n = spec.family, spec.n
-    if f not in _REGIONS:
-        raise ValueError(f"unknown walk family tag: {spec.family!r}")
-    reject_unread(spec, "ij", _WALK_READS.get(f, ""), f"family {f}")
+def _walks(f: str, n: int, i, j) -> tuple[str, ...]:
+    # the walk family f: the pairs of its region, each read as one walk
     region = _REGIONS[f]
     if f in ("O", "Q", "H"):
         return _grow(n, 2, "walk", **region)
@@ -256,7 +236,6 @@ def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
         return _grow(n, 2, "walk", **region, meet=True)
     if f == "Odiag":
         return _grow(n, 2, "walk", **region, ends=((None, None), (0, 0)))
-    i, j = spec.i, spec.j
     if i is None or j is None:
         raise ValueError(f"walk family {f} needs both i and j")
     if f == "Osh":
@@ -266,3 +245,8 @@ def enumerate_walk_family(spec: WalkFamilySpec) -> tuple[str, ...]:
         require(i >= 0 and j >= 0, "need i, j >= 0, got i={}, j={}", i, j)
         return _g2_sector(n, i, j, "walk")
     return _grow(n, 2, "walk", **region, ends=((i + j, i + j), (i - j, i - j)))
+
+
+# the names the walk families had when they had their own record and
+# enumerator; the benchmark harness still calls them
+WalkFamilySpec, enumerate_walk_family = FamilySpec, enumerate_family

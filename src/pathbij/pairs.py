@@ -22,27 +22,26 @@ from typing import NamedTuple
 
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
-from .paths import check_ij, check_path, end_height, flip_steps, heights, swap_fragments
-
-
-def _same_length(p: str, q: str) -> int:
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return len(p)
+from .paths import (
+    _NEGATE,
+    _swap_fragments,
+    check_ij,
+    check_path,
+    end_height,
+    flip_steps,
+    heights,
+    read_ij,
+    same_length,
+)
 
 
 def _profiles(p: str, q: str):
     """(n, h(P) profile, h(Q) profile) of an equal-length pair."""
-    return _same_length(p, q), heights(p), heights(q)
+    return same_length(p, q), heights(p), heights(q)
 
 
 def _end(h: tuple[int, ...]) -> int:
     return h[-1] if h else 0
-
-
-def _read_ij(ep: int, eq: int) -> tuple[int, int]:
-    """(i, j) with h(P) = i+j and h(Q) = i-j."""
-    return (ep + eq) // 2, (ep - eq) // 2
 
 
 def _below(lower, upper) -> bool:
@@ -57,7 +56,6 @@ def _require_nested(nested: bool) -> None:
 # step pair (P, Q) -> step of (P-Q)/2 and of (P+Q)/2
 _DISAGREE = step_pair_table({"UD": "U", "DU": "D", "UU": "H", "DD": "H"})
 _AGREE = step_pair_table({"UU": "U", "DD": "D", "UD": "H", "DU": "H"})
-_FLIP = str.maketrans("UD", "DU")
 
 
 def _disagreement(p: str, q: str) -> str:
@@ -70,14 +68,14 @@ def _agreement(p: str, q: str) -> str:
 
 def disagreement(p: str, q: str) -> str:
     """The path (P-Q)/2: U where (U,D), D where (D,U), H where the steps agree."""
-    _same_length(p, q)
+    same_length(p, q)
     check_path(p), check_path(q)
     return _disagreement(p, q)
 
 
 def agreement(p: str, q: str) -> str:
     """The path (P+Q)/2: the common step where P and Q agree, H elsewhere."""
-    _same_length(p, q)
+    same_length(p, q)
     check_path(p), check_path(q)
     return _agreement(p, q)
 
@@ -125,10 +123,6 @@ def _axis_points(h: tuple[int, ...]) -> list[int]:
     return points
 
 
-def _lower_returns(q: str, h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a for a in _axis_points(h) if q[a - 1] == "U")
-
-
 def _flip_below(q: str, h: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     """Q' and the lower returns of Q, from the profile of Q.
 
@@ -144,7 +138,7 @@ def _flip_below(q: str, h: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     done = start = 0
     for stop in _axis_points(h):
         if q[start] == "D":
-            pieces += (q[done:start], q[start:stop - 1].translate(_FLIP))
+            pieces += (q[done:start], q[start:stop - 1].translate(_NEGATE))
             done = stop - 1
             returns.append(stop)
         start = stop
@@ -162,11 +156,13 @@ def flip_below(q: str) -> tuple[str, FlipRecord]:
     return qp, FlipRecord((), returns, len(returns))
 
 
-def _flip_below_inv(qp: str, h: tuple[int, ...], r: int) -> str:
+def _flip_below_inv(qp: str, h: tuple[int, ...], r: int) -> tuple[str, tuple[int, ...]]:
+    """Q and its lower returns: in Q each fragment flipped back ends at
+    height -1, and the step after it rises to the x-axis."""
     require(min(h, default=0) >= 0, "flip_below_inv needs a prefix")
     end = _end(h)
     require(end >= 2 * r, "need h(Q') >= 2r, got h(Q') = {}, r = {}", end, r)
-    return swap_fragments(qp, h, r, _FLIP)
+    return _swap_fragments(qp, h, r, _NEGATE)
 
 
 def flip_below_inv(qp: str, r: int) -> str:
@@ -177,7 +173,7 @@ def flip_below_inv(qp: str, r: int) -> str:
     disjoint and in left-to-right order.
     """
     require(r >= 0, "need r >= 0, got {}", r)
-    return _flip_below_inv(qp, heights(qp), r)
+    return _flip_below_inv(qp, heights(qp), r)[0]
 
 
 def _flip_both(p: str, q: str, flips: tuple[int, ...]):
@@ -195,7 +191,7 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
     n, hp, hq = _profiles(p, q)
     ep, eq = _end(hp), _end(hq)
     if i is None and j is None:
-        i, j = _read_ij(ep, eq)
+        i, j = read_ij(ep, eq)
     _check_m2(n, ep, eq, i, j, _below(hq, hp), _below(map(operator.neg, hp), hq))
     qp, returns = _flip_below(q, hq)
     chi = unmatched_steps(_disagreement(p, qp))[0]
@@ -224,8 +220,8 @@ def phi_inv(pt: str, qt: str, i: int, j: int):
     qp = flip_steps(qt, chi)
     hqp = heights(qp)
     r = (_end(hqp) - i + j) // 2
-    q = _flip_below_inv(qp, hqp, r)
-    return p, q, FlipRecord(chi, _lower_returns(q, heights(q)), r)
+    q, returns = _flip_below_inv(qp, hqp, r)
+    return p, q, FlipRecord(chi, returns, r)
 
 
 def _psi_s(p: str, q: str, s: int | None):
@@ -237,12 +233,12 @@ def _psi_s(p: str, q: str, s: int | None):
     profiles. The flips leave the disagreement path as it is, so the
     inverse finds its kernel in the cache.
     """
-    n = _same_length(p, q)
+    n = same_length(p, q)
     ep, eq = end_height(p), end_height(q)
     agree = _agreement(p, q)
     nested = not unmatched_steps(_disagreement(p, q))[0]
     above = not unmatched_steps(agree)[0]
-    _check_m2(n, ep, eq, *_read_ij(ep, eq), nested, above)
+    _check_m2(n, ep, eq, *read_ij(ep, eq), nested, above)
     return _flip_both(p, q, _up_flips(agree, s))
 
 
@@ -252,8 +248,8 @@ def _psi_s_inv(ps: str, qs: str, bottom: bool):
     The agreement path ends at s and has -ell unmatched D steps, its new
     minima, so i = s + 2 * (-ell).
     """
-    n = _same_length(ps, qs)
-    s, j = _read_ij(end_height(ps), end_height(qs))
+    n = same_length(ps, qs)
+    s, j = read_ij(end_height(ps), end_height(qs))
     require(s >= 0, "agreement path must end at height >= 0, got {}", s)
     require(j >= 0, "Q must end weakly below P")
     _require_nested(not unmatched_steps(_disagreement(ps, qs))[0])

@@ -41,6 +41,19 @@ def end_height(path: str) -> int:
     return 2 * check_path(path).count(UP) - len(path)
 
 
+def same_length(p: str, q: str) -> int:
+    """The common length of two words; ValueError if they differ."""
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    return len(p)
+
+
+def read_ij(ep: int, eq: int) -> tuple[int, int]:
+    """(i, j) with h(P) = i+j and h(Q) = i-j: the half sum and half
+    difference of two heights, and so the point of a walk."""
+    return (ep + eq) // 2, (ep - eq) // 2
+
+
 def negate(path: str) -> str:
     """Reflect along the x-axis: swap U and D everywhere."""
     return check_path(path).translate(_NEGATE)
@@ -79,6 +92,11 @@ def swap_fragments(word: str, h: tuple[int, ...], r: int, table) -> str:
     above v, so these points come in the order of v, one backward search
     finds them all, and the fragments are disjoint and in order.
     """
+    return _swap_fragments(word, h, r, table)[0]
+
+
+def _swap_fragments(word, h, r, table) -> tuple[str, tuple[int, ...]]:
+    # swap_fragments, and the 1-based positions of the r steps after the fragments
     backward = ((0,) + h)[::-1]
     last = []
     b = 0
@@ -93,7 +111,7 @@ def swap_fragments(word: str, h: tuple[int, ...], r: int, table) -> str:
         pieces += (word[done:start], word[start:stop].translate(table))
         done = stop
     pieces.append(word[done:])
-    return "".join(pieces)
+    return "".join(pieces), tuple(a + 1 for a in last[1::2])
 
 
 def lexkey(word: str) -> str:

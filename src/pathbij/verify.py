@@ -28,14 +28,7 @@ import pathbij as pb  # every map is looked up here at call time: a patch reache
 from ._base import require
 from ._maps import MAPS, call
 from .counting import count, count_macmahon
-from .families import (
-    FamilySpec,
-    WalkFamilySpec,
-    _members,
-    _nested_tuples,
-    enumerate_family,
-    enumerate_walk_family,
-)
+from .families import FamilySpec, _nested_tuples, enumerate_family
 from .matching import match_faces, tri_heights, unmatched_steps
 from .partitions import enumerate_pp
 from .paths import end_height, heights, lexkey, valid_ij
@@ -104,7 +97,8 @@ def _bijection(classes, forward):
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
     held = {}  # the members of the last class's specs, which the next class may share
     for at, *sides in classes:
-        held = {s: held[s] if s in held else _members(s) for s in sides if not isinstance(s, list)}
+        specs = [s for s in sides if not isinstance(s, list)]
+        held = {s: held[s] if s in held else enumerate_family(s) for s in specs}
         domain, codomain = (s if isinstance(s, list) else held[s] for s in sides)
         label = _fields(at.items())
         if inverse is not None:
@@ -255,23 +249,19 @@ _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D"
 
 def _check_step_dictionary(n_max):
     """The walk omega(P, Q) sits at the half sum and half difference of the
-    two height profiles, so nesting, the floor of Q, the floor -P and the
-    endpoints read off the walk; sector membership is the endpoint rows plus
+    two height profiles: 2x = h(P)+h(Q) and 2y = h(P)-h(Q) after every step.
+    The rest of the dictionary follows at every prefix: h(Q) = x-y, h(P) =
+    x+y, min(h(P)-h(Q)) = 2 min y, min(h(P)+h(Q)) = 2 min x and min h(Q) =
+    min(x-y), so nesting, the floor -P, the floor of Q and the endpoints
+    read off the walk; sector membership is the endpoint rows plus
     _check_shadow. Pairs are visited depth first, each one step pair longer
     than its parent, whose walk its own must extend: O(1) work per pair.
     Since the positions of a walk give back both profiles, the visit proves
     omega one-to-one on all 4^n pairs, hence onto the 4^n walks; omega_inv
     must give each pair back."""
 
-    def visit(p, q, w, hp, hq, x, y, lows):
-        # lows: lowest h(P)-h(Q), h(P)+h(Q), h(Q), y, x and x-y so far
-        nested, conested, q_floor, upper, right, under_diagonal = map((0).__le__, lows)
-        rows = (
-            2 * x == hp + hq and 2 * y == hp - hq,
-            nested == upper and conested == right and q_floor == under_diagonal,
-            (hp == hq) == (y == 0) and hq == x - y and hp == x + y,
-        )
-        if not all(rows):
+    def visit(p, q, w, hp, hq, x, y):
+        if 2 * x != hp + hq or 2 * y != hp - hq:
             return f"dictionary row fails: {p}/{q}"
         if pb.omega_inv(w) != (p, q):
             return f"omega roundtrip fails: {p}/{q}"
@@ -280,14 +270,12 @@ def _check_step_dictionary(n_max):
             if wc[:-1] != w:
                 return f"omega does not extend step by step: {p + a}/{q + b}"
             dx, dy = _DXY[wc[-1]]
-            ha, hb, nx, ny = hp + da, hq + db, x + dx, y + dy
-            news = (ha - hb, ha + hb, hb, ny, nx, nx - ny)
-            bad = visit(p + a, q + b, wc, ha, hb, nx, ny, tuple(map(min, lows, news)))
+            bad = visit(p + a, q + b, wc, hp + da, hq + db, x + dx, y + dy)
             if bad:
                 return bad
         return None
 
-    return visit("", "", "", 0, 0, 0, 0, (0,) * 6)
+    return visit("", "", "", 0, 0, 0, 0)
 
 
 def _check_conjugation(n_max):
@@ -321,16 +309,16 @@ def _check_psi_tilde_s_union(n_max):
         for n in range(n_max + 1):
             for s in range(n + 1):
                 for j in range((n - s) % 2, n - s + 1, 2):
-                    columns = (WalkFamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
-                    domain = [w for column in columns for w in enumerate_walk_family(column)]
-                    yield {"n": n, "s": s, "j": j}, domain, WalkFamilySpec("Hend", n, i=s, j=j)
+                    columns = (FamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
+                    domain = [w for column in columns for w in enumerate_family(column)]
+                    yield {"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j)
 
     return _bijection(classes(), "psi_tilde_s")
 
 
 def _check_phi_tilde_identity(n_max):
     for n in range(n_max + 1):
-        for w in enumerate_walk_family(WalkFamilySpec("Ox", n)):
+        for w in enumerate_family(FamilySpec("Ox", n)):
             if pb.phi_tilde(w) != w:
                 return f"phi_tilde moves an axis octant walk: {w}"
     return None
@@ -352,7 +340,7 @@ def _check_shadow(xy_max):
 
 def _check_hij_g2(n_max):
     # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
-    classes = ((at, FamilySpec("G2", **at), WalkFamilySpec("Hij", **at)) for at in _sectors(n_max))
+    classes = ((at, FamilySpec("G2", **at), FamilySpec("Hij", **at)) for at in _sectors(n_max))
     return _bijection(classes, "omega")
 
 
@@ -385,7 +373,7 @@ def _check_octant_census(n_max):
     return _agree(
         [(spec, "brute"), (spec, "formula")]
         for n in range(n_max + 1)
-        for spec in (WalkFamilySpec(fam, n) for fam in ("O", "Ox", "Odiag"))
+        for spec in (FamilySpec(fam, n) for fam in ("O", "Ox", "Odiag"))
     )
 
 
@@ -393,9 +381,9 @@ def _check_origin_walks(m_max):
     # the quadrant walks of length 2m back at the origin, counted, then
     # mapped onto the octant walks ending on the diagonal
     ats = [{"n": 2 * m, "i": 0, "j": 0} for m in range(m_max + 1)]
-    origin = [WalkFamilySpec("Qend", **at) for at in ats]
+    origin = [FamilySpec("Qend", **at) for at in ats]
     counted = _agree([(spec, "brute"), (spec, "formula")] for spec in origin)
-    classes = ((at, spec, WalkFamilySpec("Odiag", spec.n)) for at, spec in zip(ats, origin))
+    classes = ((at, spec, FamilySpec("Odiag", spec.n)) for at, spec in zip(ats, origin))
     return counted or _bijection(classes, "phi_tilde")
 
 

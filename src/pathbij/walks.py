@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
-from .paths import check_ij, check_path, flip_steps, heights, swap_fragments
+from .paths import check_ij, check_path, flip_steps, heights, same_length, swap_fragments
 
 _PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
 _STEP_TO_P = str.maketrans("ENSW", "UUDD")
@@ -37,8 +37,7 @@ def check_walk(w: str) -> str:
 
 def omega(p: str, q: str) -> str:
     """Encode a pair of paths as a plane walk, one step per position."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    same_length(p, q)
     check_path(p)
     check_path(q)
     return map_step_pairs(p, q, _PAIR_TO_STEP)

@@ -133,5 +133,5 @@ def test_count_takes_any_spec_and_rejects_what_its_method_does_not_read():
         count(WalkFamilySpec("O", 4), "det")
     with pytest.raises(ValueError, match="does not read k"):
         count(FamilySpec("G2", 4, k=2), "det")
-    with pytest.raises(ValueError, match="do not apply to walk families"):
+    with pytest.raises(ValueError, match="family O does not read k"):
         count(argparse.Namespace(family="O", n=4, k=2, i=None, j=None, s=None))

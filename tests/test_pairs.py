@@ -163,7 +163,18 @@ def test_phi_inv_examples():
     p, q, rec = phi_inv(WPT, WQT, 4, 1)
     assert (p, q) == (WP, WQ)
     assert rec.chi == (3, 13)
+    assert rec.lower_returns == (2, 6)
     assert rec.r == 2
+
+
+def test_phi_inv_gives_back_the_record_of_phi():
+    """phi_inv reads Q's lower returns off the fragments it unflips; they
+    are the ones phi finds on Q itself, on every M2 pair of <= 8 steps."""
+    for n in range(9):
+        for i, j in valid_ij(n):
+            for p, q in enumerate_family(FamilySpec("M2", n, i=i, j=j)):
+                pt, qt, rec = phi(p, q, i, j)
+                assert phi_inv(pt, qt, i, j) == (p, q, rec)
 
 
 def test_psi_examples():

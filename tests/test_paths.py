@@ -275,9 +275,16 @@ def test_enumerators_reject_fields_their_family_does_not_read():
     for spec in (WalkFamilySpec("O", 4, i=1), WalkFamilySpec("Q", 4, i=0, j=0)):
         with pytest.raises(ValueError, match="does not read"):
             enumerate_walk_family(spec)
-    # the fields a family does read still work, and walk families have no s
+    # the fields a family does read still work, and a walk family reads neither k nor s
     assert enumerate_family(FamilySpec("Aend", 4, s=0, i=2)) == ("UDDU", "DUUD", "DUDU")
-    assert "s" not in WalkFamilySpec._fields
+    for spec in (FamilySpec("O", 4, s=0), FamilySpec("Qend", 4, k=2, i=0, j=0)):
+        with pytest.raises(ValueError, match="does not read"):
+            enumerate_family(spec)
+
+
+def test_walk_families_share_the_one_record_and_enumerator():
+    assert WalkFamilySpec is FamilySpec
+    assert enumerate_walk_family is enumerate_family
 
 
 def test_enumerate_family_rejects_bad_specs():
