@@ -69,15 +69,13 @@ def count_grand_tuples_det(n: int, k: int) -> int:
 
 
 def count_macmahon(p: int, q: int, k: int) -> int:
-    """Plane partitions in a p x q x k box: the triple product
-    (i+j+l-1)/(i+j+l-2) over 1 <= i <= p, 1 <= j <= q, 1 <= l <= k."""
+    """Plane partitions in a p x q x k box: MacMahon's product
+    (i+j+k-1)/(i+j-1) over 1 <= i <= p, 1 <= j <= q."""
     if p < 0 or q < 0 or k < 0:
         raise ValueError("p, q, k must be nonnegative")
-    value = Fraction(1)
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
-            for l in range(1, k + 1):
-                value *= Fraction(i + j + l - 1, i + j + l - 2)
+    value = math.prod(
+        Fraction(i + j + k - 1, i + j - 1) for i in range(1, p + 1) for j in range(1, q + 1)
+    )
     if value.denominator != 1:
         raise ArithmeticError("MacMahon product did not cancel to an integer")
     return value.numerator
@@ -156,9 +154,9 @@ _COUNTED_AS = {
     "P": {"G": {}}, "P2": {"G2": {}, "Gk": {"k": 2}}, "G2": {"Gk": {"k": 2}}, "Pk": {"Gk": {}}
 }
 # the largest n, and k for Gk, that each closed form takes, so that no call
-# runs unbounded. formula: MAX_FORMULA_N. det, product and sum: a whole
-# call at the limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux,
-# Python 3.11), against 0.1 s (det) and 0.3 s (product) at k = 2
+# runs unbounded. formula: MAX_FORMULA_N. det and sum: a whole call at the
+# limits, k included, takes 0.7 to 1.4 s (2-vCPU Linux, Python 3.11),
+# against 0.1 s for det at k = 2. product: 0.14 s at k = 10, 0.18 s at k = 2
 _MAX_N_K = {
     "formula": (MAX_FORMULA_N, None),
     "det": (10_000, MAX_K),

@@ -9,6 +9,8 @@ the top path holding the smallest diagram.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from bisect import bisect_right
 
@@ -117,44 +119,22 @@ def pp_to_tuple(a: PlanePartition, k: int, p: int | None = None) -> tuple[str, .
 
 
 def enumerate_pp(p: int, q: int, k: int) -> tuple[PlanePartition, ...]:
-    """All plane partitions in the p x q x k box, sorted by their rows."""
+    """All plane partitions in the p x q x k box, sorted by their rows. The
+    rows over 0..k ascend, as do the rows under each row, none sorting after it."""
     if p < 0 or q < 0 or k < 0:
         raise ValueError("p, q, k must be nonnegative")
-    rows_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    if q == 0:
+        return ((),)
+    rows = sorted(itertools.combinations_with_replacement(range(k, -1, -1), p))
 
-    def rows_below(cap: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if cap in rows_cache:
-            return rows_cache[cap]
-        out: list[tuple[int, ...]] = []
-        row = [0] * p
+    @functools.cache
+    def under(top: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [row for row in rows[: bisect_right(rows, top)] if all(map(operator.ge, top, row))]
 
-        def fill(c: int, left: int) -> None:
-            if c == p:
-                out.append(tuple(row))
-                return
-            for v in range(min(left, cap[c]) + 1):
-                row[c] = v
-                fill(c + 1, v)
-
-        fill(0, k)
-        rows_cache[cap] = out
-        return out
-
-    results: list[PlanePartition] = []
-    partial: list[tuple[int, ...]] = []
-
-    def build(r: int, cap: tuple[int, ...]) -> None:
-        if r == q:
-            results.append(tuple(partial))
-            return
-        for row in rows_below(cap):
-            partial.append(row)
-            build(r + 1, row)
-            partial.pop()
-
-    build(0, (k,) * p)
-    results.sort()
-    return tuple(results)
+    boxes = [(row,) for row in rows]
+    for _ in range(q - 1):
+        boxes = [box + (row,) for box in boxes for row in under(box[-1])]
+    return tuple(boxes)
 
 
 def parse_pp(text: str) -> PlanePartition:

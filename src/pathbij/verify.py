@@ -95,11 +95,8 @@ def _bijection(classes, forward):
     inverse. Returns None or the first failure: the class's coordinates,
     then the element."""
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
-    held = {}  # the members of the last class's specs, which the next class may share
     for at, *sides in classes:
-        specs = [s for s in sides if not isinstance(s, list)]
-        held = {s: held[s] if s in held else enumerate_family(s) for s in specs}
-        domain, codomain = (s if isinstance(s, list) else held[s] for s in sides)
+        domain, codomain = (s if isinstance(s, list) else enumerate_family(s) for s in sides)
         label = _fields(at.items())
         if inverse is not None:
             there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
@@ -149,8 +146,7 @@ def _check_xi(n_max):
 
 def _check_xi_s(n_max):
     """xi_s maps the prefixes ending at i onto Aend(n, s=s, i=i), the paths
-    ending at s with minimum -(i-s)/2, for every valid (i, s). The classes
-    of one i share their domain, so its prefixes are enumerated once."""
+    ending at s with minimum -(i-s)/2, for every valid (i, s)."""
     classes = (
         ({"n": n, "i": i, "s": s}, FamilySpec("Pend", n, s=i), FamilySpec("Aend", n, i=i, s=s))
         for n in range(n_max + 1)

@@ -9,6 +9,7 @@ The quadrant-walk generator at the end feeds the map tests their long inputs.
 
 import functools
 import itertools
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -134,6 +135,31 @@ def naive_tuples(n, k, floor=False, end=None):
             continue
         out.append(tup)
     return sorted(out, key=udkey)
+
+
+def naive_pp(p, q, k):
+    """Plane partitions in the p x q x k box by filtering every q x p array
+    over 0..k for weakly decreasing rows and columns, sorted."""
+    out = []
+    for cells in itertools.product(range(k + 1), repeat=p * q):
+        a = tuple(cells[r * p : (r + 1) * p] for r in range(q))
+        rows_fall = all(row[c] >= row[c + 1] for row in a for c in range(p - 1))
+        cols_fall = all(a[r][c] >= a[r + 1][c] for r in range(q - 1) for c in range(p))
+        if rows_fall and cols_fall:
+            out.append(a)
+    return tuple(sorted(out))
+
+
+def macmahon_triple(p, q, k):
+    """The box count as the triple product (i+j+l-1)/(i+j+l-2) over the
+    cells 1 <= i <= p, 1 <= j <= q, 1 <= l <= k, in exact fractions."""
+    value = Fraction(1)
+    for i in range(1, p + 1):
+        for j in range(1, q + 1):
+            for l in range(1, k + 1):
+                value *= Fraction(i + j + l - 1, i + j + l - 2)
+    assert value.denominator == 1
+    return value.numerator
 
 
 WALK_STEP = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}

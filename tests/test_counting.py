@@ -23,6 +23,8 @@ from pathbij import (
 from pathbij.counting import binom, count
 from pathbij.families import enumerate_family
 
+import oracles
+
 
 def test_binom():
     assert binom(4, 2) == 6
@@ -75,6 +77,13 @@ def test_macmahon_is_symmetric_in_the_box_sides():
             count_macmahon(*perm) for perm in itertools.permutations((p, q, k))
         }
         assert len(counts) == 1
+
+
+def test_macmahon_double_product_is_the_triple_product():
+    for p in range(9):
+        for q in range(9):
+            for k in range(6):
+                assert count_macmahon(p, q, k) == oracles.macmahon_triple(p, q, k), (p, q, k)
 
 
 def test_octant_formula_examples():

@@ -137,6 +137,17 @@ def test_enumerate_pp_counts():
                     check_pp(a, k)
 
 
+def test_enumerate_pp_is_the_filtered_array_set():
+    """The box, order included, against every array that fits it, for
+    p * q <= 6 and k <= 3."""
+    for p in range(7):
+        for q in range(7):
+            if p * q > 6:
+                continue
+            for k in range(4):
+                assert enumerate_pp(p, q, k) == oracles.naive_pp(p, q, k), (p, q, k)
+
+
 def test_watermelon_census_matches_macmahon():
     """Nested k-tuples joining (0,0) to (p+q, p-q) are counted by the box
     product formula, including boxes with p < q."""

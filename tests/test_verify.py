@@ -2,15 +2,16 @@
 
 The acceptance gate rests on pathbij.verify's checks, so each sweep check is
 run against a corrupted map (the step dictionary against two, omega and
-omega_inv; the walk conjugation and the origin walks against phi_tilde and
-phi_tilde_inv): the map, patched in the package namespace where every
-check looks it up, answers one domain input with the image of another
-input of the same sector, which keeps every output valid but breaks
-injectivity. Each closed form of pathbij.counting, the table that
-`pathbij count` prints from, is corrupted in turn too, and a named counting
-check must fail. The suite runs its checks in
-worker processes; the last tests pin that it reports what the checks give
-in-process, under spawn too, and that a crash or a dead worker is a failure.
+omega_inv; the flip heights against flip_below and flip_below_inv; the walk
+conjugation and the origin walks against phi_tilde and phi_tilde_inv): the
+map, patched in the package namespace where every check looks it up,
+answers one domain input with the image of another input of the same
+sector, which keeps every output valid but breaks injectivity. Each closed
+form of pathbij.counting, the table that `pathbij count` prints from, is
+corrupted in turn too, and a named counting check must fail. The suite runs
+its checks in worker processes; the last tests pin that it reports what the
+checks give in-process, under spawn too, and that a crash or a dead worker
+is a failure.
 """
 
 import hashlib
@@ -44,10 +45,13 @@ CASES = [
     (verify._check_composed_map, 2, "psi", ("UD", "DU"), ("UD", "UD")),
     (verify._check_hij_g2, 2, "omega", ("UD", "DU"), ("UD", "UD")),
     (verify._check_pp, (1, 1, 1), "pp_to_tuple", (((1,),), 1, 2), (((0,),), 1, 2)),
+    (verify._check_flip_heights, 2, "flip_below", ("UD",), ("DU",)),
+    (verify._check_flip_heights, 2, "flip_below_inv", ("UU", 1), ("UD", 0)),
+    (verify._check_phi_tilde_identity, 2, "phi_tilde", ("EW",), ("EE",)),
 ]
-# a case against phi_tilde_inv carries the map's name, since its check has a
-# case against phi_tilde too
-IDS = [c[0].__name__ + "-phi_tilde_inv" * (c[2] == "phi_tilde_inv") for c in CASES]
+# a case against an inverse carries the map's name, since its check has a
+# case against the forward map too
+IDS = [c[0].__name__ + f"-{c[2]}" * c[2].endswith("_inv") for c in CASES]
 
 
 @pytest.mark.parametrize("check, bound, name, victim, donor", CASES, ids=IDS)
