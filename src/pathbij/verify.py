@@ -1,18 +1,24 @@
 """The identity suite: one check per published identity, each defined once.
 
 Each _check_* function sweeps exactly the range its arguments give and
-returns None or the first counterexample. The eleven bijection checks share
-one proof, _bijection, over classes that are data: a class is its
-coordinates (n=4, i=2, j=0), which name it in a failure and give each map
-the parameters it reads, and its domain and codomain, family specs that
-_bijection enumerates itself. The M2 sectors come from one list, _sectors.
-The counting identities share another proof, _agree, over the counts of
+returns None or the first counterexample. The bijection checks share one
+proof, _bijection, over classes that are data: a class is its coordinates
+(n=4, i=2, j=0), which name it in a failure and give each map the
+parameters it reads, and its domain and codomain, family specs that
+_bijection enumerates itself, or members already enumerated. The counting
+identities share another proof, _agree, over the counts of
 pathbij.counting.count, the ones `pathbij count` prints.
+Six checks read the M2 sectors, their walks or their G2 images. They run as
+the rows of one sweep, _sweep, in shards (n, j): a shard enumerates each
+of its sectors once and makes each call that several rows make once per
+pair, while every row keeps the domain and codomain it enumerates. Each of
+the six _check_* functions is the sweep run for its row alone.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
-beyond, arithmetic ones to 2 * max_n. The
-checks are independent, so verify_suite runs them in worker processes, one
-per available CPU, and reports them in table order.
+beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
+independent, so verify_suite runs them in worker processes, one per
+available CPU, merges each swept row's failures over its shards, and
+reports every check in table order.
 tests/test_acceptance.py gates on verify_suite(10, 3).
 """
 
@@ -21,6 +27,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import NamedTuple
 
 import pathbij as pb  # every map is looked up here at call time: a patch reaches every check
@@ -31,7 +39,7 @@ from .counting import count, count_macmahon
 from .families import FamilySpec, _nested_tuples, enumerate_family
 from .matching import match_faces, tri_heights, unmatched_steps
 from .partitions import enumerate_pp
-from .paths import end_height, heights, lexkey, valid_ij
+from .paths import end_height, heights, lexkey
 from .walks import _DXY, shadow_contains
 
 
@@ -85,32 +93,60 @@ def _check_matching(n_max):
     return None
 
 
-def _bijection(classes, forward):
+def _bijection(classes, forward, made=None):
     """The proof the bijection checks share. A class is (at, domain,
     codomain): at maps each coordinate of the class to its value, and a
-    side is a family spec, or a list of members where the set is no family.
-    forward maps the domain onto the codomain one-to-one: the name of a map
-    of pathbij._maps, whose inverse gives each x back, each reading its
-    parameters by name from at, or a function of x alone without an
-    inverse. Returns None or the first failure: the class's coordinates,
-    then the element."""
-    inverse = MAPS[forward].inverse if isinstance(forward, str) else None
-    for at, *sides in classes:
-        domain, codomain = (s if isinstance(s, list) else enumerate_family(s) for s in sides)
-        label = _fields(at.items())
-        if inverse is not None:
-            there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
-        image = set()
+    side is a family spec, or the members themselves where the set is no
+    family or is already enumerated. forward maps the domain onto the
+    codomain one-to-one (_proof, _onto). Returns None or the first failure:
+    the class's coordinates, then the element."""
+    for at, domain, codomain in classes:
+        domain = _members(domain)
+        image, step = _proof(at, forward, made)
         for x in domain:
-            if inverse is None:
-                y = forward(x)
-            else:
-                y = call(forward, x, *there)[0]
-                if call(inverse, y, *back)[0] != x:
-                    return f"{label}: roundtrip fails on {x}"
-            image.add(y)
-        if not len(domain) == len(image) == len(codomain) or image != set(codomain):
-            return f"{label}: image is not the codomain"
+            bad = step(x)
+            if bad is not None:
+                return bad
+        bad = _onto(at, domain, image, codomain)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _members(side):
+    return enumerate_family(side) if isinstance(side, FamilySpec) else side
+
+
+def _proof(at, forward, made=None):
+    """A bijection proof of the class at, one domain element at a time:
+    the images so far, and step(x), which maps x forward, keeps its image
+    and returns None, or the failure if the inverse does not give x back.
+    forward is the name of a map of pathbij._maps, each side reading its
+    parameters by name from at, or a function of x alone without an
+    inverse. made, when given, holds forward outputs to reuse (_made)."""
+    image = set()
+    if not isinstance(forward, str):
+        return image, lambda x: image.add(forward(x))
+    inverse = MAPS[forward].inverse
+    there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
+    label = _fields(at.items())
+
+    def step(x):
+        y = _made(made, forward, x, *there)[0]
+        if call(inverse, y, *back)[0] != x:
+            return f"{label}: roundtrip fails on {x}"
+        image.add(y)
+        return None
+
+    return image, step
+
+
+def _onto(at, domain, image, codomain):
+    """None, or the failure if the images of the domain are not the
+    codomain, one per element."""
+    codomain = _members(codomain)
+    if not len(domain) == len(image) == len(codomain) or image != set(codomain):
+        return f"{_fields(at.items())}: image is not the codomain"
     return None
 
 
@@ -163,15 +199,9 @@ def _check_nu(n_max):
     return _bijection(classes, "nu")
 
 
-def _sectors(n_max):
-    # the coordinates of every M2(n,i;j) sector with n <= n_max
-    return ({"n": n, "i": i, "j": j} for n in range(n_max + 1) for i, j in valid_ij(n))
-
-
 def _check_phi_sector(n_max):
     # nesting, the floor and the sector are membership in P2(n,i;j)
-    classes = ((at, FamilySpec("M2", **at), FamilySpec("P2", **at)) for at in _sectors(n_max))
-    return _bijection(classes, "phi")
+    return _one_row(_PHI, n_max)
 
 
 def _check_flip_heights(n_max):
@@ -193,29 +223,12 @@ def _check_flip_heights(n_max):
 
 
 def _check_flip_records(n_max):
-    for at in _sectors(n_max):
-        m2 = FamilySpec("M2", **at)
-        for p, q in enumerate_family(m2):
-            qp, _ = pb.flip_below(q)
-            _, _, rec = pb.phi(p, q, m2.i, m2.j)
-            if not (rec.r - m2.j <= len(rec.chi) <= rec.r):
-                return f"flip count outside bounds: {p}/{q}"
-            hp = (0,) + heights(p)
-            hqp = (0,) + heights(qp)
-            chi_seen = ret_seen = running = 0
-            for a in range(m2.n + 1):
-                running = max(running, hqp[a] - hp[a])
-                chi_seen += a in rec.chi
-                ret_seen += a in rec.lower_returns
-                if 2 * chi_seen != running or running > 2 * ret_seen:
-                    return f"flip prefix identity fails: {p}/{q} at a={a}"
-    return None
+    return _one_row(_FLIP, n_max)
 
 
 def _check_psi_sector(n_max):
     # the endpoints and the depth are membership in G2(n,i;j)
-    classes = ((at, FamilySpec("M2", **at), FamilySpec("G2", **at)) for at in _sectors(n_max))
-    return _bijection(classes, "psi")
+    return _one_row(_PSI, n_max)
 
 
 def _check_composed_map(n_max):
@@ -235,7 +248,7 @@ def _check_floor_pairs(n_max):
             preimages = [(end_height(q), pb.phi_inv(p, q, end_height(q), 0)[:2]) for p, q in p2]
             for s in range(n % 2, n + 1, 2):
                 domain = [pair for i, pair in preimages if i >= s]
-                yield {"n": n, "s": s}, domain, list(_nested_tuples(n, 2, False, s))
+                yield {"n": n, "s": s}, domain, _nested_tuples(n, 2, False, s)
 
     return _bijection(classes(), "psi_s")
 
@@ -279,37 +292,12 @@ def _check_conjugation(n_max):
     inverses undo them. phi_tilde_inv runs on the walk itself, so its round
     trip tests an implementation independent of phi_inv, whose own round
     trip phi_sector_bijection tests."""
-    for at in _sectors(n_max):
-        m2 = FamilySpec("M2", **at)
-        for p, q in enumerate_family(m2):
-            w = pb.omega(p, q)
-            wf = pb.phi_tilde(w)
-            if wf != pb.omega(*pb.phi(p, q, m2.i, m2.j)[:2]):
-                return f"phi conjugation fails: {p}/{q}"
-            if pb.phi_tilde_inv(wf, m2.i, m2.j) != w:
-                return f"phi_tilde roundtrip fails: {w}"
-            wh = pb.psi_tilde(w)
-            if wh != pb.omega(*pb.psi(p, q)[:2]):
-                return f"psi conjugation fails: {p}/{q}"
-            if pb.psi_tilde_inv(wh) != w:
-                return f"psi_tilde roundtrip fails: {w}"
-            for s in range(m2.i % 2, m2.i + 1, 2):
-                if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
-                    return f"psi_s conjugation fails: {p}/{q}, s={s}"
-    return None
+    return _one_row(_CONJ, n_max)
 
 
 def _check_psi_tilde_s_union(n_max):
     # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j)
-    def classes():
-        for n in range(n_max + 1):
-            for s in range(n + 1):
-                for j in range((n - s) % 2, n - s + 1, 2):
-                    columns = (FamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
-                    domain = [w for column in columns for w in enumerate_family(column)]
-                    yield {"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j)
-
-    return _bijection(classes(), "psi_tilde_s")
+    return _one_row(_UNION, n_max)
 
 
 def _check_phi_tilde_identity(n_max):
@@ -336,8 +324,118 @@ def _check_shadow(xy_max):
 
 def _check_hij_g2(n_max):
     # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
-    classes = ((at, FamilySpec("G2", **at), FamilySpec("Hij", **at)) for at in _sectors(n_max))
-    return _bijection(classes, "omega")
+    return _one_row(_HIJ, n_max)
+
+
+# The rows of the sweep, in report order. Shard (n, j) covers every sector
+# M2(n, i; j) and every union class (n, s, j) of psi_tilde_s_union, whose
+# Qend columns all end at height j. A failure's key orders it within its
+# row: (n, i, j) for a sector, the order of paths.valid_ij, and (n, s, j)
+# for a union class.
+_SWEPT = _PHI, _FLIP, _PSI, _CONJ, _UNION, _HIJ = (
+    "phi_sector_bijection", "flip_record_bounds", "psi_sector_bijection",
+    "walk_conjugation", "psi_tilde_s_union", "hij_walks_vs_g2",
+)
+
+
+def _made(made, name, x, *params):
+    """call(name, x, *params), made once: made keeps each output for the
+    next row that makes the identical call, and None keeps nothing. A call
+    that raised is kept by no one, so the next row raises it again."""
+    if made is None:
+        return call(name, x, *params)
+    key = (name, x, *params)
+    out = made.get(key)
+    if out is None:
+        out = made[key] = call(name, x, *params)
+    return out
+
+
+def _flip_record(n, i, j, x, made):
+    p, q = x
+    qp, _ = pb.flip_below(q)
+    rec = _made(made, "phi", x, i, j)[1]
+    if not (rec.r - j <= len(rec.chi) <= rec.r):
+        return f"flip count outside bounds: {p}/{q}"
+    hp = (0,) + heights(p)
+    hqp = (0,) + heights(qp)
+    chi_seen = ret_seen = running = 0
+    for a in range(n + 1):
+        running = max(running, hqp[a] - hp[a])
+        chi_seen += a in rec.chi
+        ret_seen += a in rec.lower_returns
+        if 2 * chi_seen != running or running > 2 * ret_seen:
+            return f"flip prefix identity fails: {p}/{q} at a={a}"
+    return None
+
+
+def _conjugate(i, j, x, made, walks_made):
+    p, q = x
+    w = pb.omega(p, q)
+    wf = pb.phi_tilde(w)
+    if wf != pb.omega(*_made(made, "phi", x, i, j)[0]):
+        return f"phi conjugation fails: {p}/{q}"
+    if pb.phi_tilde_inv(wf, i, j) != w:
+        return f"phi_tilde roundtrip fails: {w}"
+    wh = pb.psi_tilde(w)
+    if wh != pb.omega(*_made(made, "psi", x)[0]):
+        return f"psi conjugation fails: {p}/{q}"
+    if pb.psi_tilde_inv(wh) != w:
+        return f"psi_tilde roundtrip fails: {w}"
+    for s in range(i % 2, i + 1, 2):
+        if _made(walks_made, "psi_tilde_s", w, s)[0] != pb.omega(*pb.psi_s(p, q, s)[:2]):
+            return f"psi_s conjugation fails: {p}/{q}, s={s}"
+    return None
+
+
+def _sweep(n, j, rows):
+    """Run the swept rows named in rows on shard (n, j), each M2 pair
+    through every row in turn, so that the pair's calls, and the caches
+    they fill, serve every row. Returns None or, by row, its first failure
+    in the shard as (key, text); an error is a failure, and a row stops at
+    its first."""
+    first = {}
+
+    def run(row, key, check, *args):
+        if row in rows and row not in first:
+            try:
+                bad = check(*args)
+            except Exception as exc:
+                bad = f"error: {exc}"
+            if bad is not None:
+                first[row] = (key, bad)
+
+    # psi_tilde_s of every walk the conjugation maps, for the union row
+    walks_made = {} if _UNION in rows else None
+    for i in range(j + n % 2, n - j + 1, 2):
+        at, key, made = {"n": n, "i": i, "j": j}, (n, i, j), {}
+        need = set(rows) - set(first)
+        m2 = enumerate_family(FamilySpec("M2", **at)) if need & {_PHI, _FLIP, _PSI, _CONJ} else ()
+        g2 = enumerate_family(FamilySpec("G2", **at)) if need & {_PSI, _HIJ} else ()
+        phi_image, phi_step = _proof(at, "phi", made)
+        psi_image, psi_step = _proof(at, "psi", made)
+        for x in m2:
+            run(_PHI, key, phi_step, x)
+            run(_FLIP, key, _flip_record, n, i, j, x, made)
+            run(_PSI, key, psi_step, x)
+            run(_CONJ, key, _conjugate, i, j, x, made, walks_made)
+            made.clear()  # the pair's calls are made; keep no output past its rows
+        run(_PHI, key, _onto, at, m2, phi_image, FamilySpec("P2", **at))
+        run(_PSI, key, _onto, at, m2, psi_image, g2)
+        run(_HIJ, key, _bijection, [(at, g2, FamilySpec("Hij", **at))], "omega")
+    if _UNION in rows:
+        ends = range((n - j) % 2, n - j + 1, 2)
+        columns = {i: enumerate_family(FamilySpec("Qend", n, i=i, j=j)) for i in ends}
+        for s in ends:
+            domain = [w for i in range(s, n - j + 1, 2) for w in columns[i]]
+            union = ({"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j))
+            run(_UNION, (n, s, j), _bijection, [union], "psi_tilde_s", walks_made)
+    return first or None
+
+
+def _one_row(row, n_max):
+    """One swept row alone: its shards, run and merged in this process."""
+    return _run_checks([(row, "", None, (n_max,))], workers=1)[0].counterexample
 
 
 def _check_det_vs_box(n_max, k_max):
@@ -397,7 +495,7 @@ def _check_pp(pq_max, k_max, count_pq_max):
         if max(p, q) <= count_pq_max and not len(box) == len(melons) == count_macmahon(p, q, k):
             return f"box census fails at ({p},{q},{k})"
         if max(p, q) <= pq_max:
-            classes.append(({"p": p, "q": q, "k": k, "n": p + q}, list(box), list(melons)))
+            classes.append(({"p": p, "q": q, "k": k, "n": p + q}, box, melons))
     return _bijection(classes, "pp_to_tuple")
 
 
@@ -443,8 +541,9 @@ def _checks(max_n: int, max_k: int) -> tuple:
 
 
 def _run_check(entry) -> CheckResult:
-    """Run one table entry and time it. A module-level function, so that a
-    worker process can receive it by name."""
+    """Run one table entry or shard (_tasks) and time it. A module-level
+    function, so that a worker process can receive it by name. A shard's
+    counterexample is _sweep's: its failures by row."""
     name, rng, fn, bounds = entry
     start = time.perf_counter()
     try:
@@ -452,6 +551,50 @@ def _run_check(entry) -> CheckResult:
     except Exception as exc:  # a crash inside a sweep is a failure, not an abort
         bad = f"error: {exc}"
     return CheckResult(name, rng, bad is None, bad, time.perf_counter() - start, os.getpid())
+
+
+def _tasks(checks) -> list:
+    """The table's entries but the swept rows, in table order, then the
+    swept rows' shards, largest n first, as entries of _sweep."""
+    bounds = {name: b[0] for name, _, _, b in checks if name in _SWEPT}
+    tasks = [entry for entry in checks if entry[0] not in bounds]
+    for n in range(max(bounds.values(), default=-1), -1, -1):
+        for j in range(n + 1):
+            # sectors stop at j = n // 2, the union's Qend columns at j = n
+            reach = (r for r in _SWEPT if 2 * j <= n or r == _UNION)
+            rows = tuple(r for r in reach if n <= bounds.get(r, -1))
+            if rows:
+                tasks.append((f"sweep n={n}, j={j}", "", _sweep, (n, j, rows)))
+    return tasks
+
+
+def _merge(checks, tasks, results) -> tuple[CheckResult, ...]:
+    """One result per table entry, in table order. A swept row's is its
+    first failure over its shards, in its own order; a shard that crashed
+    or whose worker died fails each of its rows, ahead of every class of
+    its n. Each shard's time is shared evenly among its rows, so the
+    checks' times add up to the tasks'."""
+    done, swept = {}, {}
+    for (_, _, fn, bounds), r in zip(tasks, results):
+        if fn is not _sweep:
+            done[r.name] = r
+            continue
+        n, j, rows = bounds
+        bad = r.counterexample
+        for row in rows:
+            fail = ((n, -1, j), bad) if isinstance(bad, str) else (bad or {}).get(row)
+            first, seconds, pid = swept.get(row, (None, 0.0, 0))
+            if fail and (first is None or fail < first):
+                first = fail
+            swept[row] = (first, seconds + r.seconds / len(rows), pid or r.pid)
+    results = []
+    for name, rng, _, _ in checks:
+        if name in done:
+            results.append(done[name])
+        else:
+            first, seconds, pid = swept.get(name, (None, 0.0, 0))
+            results.append(CheckResult(name, rng, first is None, first and first[1], seconds, pid))
+    return tuple(results)
 
 
 def _pool_size(jobs: int) -> int:
@@ -463,30 +606,28 @@ def _pool_size(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _run_checks(checks) -> tuple[CheckResult, ...]:
-    """_run_check over the table, in table order: in worker processes when
-    more than one CPU is available, else (or when no pool can start) in
-    this process. A check whose worker died is a failed result."""
-    workers = _pool_size(len(checks))
+def _run_checks(checks, workers: int | None = None) -> tuple[CheckResult, ...]:
+    """The table's results in table order (_merge). Its tasks (_tasks) run
+    in worker processes, by default one per available CPU; with one worker,
+    or when no pool can start, in this process. A task whose worker died
+    is a failed result."""
+    tasks = _tasks(checks)
+    workers = _pool_size(len(tasks)) if workers is None else workers
     results: list[CheckResult] = []
     if workers > 1:
-        # imported here: pathbij.cli imports this module on every command
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         try:
             with ProcessPoolExecutor(workers) as pool:
-                for result in pool.map(_run_check, checks, chunksize=1):
+                for result in pool.map(_run_check, tasks, chunksize=1):
                     results.append(result)
         except (OSError, NotImplementedError):
             pass  # no pool on this platform; the rest run below
         except BrokenProcessPool as exc:
             results += [
                 CheckResult(name, rng, False, f"error: worker process died ({exc})")
-                for name, rng, _, _ in checks[len(results):]
+                for name, rng, _, _ in tasks[len(results):]
             ]
-    results += map(_run_check, checks[len(results):])
-    return tuple(results)
+    results += map(_run_check, tasks[len(results):])
+    return _merge(checks, tasks, results)
 
 
 def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:

@@ -9,9 +9,10 @@ answers one domain input with the image of another input of the same
 sector, which keeps every output valid but breaks injectivity. Each closed
 form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
-its checks in worker processes; the last tests pin that it reports what the
-checks give in-process, under spawn too, and that a crash or a dead worker
-is a failure.
+six checks as the rows of one sweep, in shards, and every check in worker
+processes; the last tests pin that it reports what the checks give on their
+own, in process and under spawn too, that the sweep makes each shared call
+once, and that a crash or a dead worker is a failure.
 """
 
 import hashlib
@@ -77,6 +78,108 @@ def test_a_bijection_failure_leads_with_its_class(monkeypatch):
     victim, donor = ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)
     monkeypatch.setattr(pathbij, "phi", lambda *a: real(*(donor if a == victim else a)))
     assert verify._check_phi_sector(2) == "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')"
+
+
+# the first counterexample of each swept row, at n <= 2, under each
+# corruption of CASES that one of them catches, as the rows gave them when
+# each ran its own loop
+SWEPT_CASES = {
+    ("phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)): {
+        "phi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
+        "flip_record_bounds": "flip prefix identity fails: UD/DU at a=2",
+        "walk_conjugation": "phi conjugation fails: UD/DU",
+    },
+    ("psi", ("UD", "DU"), ("UD", "UD")): {
+        "psi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
+        "walk_conjugation": "psi conjugation fails: UD/DU",
+    },
+    ("phi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "phi conjugation fails: UD/DU"},
+    ("psi_s", ("UD", "DU", 0), ("UD", "UD", 0)): {
+        "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
+    },
+    ("psi_tilde_s", ("NS", 0), ("EW", 0)): {
+        "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
+        "psi_tilde_s_union": "n=2, s=0, j=0: roundtrip fails on NS",
+    },
+    ("omega_inv", ("NS",), ("EW",)): {
+        "hij_walks_vs_g2": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
+    },
+    ("phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)): {
+        "walk_conjugation": "phi_tilde roundtrip fails: NS",
+    },
+    ("omega", ("UD", "DU"), ("UD", "UD")): {
+        "walk_conjugation": "phi conjugation fails: UD/DU",
+        "hij_walks_vs_g2": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
+    },
+    ("flip_below", ("UD",), ("DU",)): {
+        "flip_record_bounds": "flip prefix identity fails: UD/UD at a=2",
+    },
+    ("phi_tilde", ("EW",), ("EE",)): {"walk_conjugation": "phi conjugation fails: UD/UD"},
+}
+
+
+# each corruption of CASES once: (map, input to corrupt, input whose image it gets)
+CORRUPTIONS = list(dict.fromkeys(case[2:] for case in CASES))
+
+
+def test_every_swept_case_is_a_case():
+    assert set(SWEPT_CASES) <= set(CORRUPTIONS)
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS, ids=[f"{c[0]}-{c[1][0]}" for c in CORRUPTIONS])
+def test_shards_keep_each_rows_counterexample(monkeypatch, case):
+    """The suite runs the swept rows as shards of one sweep and merges each
+    row's first failure back. Under each corruption, in this process, it
+    reports for each row the counterexample that the row's own check gives,
+    the one pinned in SWEPT_CASES, or none."""
+    name, victim, donor = case
+    real = getattr(pathbij, name)
+    monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
+    rows = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    alone = {row: fn(*bounds) for row, _, fn, bounds in rows}
+    merged = {r.name: r.counterexample for r in verify._run_checks(rows, workers=1)}
+    expected = {row: SWEPT_CASES.get(case, {}).get(row) for row in verify._SWEPT}
+    assert alone == merged == expected
+
+
+def test_a_row_reports_its_first_failure_over_its_shards(monkeypatch):
+    """Shard (2, 0) holds the sectors (2, 0, 0) and (2, 2, 0), and shard
+    (2, 1) the sector (2, 1, 1). With phi refusing both i + j = 2 sectors,
+    each row that calls phi fails first at (2, 1, 1), in the order of its
+    own check, not at the shard that comes first."""
+    real = pathbij.phi
+
+    def phi(p, q, i=None, j=None):
+        if i is not None and i + j == 2:
+            raise ValueError(f"refused at i={i}, j={j}")
+        return real(p, q, i, j)
+
+    monkeypatch.setattr(pathbij, "phi", phi)
+    rows = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    got = {r.name: r.counterexample for r in verify._run_checks(rows, workers=1)}
+    for row, _, fn, bounds in rows:
+        calls_phi = row in ("phi_sector_bijection", "flip_record_bounds", "walk_conjugation")
+        assert got[row] == fn(*bounds) == ("error: refused at i=1, j=1" if calls_phi else None)
+
+
+def test_each_shared_call_is_made_once_per_pair(monkeypatch):
+    """The sweep calls phi once per M2 pair, where phi_sector_bijection,
+    flip_record_bounds and walk_conjugation each called it once, and psi
+    once, where psi_sector_bijection and walk_conjugation each did;
+    composed_map_bijection calls psi on its own, on each P2 pair. There
+    are 162 M2 pairs and 81 P2 pairs with n <= 5."""
+    calls = {"phi": 0, "psi": 0}
+    for name in calls:
+        real = getattr(pathbij, name)
+
+        def counted(*a, name=name, real=real):
+            calls[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(pathbij, name, counted)
+    got = verify._run_checks(verify._checks(5, 2), workers=1)
+    assert all(r.passed for r in got)
+    assert calls == {"phi": 162, "psi": 162 + 81}
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
@@ -146,14 +249,32 @@ def test_parallel_suite_matches_the_checks_run_in_process():
 
 
 def test_every_check_runs_in_a_spawned_worker():
-    """Under spawn a worker imports pathbij afresh and receives each table
-    entry and the worker function by pickling, as on macOS and Windows."""
+    """Under spawn a worker imports pathbij afresh and receives each task,
+    a table entry or a shard of the swept rows, and the worker function by
+    pickling, as on macOS and Windows."""
     table = verify._checks(1, 2)
+    tasks = verify._tasks(table)
+    assert any(task[2] is verify._sweep for task in tasks)
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=context) as pool:
-        got = list(pool.map(verify._run_check, table, chunksize=1))
+        got = verify._merge(table, tasks, list(pool.map(verify._run_check, tasks, chunksize=1)))
     assert [r.name for r in got] == [entry[0] for entry in table]
     assert all(r.passed for r in got), [r.line() for r in got if not r.passed]
+
+
+def test_a_dead_shard_fails_each_of_its_rows():
+    """_run_checks gives each task whose worker died a failed result; the
+    merge fails every row of that shard, and no other row. At n <= 2,
+    shard (2, 2) runs psi_tilde_s_union alone and shard (2, 1) all six."""
+    table = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    tasks = verify._tasks(table)
+    for shard, failed in (((2, 2), {"psi_tilde_s_union"}), ((2, 1), set(verify._SWEPT))):
+        results = list(map(verify._run_check, tasks))
+        k = next(k for k, task in enumerate(tasks) if task[3][:2] == shard)
+        results[k] = verify.CheckResult(tasks[k][0], "", False, "error: worker process died (x)")
+        got = verify._merge(table, tasks, results)
+        assert {r.name for r in got if not r.passed} == failed
+        assert {r.counterexample for r in got if not r.passed} == {"error: worker process died (x)"}
 
 
 def test_a_raising_check_is_a_failed_result():
