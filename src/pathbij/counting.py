@@ -98,8 +98,7 @@ def count_octant_xaxis(n: int) -> int:
     C_m * C_{m+1} for n = 2m, C_{m+1}^2 for n = 2m+1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = n // 2
-    return catalan(m) * catalan(m + 1) if n % 2 == 0 else catalan(m + 1) ** 2
+    return count_octant_diag(n // 2) if n % 2 == 0 else catalan(n // 2 + 1) ** 2
 
 
 def count_octant_diag(m: int) -> int:
@@ -130,7 +129,7 @@ def brute_count(spec) -> int:
 def _qend(n: int, i: int, j: int) -> int:
     """Quadrant walks of length 2m returning to the origin: C_m * C_{m+1}."""
     require((i, j) == (0, 0), "the closed form covers walks returning to the origin only")
-    return 0 if n % 2 else catalan(n // 2) * catalan(n // 2 + 1)
+    return 0 if n % 2 else count_octant_diag(n // 2)
 
 
 # the closed forms by (family, method), each a function of n and then of the

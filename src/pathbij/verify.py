@@ -8,17 +8,17 @@ parameters it reads, and its domain and codomain, family specs that
 _bijection enumerates itself, or members already enumerated. The counting
 identities share another proof, _agree, over the counts of
 pathbij.counting.count, the ones `pathbij count` prints.
-Six checks read the M2 sectors, their walks or their G2 images. They run as
-the rows of one sweep, _sweep, in shards (n, j): a shard enumerates each
-of its sectors once and makes each call that several rows make once per
-pair, while every row keeps the domain and codomain it enumerates. Each of
-the six _check_* functions is the sweep run for its row alone.
+Five rows read the M2 sectors or their G2 images. They run as one sweep,
+_sweep, one shard per sector M2(n,i;j): a shard enumerates the sector's M2
+and G2 sets once, runs each row over the whole sector, and makes each phi
+and psi call that several rows make once per pair. Each of the five
+_check_* functions is the sweep run for its row alone.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
 independent, so verify_suite runs them in worker processes, one per
-available CPU, merges each swept row's failures over its shards, and
-reports every check in table order.
+available CPU, keeps each swept row's first failure over its shards in
+(n, i, j) order, and reports every check in table order.
 tests/test_acceptance.py gates on verify_suite(10, 3).
 """
 
@@ -39,7 +39,7 @@ from .counting import count, count_macmahon
 from .families import FamilySpec, _nested_tuples, enumerate_family
 from .matching import match_faces, tri_heights, unmatched_steps
 from .partitions import enumerate_pp
-from .paths import end_height, heights, lexkey
+from .paths import end_height, heights, lexkey, valid_ij
 from .walks import _DXY, shadow_contains
 
 
@@ -98,55 +98,28 @@ def _bijection(classes, forward, made=None):
     codomain): at maps each coordinate of the class to its value, and a
     side is a family spec, or the members themselves where the set is no
     family or is already enumerated. forward maps the domain onto the
-    codomain one-to-one (_proof, _onto). Returns None or the first failure:
-    the class's coordinates, then the element."""
-    for at, domain, codomain in classes:
-        domain = _members(domain)
-        image, step = _proof(at, forward, made)
+    codomain one-to-one: the name of a map of pathbij._maps, whose inverse
+    gives each x back, each reading its parameters by name from at, or a
+    function of x alone without an inverse. made, when given, holds forward
+    outputs to reuse (_made). Returns None or the first failure: the
+    class's coordinates, then the element."""
+    inverse = MAPS[forward].inverse if isinstance(forward, str) else None
+    for at, *sides in classes:
+        domain, codomain = (enumerate_family(s) if isinstance(s, FamilySpec) else s for s in sides)
+        label = _fields(at.items())
+        if inverse is not None:
+            there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
+        image = set()
         for x in domain:
-            bad = step(x)
-            if bad is not None:
-                return bad
-        bad = _onto(at, domain, image, codomain)
-        if bad is not None:
-            return bad
-    return None
-
-
-def _members(side):
-    return enumerate_family(side) if isinstance(side, FamilySpec) else side
-
-
-def _proof(at, forward, made=None):
-    """A bijection proof of the class at, one domain element at a time:
-    the images so far, and step(x), which maps x forward, keeps its image
-    and returns None, or the failure if the inverse does not give x back.
-    forward is the name of a map of pathbij._maps, each side reading its
-    parameters by name from at, or a function of x alone without an
-    inverse. made, when given, holds forward outputs to reuse (_made)."""
-    image = set()
-    if not isinstance(forward, str):
-        return image, lambda x: image.add(forward(x))
-    inverse = MAPS[forward].inverse
-    there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
-    label = _fields(at.items())
-
-    def step(x):
-        y = _made(made, forward, x, *there)[0]
-        if call(inverse, y, *back)[0] != x:
-            return f"{label}: roundtrip fails on {x}"
-        image.add(y)
-        return None
-
-    return image, step
-
-
-def _onto(at, domain, image, codomain):
-    """None, or the failure if the images of the domain are not the
-    codomain, one per element."""
-    codomain = _members(codomain)
-    if not len(domain) == len(image) == len(codomain) or image != set(codomain):
-        return f"{_fields(at.items())}: image is not the codomain"
+            if inverse is None:
+                y = forward(x)
+            else:
+                y = _made(made, forward, x, *there)[0]
+                if call(inverse, y, *back)[0] != x:
+                    return f"{label}: roundtrip fails on {x}"
+            image.add(y)
+        if not len(domain) == len(image) == len(codomain) or image != set(codomain):
+            return f"{label}: image is not the codomain"
     return None
 
 
@@ -297,7 +270,15 @@ def _check_conjugation(n_max):
 
 def _check_psi_tilde_s_union(n_max):
     # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j)
-    return _one_row(_UNION, n_max)
+    def classes():
+        for n in range(n_max + 1):
+            for s in range(n + 1):
+                for j in range((n - s) % 2, n - s + 1, 2):
+                    columns = (FamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
+                    domain = [w for column in columns for w in enumerate_family(column)]
+                    yield {"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j)
+
+    return _bijection(classes(), "psi_tilde_s")
 
 
 def _check_phi_tilde_identity(n_max):
@@ -327,14 +308,11 @@ def _check_hij_g2(n_max):
     return _one_row(_HIJ, n_max)
 
 
-# The rows of the sweep, in report order. Shard (n, j) covers every sector
-# M2(n, i; j) and every union class (n, s, j) of psi_tilde_s_union, whose
-# Qend columns all end at height j. A failure's key orders it within its
-# row: (n, i, j) for a sector, the order of paths.valid_ij, and (n, s, j)
-# for a union class.
-_SWEPT = _PHI, _FLIP, _PSI, _CONJ, _UNION, _HIJ = (
+# The rows of the sweep, in report order. A shard is one sector M2(n, i; j)
+# and runs each row whose bound reaches its n.
+_SWEPT = _PHI, _FLIP, _PSI, _CONJ, _HIJ = (
     "phi_sector_bijection", "flip_record_bounds", "psi_sector_bijection",
-    "walk_conjugation", "psi_tilde_s_union", "hij_walks_vs_g2",
+    "walk_conjugation", "hij_walks_vs_g2",
 )
 
 
@@ -351,86 +329,70 @@ def _made(made, name, x, *params):
     return out
 
 
-def _flip_record(n, i, j, x, made):
-    p, q = x
-    qp, _ = pb.flip_below(q)
-    rec = _made(made, "phi", x, i, j)[1]
-    if not (rec.r - j <= len(rec.chi) <= rec.r):
-        return f"flip count outside bounds: {p}/{q}"
-    hp = (0,) + heights(p)
-    hqp = (0,) + heights(qp)
-    chi_seen = ret_seen = running = 0
-    for a in range(n + 1):
-        running = max(running, hqp[a] - hp[a])
-        chi_seen += a in rec.chi
-        ret_seen += a in rec.lower_returns
-        if 2 * chi_seen != running or running > 2 * ret_seen:
-            return f"flip prefix identity fails: {p}/{q} at a={a}"
+def _flip_records(n, i, j, m2, made):
+    for x in m2:
+        p, q = x
+        qp, _ = pb.flip_below(q)
+        rec = _made(made, "phi", x, i, j)[1]
+        if not (rec.r - j <= len(rec.chi) <= rec.r):
+            return f"flip count outside bounds: {p}/{q}"
+        hp = (0,) + heights(p)
+        hqp = (0,) + heights(qp)
+        chi_seen = ret_seen = running = 0
+        for a in range(n + 1):
+            running = max(running, hqp[a] - hp[a])
+            chi_seen += a in rec.chi
+            ret_seen += a in rec.lower_returns
+            if 2 * chi_seen != running or running > 2 * ret_seen:
+                return f"flip prefix identity fails: {p}/{q} at a={a}"
     return None
 
 
-def _conjugate(i, j, x, made, walks_made):
-    p, q = x
-    w = pb.omega(p, q)
-    wf = pb.phi_tilde(w)
-    if wf != pb.omega(*_made(made, "phi", x, i, j)[0]):
-        return f"phi conjugation fails: {p}/{q}"
-    if pb.phi_tilde_inv(wf, i, j) != w:
-        return f"phi_tilde roundtrip fails: {w}"
-    wh = pb.psi_tilde(w)
-    if wh != pb.omega(*_made(made, "psi", x)[0]):
-        return f"psi conjugation fails: {p}/{q}"
-    if pb.psi_tilde_inv(wh) != w:
-        return f"psi_tilde roundtrip fails: {w}"
-    for s in range(i % 2, i + 1, 2):
-        if _made(walks_made, "psi_tilde_s", w, s)[0] != pb.omega(*pb.psi_s(p, q, s)[:2]):
-            return f"psi_s conjugation fails: {p}/{q}, s={s}"
+def _conjugates(i, j, m2, made):
+    for x in m2:
+        p, q = x
+        w = pb.omega(p, q)
+        wf = pb.phi_tilde(w)
+        if wf != pb.omega(*_made(made, "phi", x, i, j)[0]):
+            return f"phi conjugation fails: {p}/{q}"
+        if pb.phi_tilde_inv(wf, i, j) != w:
+            return f"phi_tilde roundtrip fails: {w}"
+        wh = pb.psi_tilde(w)
+        if wh != pb.omega(*_made(made, "psi", x)[0]):
+            return f"psi conjugation fails: {p}/{q}"
+        if pb.psi_tilde_inv(wh) != w:
+            return f"psi_tilde roundtrip fails: {w}"
+        for s in range(i % 2, i + 1, 2):
+            if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
+                return f"psi_s conjugation fails: {p}/{q}, s={s}"
     return None
 
 
-def _sweep(n, j, rows):
-    """Run the swept rows named in rows on shard (n, j), each M2 pair
-    through every row in turn, so that the pair's calls, and the caches
-    they fill, serve every row. Returns None or, by row, its first failure
-    in the shard as (key, text); an error is a failure, and a row stops at
-    its first."""
-    first = {}
-
-    def run(row, key, check, *args):
-        if row in rows and row not in first:
+def _sweep(n, i, j, rows):
+    """Run the swept rows named in rows over the sector M2(n,i;j), each
+    over the whole sector, on its M2 and G2 sets enumerated once. made
+    keeps the sector's phi and psi outputs for the next row that makes the
+    call. Returns None or, by row, its first failure; an error is a
+    failure."""
+    at, made = {"n": n, "i": i, "j": j}, {}
+    m2, g2 = (enumerate_family(FamilySpec(family, **at)) for family in ("M2", "G2"))
+    table = (
+        (_PHI, _bijection, ([(at, m2, FamilySpec("P2", **at))], "phi", made)),
+        (_FLIP, _flip_records, (n, i, j, m2, made)),
+        (_PSI, _bijection, ([(at, m2, g2)], "psi", made)),
+        (_CONJ, _conjugates, (i, j, m2, made)),
+        (_HIJ, _bijection, ([(at, g2, FamilySpec("Hij", **at))], "omega")),
+    )
+    failed = {}
+    for row, check, args in table:
+        if row in rows:
             try:
                 bad = check(*args)
             except Exception as exc:
                 bad = f"error: {exc}"
             if bad is not None:
-                first[row] = (key, bad)
-
-    # psi_tilde_s of every walk the conjugation maps, for the union row
-    walks_made = {} if _UNION in rows else None
-    for i in range(j + n % 2, n - j + 1, 2):
-        at, key, made = {"n": n, "i": i, "j": j}, (n, i, j), {}
-        need = set(rows) - set(first)
-        m2 = enumerate_family(FamilySpec("M2", **at)) if need & {_PHI, _FLIP, _PSI, _CONJ} else ()
-        g2 = enumerate_family(FamilySpec("G2", **at)) if need & {_PSI, _HIJ} else ()
-        phi_image, phi_step = _proof(at, "phi", made)
-        psi_image, psi_step = _proof(at, "psi", made)
-        for x in m2:
-            run(_PHI, key, phi_step, x)
-            run(_FLIP, key, _flip_record, n, i, j, x, made)
-            run(_PSI, key, psi_step, x)
-            run(_CONJ, key, _conjugate, i, j, x, made, walks_made)
-            made.clear()  # the pair's calls are made; keep no output past its rows
-        run(_PHI, key, _onto, at, m2, phi_image, FamilySpec("P2", **at))
-        run(_PSI, key, _onto, at, m2, psi_image, g2)
-        run(_HIJ, key, _bijection, [(at, g2, FamilySpec("Hij", **at))], "omega")
-    if _UNION in rows:
-        ends = range((n - j) % 2, n - j + 1, 2)
-        columns = {i: enumerate_family(FamilySpec("Qend", n, i=i, j=j)) for i in ends}
-        for s in ends:
-            domain = [w for i in range(s, n - j + 1, 2) for w in columns[i]]
-            union = ({"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j))
-            run(_UNION, (n, s, j), _bijection, [union], "psi_tilde_s", walks_made)
-    return first or None
+                failed[row] = bad
+    return failed or None
 
 
 def _one_row(row, n_max):
@@ -554,46 +516,37 @@ def _run_check(entry) -> CheckResult:
 
 
 def _tasks(checks) -> list:
-    """The table's entries but the swept rows, in table order, then the
-    swept rows' shards, largest n first, as entries of _sweep."""
+    """The table's entries but the swept rows, in table order, then one
+    shard per M2 sector, largest n first, as entries of _sweep. A shard
+    holds the swept rows whose bound reaches its n."""
     bounds = {name: b[0] for name, _, _, b in checks if name in _SWEPT}
     tasks = [entry for entry in checks if entry[0] not in bounds]
     for n in range(max(bounds.values(), default=-1), -1, -1):
-        for j in range(n + 1):
-            # sectors stop at j = n // 2, the union's Qend columns at j = n
-            reach = (r for r in _SWEPT if 2 * j <= n or r == _UNION)
-            rows = tuple(r for r in reach if n <= bounds.get(r, -1))
-            if rows:
-                tasks.append((f"sweep n={n}, j={j}", "", _sweep, (n, j, rows)))
+        rows = tuple(r for r in _SWEPT if n <= bounds.get(r, -1))
+        for i, j in valid_ij(n):
+            tasks.append((f"sweep n={n}, i={i}, j={j}", "", _sweep, (n, i, j, rows)))
     return tasks
 
 
 def _merge(checks, tasks, results) -> tuple[CheckResult, ...]:
-    """One result per table entry, in table order. A swept row's is its
-    first failure over its shards, in its own order; a shard that crashed
-    or whose worker died fails each of its rows, ahead of every class of
-    its n. Each shard's time is shared evenly among its rows, so the
-    checks' times add up to the tasks'."""
-    done, swept = {}, {}
-    for (_, _, fn, bounds), r in zip(tasks, results):
-        if fn is not _sweep:
-            done[r.name] = r
-            continue
-        n, j, rows = bounds
+    """One result per table entry, in table order. A swept row's is the
+    failure of its first failing shard in (n, i, j) order, the order of
+    its own check; a shard that crashed or whose worker died fails each of
+    its rows there. Each shard's time is shared evenly among its rows, so
+    the checks' times add up to the tasks'."""
+    done = {r.name: r for task, r in zip(tasks, results) if task[2] is not _sweep}
+    shards = sorted((task[3], r) for task, r in zip(tasks, results) if task[2] is _sweep)
+    swept = {}
+    for (*_, rows), r in shards:
         bad = r.counterexample
         for row in rows:
-            fail = ((n, -1, j), bad) if isinstance(bad, str) else (bad or {}).get(row)
             first, seconds, pid = swept.get(row, (None, 0.0, 0))
-            if fail and (first is None or fail < first):
-                first = fail
+            first = first or (bad if isinstance(bad, str) else (bad or {}).get(row))
             swept[row] = (first, seconds + r.seconds / len(rows), pid or r.pid)
     results = []
     for name, rng, _, _ in checks:
-        if name in done:
-            results.append(done[name])
-        else:
-            first, seconds, pid = swept.get(name, (None, 0.0, 0))
-            results.append(CheckResult(name, rng, first is None, first and first[1], seconds, pid))
+        first, seconds, pid = swept.get(name, (None, 0.0, 0))
+        results.append(done.get(name) or CheckResult(name, rng, first is None, first, seconds, pid))
     return tuple(results)
 
 

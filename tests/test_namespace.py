@@ -83,12 +83,14 @@ def test_each_call_loads_only_what_it_runs():
     for name in ("families", "paths", "walks", "verify", "render"):
         assert f"pathbij.{name}" not in loaded, name
     assert "dataclasses" not in loaded
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
 
     loaded = _loaded("apply", "--map", "xi", "--input", "UUDDUUDUUDDUUUDU")
     assert "pathbij.single" in loaded
     for name in ("pathbij.families", "pathbij.verify", "pathbij.render", "pathbij.counting"):
         assert name not in loaded, name
     assert "json" not in loaded and "dataclasses" not in loaded
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
 
     # phi_tilde and the phi_tilde_inv of its round trip both run on the walk
     loaded = _loaded("apply", "--map", "phi_tilde", "--input", "NSEN")

@@ -9,10 +9,10 @@ answers one domain input with the image of another input of the same
 sector, which keeps every output valid but breaks injectivity. Each closed
 form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
-six checks as the rows of one sweep, in shards, and every check in worker
-processes; the last tests pin that it reports what the checks give on their
-own, in process and under spawn too, that the sweep makes each shared call
-once, and that a crash or a dead worker is a failure.
+five rows of checks as one sweep, in one shard per M2 sector, and every check
+in worker processes; the last tests pin that it reports what the checks give
+on their own, in process and under spawn too, that the sweep makes each
+shared call once, and that a crash or a dead worker is a failure.
 """
 
 import hashlib
@@ -99,7 +99,6 @@ SWEPT_CASES = {
     },
     ("psi_tilde_s", ("NS", 0), ("EW", 0)): {
         "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
-        "psi_tilde_s_union": "n=2, s=0, j=0: roundtrip fails on NS",
     },
     ("omega_inv", ("NS",), ("EW",)): {
         "hij_walks_vs_g2": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
@@ -143,23 +142,33 @@ def test_shards_keep_each_rows_counterexample(monkeypatch, case):
 
 
 def test_a_row_reports_its_first_failure_over_its_shards(monkeypatch):
-    """Shard (2, 0) holds the sectors (2, 0, 0) and (2, 2, 0), and shard
-    (2, 1) the sector (2, 1, 1). With phi refusing both i + j = 2 sectors,
-    each row that calls phi fails first at (2, 1, 1), in the order of its
-    own check, not at the shard that comes first."""
+    """Each M2 sector is a shard, handed out largest n first. With phi
+    refusing the sector (1, 1, 0) and both i + j = 2 sectors of n = 2, each
+    row that calls phi fails first at (1, 1, 0), in the order of its own
+    check, not at the shard that comes first."""
     real = pathbij.phi
 
     def phi(p, q, i=None, j=None):
-        if i is not None and i + j == 2:
-            raise ValueError(f"refused at i={i}, j={j}")
+        if i is not None and (i + j == 2 or len(p) == 1):
+            raise ValueError(f"refused at n={len(p)}, i={i}, j={j}")
         return real(p, q, i, j)
 
     monkeypatch.setattr(pathbij, "phi", phi)
     rows = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    assert [task[3][:3] for task in verify._tasks(rows)][-2:] == [(1, 1, 0), (0, 0, 0)]
     got = {r.name: r.counterexample for r in verify._run_checks(rows, workers=1)}
     for row, _, fn, bounds in rows:
         calls_phi = row in ("phi_sector_bijection", "flip_record_bounds", "walk_conjugation")
-        assert got[row] == fn(*bounds) == ("error: refused at i=1, j=1" if calls_phi else None)
+        assert got[row] == fn(*bounds) == ("error: refused at n=1, i=1, j=0" if calls_phi else None)
+
+
+def test_the_union_leads_with_its_class(monkeypatch):
+    """psi_tilde_s_union runs on its own, over classes (n, s, j) that each
+    gather every Qend column ending at height j."""
+    real = pathbij.psi_tilde_s
+    victim, donor = ("NS", 0), ("EW", 0)
+    monkeypatch.setattr(pathbij, "psi_tilde_s", lambda *a: real(*(donor if a == victim else a)))
+    assert verify._check_psi_tilde_s_union(2) == "n=2, s=0, j=0: roundtrip fails on NS"
 
 
 def test_each_shared_call_is_made_once_per_pair(monkeypatch):
@@ -264,13 +273,15 @@ def test_every_check_runs_in_a_spawned_worker():
 
 def test_a_dead_shard_fails_each_of_its_rows():
     """_run_checks gives each task whose worker died a failed result; the
-    merge fails every row of that shard, and no other row. At n <= 2,
-    shard (2, 2) runs psi_tilde_s_union alone and shard (2, 1) all six."""
-    table = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    merge fails every row of that shard, and no other row. With n <= 9, a
+    sector of n = 9 holds the four rows that reach it, and not
+    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all five."""
+    table = [entry for entry in verify._checks(9, 2) if entry[0] in verify._SWEPT]
     tasks = verify._tasks(table)
-    for shard, failed in (((2, 2), {"psi_tilde_s_union"}), ((2, 1), set(verify._SWEPT))):
-        results = list(map(verify._run_check, tasks))
-        k = next(k for k, task in enumerate(tasks) if task[3][:2] == shard)
+    four = set(verify._SWEPT) - {"hij_walks_vs_g2"}
+    for sector, failed in (((9, 5, 2), four), ((2, 1, 1), set(verify._SWEPT))):
+        results = [verify.CheckResult(task[0], "", True) for task in tasks]
+        k = next(k for k, task in enumerate(tasks) if task[3][:3] == sector)
         results[k] = verify.CheckResult(tasks[k][0], "", False, "error: worker process died (x)")
         got = verify._merge(table, tasks, results)
         assert {r.name for r in got if not r.passed} == failed
