@@ -11,7 +11,7 @@ reachable sector endpoints.
 from __future__ import annotations
 
 from ._base import require
-from .matching import check_tripath, match_faces, tri_heights
+from .matching import check_tripath, match_faces, tri_heights, unmatched_steps
 from .pairs import disagreement
 from .paths import check_path, heights, read_ij
 from .walks import check_walk, omega_inv, shadow_contains
@@ -120,10 +120,7 @@ def _render_profiles(words, colors, show_matching, flips=(), sites=()):
 
 def _render_single(word, kind, show_matching, show_flips):
     color = _T_COLOR if kind == "tripath" else _P_COLOR
-    flips = ()
-    if show_flips:
-        m = match_faces(word)
-        flips = set(m.unmatched_u + m.unmatched_d)
+    flips = set().union(*unmatched_steps(word)) if show_flips else ()
     return _render_profiles([word], [color], show_matching, flips)
 
 
@@ -134,7 +131,7 @@ def _render_pair(p, q, show_matching, show_flips):
     sites = ()
     if show_flips:
         word = disagreement(p, q)
-        hot = set(match_faces(word).unmatched_d)
+        hot = set(unmatched_steps(word)[0])
         sites = [(a, "flip chi" if a in hot else "flip")
                  for a, c in enumerate(word, 1) if c != "H"]
     return _render_profiles([q, p], [_Q_COLOR, _P_COLOR], show_matching, sites=sites)

@@ -8,11 +8,11 @@ parameters it reads, and its domain and codomain, family specs that
 _bijection enumerates itself, or members already enumerated. The counting
 identities share another proof, _agree, over the counts of
 pathbij.counting.count, the ones `pathbij count` prints.
-Five rows read the M2 sectors or their G2 images. They run as one sweep,
-_sweep, one shard per sector M2(n,i;j): a shard enumerates the sector's M2
-and G2 sets once, runs each row over the whole sector, and makes each phi
-and psi call that several rows make once per pair. Each of the five
-_check_* functions is the sweep run for its row alone.
+Six rows read the M2 sectors or their P2 and G2 images. They run as one
+sweep, _sweep, one shard per sector M2(n,i;j): a shard enumerates each set
+a row reads once, runs each row over the whole sector, and makes each map
+call that several rows make once per pair. Each of the six _check_*
+functions is the sweep run for its row alone.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
@@ -29,6 +29,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import cache
 from typing import NamedTuple
 
 import pathbij as pb  # every map is looked up here at call time: a patch reaches every check
@@ -100,9 +101,9 @@ def _bijection(classes, forward, made=None):
     family or is already enumerated. forward maps the domain onto the
     codomain one-to-one: the name of a map of pathbij._maps, whose inverse
     gives each x back, each reading its parameters by name from at, or a
-    function of x alone without an inverse. made, when given, holds forward
-    outputs to reuse (_made). Returns None or the first failure: the
-    class's coordinates, then the element."""
+    function of x alone without an inverse. made, when given, holds the
+    outputs of both directions to reuse (_made). Returns None or the first
+    failure: the class's coordinates, then the element."""
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
     for at, *sides in classes:
         domain, codomain = (enumerate_family(s) if isinstance(s, FamilySpec) else s for s in sides)
@@ -115,7 +116,7 @@ def _bijection(classes, forward, made=None):
                 y = forward(x)
             else:
                 y = _made(made, forward, x, *there)[0]
-                if call(inverse, y, *back)[0] != x:
+                if _made(made, inverse, y, *back)[0] != x:
                     return f"{label}: roundtrip fails on {x}"
             image.add(y)
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
@@ -205,9 +206,9 @@ def _check_psi_sector(n_max):
 
 
 def _check_composed_map(n_max):
-    # psi after phi_inv, with no inverse: the count gives injectivity
-    classes = (({"n": n}, FamilySpec("P2", n), FamilySpec("G2", n)) for n in range(n_max + 1))
-    return _bijection(classes, lambda pq: pb.psi(*pb.phi_inv(*pq, end_height(pq[1]), 0)[:2])[:2])
+    # psi after phi_inv, with no inverse (the count gives injectivity), maps
+    # P2(n) onto G2(n), sector by sector: over i, those of j = 0 are the sets
+    return _one_row(_COMP, n_max)
 
 
 def _check_floor_pairs(n_max):
@@ -310,9 +311,9 @@ def _check_hij_g2(n_max):
 
 # The rows of the sweep, in report order. A shard is one sector M2(n, i; j)
 # and runs each row whose bound reaches its n.
-_SWEPT = _PHI, _FLIP, _PSI, _CONJ, _HIJ = (
+_SWEPT = _PHI, _FLIP, _PSI, _COMP, _CONJ, _HIJ = (
     "phi_sector_bijection", "flip_record_bounds", "psi_sector_bijection",
-    "walk_conjugation", "hij_walks_vs_g2",
+    "composed_map_bijection", "walk_conjugation", "hij_walks_vs_g2",
 )
 
 
@@ -370,24 +371,26 @@ def _conjugates(i, j, m2, made):
 
 def _sweep(n, i, j, rows):
     """Run the swept rows named in rows over the sector M2(n,i;j), each
-    over the whole sector, on its M2 and G2 sets enumerated once. made
-    keeps the sector's phi and psi outputs for the next row that makes the
-    call. Returns None or, by row, its first failure; an error is a
-    failure."""
-    at, made = {"n": n, "i": i, "j": j}, {}
-    m2, g2 = (enumerate_family(FamilySpec(family, **at)) for family in ("M2", "G2"))
+    over the whole sector. side enumerates its M2, P2 or G2 set when a row
+    first reads it. made keeps the sector's phi, phi_inv and psi outputs
+    for the next row that makes the call; one row alone keeps none.
+    Returns None or, by row, its first failure; an error is a failure."""
+    at, made = {"n": n, "i": i, "j": j}, {} if len(rows) > 1 else None
+    side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
+    composed = lambda pq: _made(made, "psi", _made(made, "phi_inv", pq, i, 0)[0])[0]  # noqa: E731
     table = (
-        (_PHI, _bijection, ([(at, m2, FamilySpec("P2", **at))], "phi", made)),
-        (_FLIP, _flip_records, (n, i, j, m2, made)),
-        (_PSI, _bijection, ([(at, m2, g2)], "psi", made)),
-        (_CONJ, _conjugates, (i, j, m2, made)),
-        (_HIJ, _bijection, ([(at, g2, FamilySpec("Hij", **at))], "omega")),
+        (_PHI, lambda: _bijection([(at, side("M2"), side("P2"))], "phi", made)),
+        (_FLIP, lambda: _flip_records(n, i, j, side("M2"), made)),
+        (_PSI, lambda: _bijection([(at, side("M2"), side("G2"))], "psi", made)),
+        (_COMP, lambda: _bijection([(at, side("P2"), side("G2"))] if j == 0 else [], composed)),
+        (_CONJ, lambda: _conjugates(i, j, side("M2"), made)),
+        (_HIJ, lambda: _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")),
     )
     failed = {}
-    for row, check, args in table:
+    for row, check in table:
         if row in rows:
             try:
-                bad = check(*args)
+                bad = check()
             except Exception as exc:
                 bad = f"error: {exc}"
             if bad is not None:

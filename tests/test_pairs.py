@@ -233,7 +233,9 @@ def test_psi_s_sector_properties():
 
 def test_composed_map_is_a_global_bijection():
     """Fixing j = 0 and letting i run over end heights, psi after phi_inv
-    carries the full nested-prefix-pair family onto the grand-pair family."""
+    carries the full nested-prefix-pair family onto the grand-pair family:
+    each P2(n,i;0) onto G2(n,i;0), sectors that over i make up P2(n) and
+    G2(n)."""
     assert verify._check_composed_map(12) is None
 
 

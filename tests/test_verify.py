@@ -9,10 +9,11 @@ answers one domain input with the image of another input of the same
 sector, which keeps every output valid but breaks injectivity. Each closed
 form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
-five rows of checks as one sweep, in one shard per M2 sector, and every check
+six rows of checks as one sweep, in one shard per M2 sector, and every check
 in worker processes; the last tests pin that it reports what the checks give
 on their own, in process and under spawn too, that the sweep makes each
-shared call once, and that a crash or a dead worker is a failure.
+shared call once, that a row alone enumerates only the sets it reads, and
+that a crash or a dead worker is a failure.
 """
 
 import hashlib
@@ -91,6 +92,7 @@ SWEPT_CASES = {
     },
     ("psi", ("UD", "DU"), ("UD", "UD")): {
         "psi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
+        "composed_map_bijection": "n=2, i=0, j=0: image is not the codomain",
         "walk_conjugation": "psi conjugation fails: UD/DU",
     },
     ("phi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "phi conjugation fails: UD/DU"},
@@ -173,11 +175,13 @@ def test_the_union_leads_with_its_class(monkeypatch):
 
 def test_each_shared_call_is_made_once_per_pair(monkeypatch):
     """The sweep calls phi once per M2 pair, where phi_sector_bijection,
-    flip_record_bounds and walk_conjugation each called it once, and psi
-    once, where psi_sector_bijection and walk_conjugation each did;
-    composed_map_bijection calls psi on its own, on each P2 pair. There
-    are 162 M2 pairs and 81 P2 pairs with n <= 5."""
-    calls = {"phi": 0, "psi": 0}
+    flip_record_bounds and walk_conjugation each called it once, psi once,
+    where psi_sector_bijection, composed_map_bijection and walk_conjugation
+    each did, and phi_inv once per P2 pair, where phi_sector_bijection and
+    composed_map_bijection each did; floor_pair_bijection calls phi_inv on
+    its own, on each P2 pair. There are 162 M2 pairs and 162 P2 pairs with
+    n <= 5, 81 of them at j = 0."""
+    calls = {"phi": 0, "psi": 0, "phi_inv": 0}
     for name in calls:
         real = getattr(pathbij, name)
 
@@ -188,7 +192,21 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
         monkeypatch.setattr(pathbij, name, counted)
     got = verify._run_checks(verify._checks(5, 2), workers=1)
     assert all(r.passed for r in got)
-    assert calls == {"phi": 162, "psi": 162 + 81}
+    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162 + 81}
+
+
+def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
+    """A shard enumerates a sector's M2, P2 or G2 set when a row first
+    reads it: hij_walks_vs_g2 alone maps G2 sectors and never builds M2,
+    and phi_sector_bijection alone never builds G2."""
+    real, seen = verify.enumerate_family, []
+    recorded = lambda spec: seen.append(spec.family) or real(spec)  # noqa: E731
+    monkeypatch.setattr(verify, "enumerate_family", recorded)
+    assert verify._check_hij_g2(3) is None
+    assert "G2" in seen and "M2" not in seen
+    seen.clear()
+    assert verify._check_phi_sector(3) is None
+    assert "M2" in seen and "G2" not in seen
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
@@ -274,8 +292,8 @@ def test_every_check_runs_in_a_spawned_worker():
 def test_a_dead_shard_fails_each_of_its_rows():
     """_run_checks gives each task whose worker died a failed result; the
     merge fails every row of that shard, and no other row. With n <= 9, a
-    sector of n = 9 holds the four rows that reach it, and not
-    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all five."""
+    sector of n = 9 holds the five rows that reach it, and not
+    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all six."""
     table = [entry for entry in verify._checks(9, 2) if entry[0] in verify._SWEPT]
     tasks = verify._tasks(table)
     four = set(verify._SWEPT) - {"hij_walks_vs_g2"}
