@@ -153,11 +153,11 @@ def _nested_tuples(n: int, k: int, floor: bool, end: int | None) -> tuple[tuple[
     return _grow(n, k, floor=0 if floor else None, ends=None if end is None else ((end, end),) * k)
 
 
-def _g2_sector(n: int, i: int, j: int, form: str):
-    # nested pairs ending at j+d and -j+d, d = i mod 2, lowest agreement -floor(i/2);
-    # under omega, the upper half-plane walks ending at (d, j) with leftmost x -floor(i/2)
-    d = i % 2
-    return _grow(n, 2, form, ends=((j + d, j + d), (d - j, d - j)), low=-(i // 2))
+def _g2_sector(n: int, i: int, j: int, form: str, s: int | None = None):
+    # nested pairs ending at j+s and -j+s, s = i mod 2 by default, lowest agreement -(i-s)/2;
+    # under omega, the upper half-plane walks ending at (s, j) with leftmost x -(i-s)/2
+    s = i % 2 if s is None else s
+    return _grow(n, 2, form, ends=((j + s, j + s), (s - j, s - j)), low=-((i - s) // 2))
 
 
 # each walk family's region: the octant, the quadrant or the upper half-plane

@@ -8,10 +8,11 @@ parameters it reads, and its domain and codomain, family specs that
 _bijection enumerates itself, or members already enumerated. The counting
 identities share another proof, _agree, over the counts of
 pathbij.counting.count, the ones `pathbij count` prints.
-Six rows read the M2 sectors or their P2 and G2 images. They run as one
-sweep, _sweep, one shard per sector M2(n,i;j): a shard enumerates each set
-a row reads once, runs each row over the whole sector, and makes each map
-call that several rows make once per pair. Each of the six _check_*
+Seven rows, every call of phi, psi, psi_s and their inverses among them,
+read the M2 sectors or their P2 and G2 images. They run as one sweep,
+_sweep, one shard per sector M2(n,i;j): a shard enumerates each set a row
+reads once, runs and clocks each row over the whole sector, and makes each
+map call that several rows make once per pair. Each of the seven _check_*
 functions is the sweep run for its row alone.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
@@ -37,7 +38,7 @@ import pathbij as pb  # every map is looked up here at call time: a patch reache
 from ._base import require
 from ._maps import MAPS, call
 from .counting import count, count_macmahon
-from .families import FamilySpec, _nested_tuples, enumerate_family
+from .families import FamilySpec, _g2_sector, _nested_tuples, enumerate_family
 from .matching import match_faces, tri_heights, unmatched_steps
 from .partitions import enumerate_pp
 from .paths import end_height, heights, lexkey, valid_ij
@@ -212,19 +213,12 @@ def _check_composed_map(n_max):
 
 
 def _check_floor_pairs(n_max):
-    """For every n and s, psi_s after phi_inv maps {P2 : h(Q~) >= s}
-    one-to-one onto the nested pairs that both end at s. A bijection between
-    the two sets is also the count identity between them."""
-
-    def classes():
-        for n in range(n_max + 1):
-            p2 = enumerate_family(FamilySpec("P2", n))
-            preimages = [(end_height(q), pb.phi_inv(p, q, end_height(q), 0)[:2]) for p, q in p2]
-            for s in range(n % 2, n + 1, 2):
-                domain = [pair for i, pair in preimages if i >= s]
-                yield {"n": n, "s": s}, domain, _nested_tuples(n, 2, False, s)
-
-    return _bijection(classes(), "psi_s")
+    """psi_s after phi_inv maps {P2 : h(Q~) >= s} one-to-one onto the
+    nested pairs that both end at s, sector by sector: for each s = i (mod
+    2) up to i, the phi_inv preimages of P2(n,i;0) onto the pairs ending at
+    (s, s) with lowest agreement height -(i-s)/2, which over i >= s make up
+    those ending at s. A bijection is also the count identity."""
+    return _one_row(_FLOOR, n_max)
 
 
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
@@ -311,9 +305,9 @@ def _check_hij_g2(n_max):
 
 # The rows of the sweep, in report order. A shard is one sector M2(n, i; j)
 # and runs each row whose bound reaches its n.
-_SWEPT = _PHI, _FLIP, _PSI, _COMP, _CONJ, _HIJ = (
+_SWEPT = _PHI, _FLIP, _PSI, _COMP, _FLOOR, _CONJ, _HIJ = (
     "phi_sector_bijection", "flip_record_bounds", "psi_sector_bijection",
-    "composed_map_bijection", "walk_conjugation", "hij_walks_vs_g2",
+    "composed_map_bijection", "floor_pair_bijection", "walk_conjugation", "hij_walks_vs_g2",
 )
 
 
@@ -372,30 +366,35 @@ def _conjugates(i, j, m2, made):
 def _sweep(n, i, j, rows):
     """Run the swept rows named in rows over the sector M2(n,i;j), each
     over the whole sector. side enumerates its M2, P2 or G2 set when a row
-    first reads it. made keeps the sector's phi, phi_inv and psi outputs
-    for the next row that makes the call; one row alone keeps none.
-    Returns None or, by row, its first failure; an error is a failure."""
+    first reads it, and that row pays for it. made keeps the sector's phi,
+    phi_inv and psi outputs for the next row that makes the call; one row
+    alone keeps none. Two rows map the phi_inv preimages of P2(n,i;0), at
+    j = 0 only. Returns, by row, its first failure or None (an error is a
+    failure) and the seconds it took."""
     at, made = {"n": n, "i": i, "j": j}, {} if len(rows) > 1 else None
     side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
-    composed = lambda pq: _made(made, "psi", _made(made, "phi_inv", pq, i, 0)[0])[0]  # noqa: E731
+    preimages = cache(lambda: [_made(made, "phi_inv", pq, i, j)[0] for pq in side("P2")])
+    psi = lambda x: _made(made, "psi", x)[0]  # noqa: E731
+    floor = lambda s: ({**at, "s": s}, preimages(), _g2_sector(n, i, j, "tuple", s))  # noqa: E731
     table = (
         (_PHI, lambda: _bijection([(at, side("M2"), side("P2"))], "phi", made)),
         (_FLIP, lambda: _flip_records(n, i, j, side("M2"), made)),
         (_PSI, lambda: _bijection([(at, side("M2"), side("G2"))], "psi", made)),
-        (_COMP, lambda: _bijection([(at, side("P2"), side("G2"))] if j == 0 else [], composed)),
+        (_COMP, lambda: _bijection([(at, preimages(), side("G2"))] if j == 0 else [], psi)),
+        (_FLOOR, lambda: _bijection(map(floor, range(i % 2, i + 1, 2) if j == 0 else ()), "psi_s")),
         (_CONJ, lambda: _conjugates(i, j, side("M2"), made)),
         (_HIJ, lambda: _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")),
     )
-    failed = {}
+    out = {}
     for row, check in table:
         if row in rows:
+            start = time.perf_counter()
             try:
                 bad = check()
             except Exception as exc:
                 bad = f"error: {exc}"
-            if bad is not None:
-                failed[row] = bad
-    return failed or None
+            out[row] = bad, time.perf_counter() - start
+    return out
 
 
 def _one_row(row, n_max):
@@ -508,7 +507,7 @@ def _checks(max_n: int, max_k: int) -> tuple:
 def _run_check(entry) -> CheckResult:
     """Run one table entry or shard (_tasks) and time it. A module-level
     function, so that a worker process can receive it by name. A shard's
-    counterexample is _sweep's: its failures by row."""
+    counterexample is _sweep's: by row, its failure and seconds."""
     name, rng, fn, bounds = entry
     start = time.perf_counter()
     try:
@@ -534,18 +533,19 @@ def _tasks(checks) -> list:
 def _merge(checks, tasks, results) -> tuple[CheckResult, ...]:
     """One result per table entry, in table order. A swept row's is the
     failure of its first failing shard in (n, i, j) order, the order of
-    its own check; a shard that crashed or whose worker died fails each of
-    its rows there. Each shard's time is shared evenly among its rows, so
-    the checks' times add up to the tasks'."""
+    its own check, and the seconds its step took, summed over its shards;
+    a shard that crashed or whose worker died fails each of its rows there
+    and shares its time evenly among them."""
     done = {r.name: r for task, r in zip(tasks, results) if task[2] is not _sweep}
     shards = sorted((task[3], r) for task, r in zip(tasks, results) if task[2] is _sweep)
     swept = {}
     for (*_, rows), r in shards:
-        bad = r.counterexample
+        out = r.counterexample or {}
+        crashed = isinstance(out, str)
         for row in rows:
-            first, seconds, pid = swept.get(row, (None, 0.0, 0))
-            first = first or (bad if isinstance(bad, str) else (bad or {}).get(row))
-            swept[row] = (first, seconds + r.seconds / len(rows), pid or r.pid)
+            bad, seconds = (out, r.seconds / len(rows)) if crashed else out.get(row, (None, 0.0))
+            first, total, pid = swept.get(row, (None, 0.0, 0))
+            swept[row] = (first or bad, total + seconds, pid or r.pid)
     results = []
     for name, rng, _, _ in checks:
         first, seconds, pid = swept.get(name, (None, 0.0, 0))

@@ -104,18 +104,20 @@ def naive_p2(n, i=None, j=None):
     return sorted(out, key=udkey)
 
 
-def naive_g2(n, i, j):
-    d = i % 2
+def naive_g2(n, i, j, s=None):
+    """Nested pairs ending at s+j and s-j, s = i mod 2 by default, whose
+    lowest agreement height (h(P)+h(Q))/2 is -(i-s)/2."""
+    s = i % 2 if s is None else s
     out = []
     for p in words(n):
         hp = profile(p)
-        if hp[-1] != j + d:
+        if hp[-1] != j + s:
             continue
         for q in words(n):
             hq = profile(q)
-            if hq[-1] != -j + d or any(b > a for a, b in zip(hp, hq)):
+            if hq[-1] != -j + s or any(b > a for a, b in zip(hp, hq)):
                 continue
-            if min((a + b) // 2 for a, b in zip(hp, hq)) == -(i // 2):
+            if min((a + b) // 2 for a, b in zip(hp, hq)) == -((i - s) // 2):
                 out.append((p, q))
     return sorted(out, key=udkey)
 

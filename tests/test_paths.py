@@ -16,6 +16,7 @@ from pathbij import (
     valid_ij,
 )
 from pathbij.counting import binom, catalan
+from pathbij.families import _g2_sector, _nested_tuples
 from pathbij.paths import check_ij, check_path, flip_steps, lexkey, swap_fragments
 
 import oracles
@@ -208,6 +209,23 @@ def test_pair_sector_enumeration_against_oracle():
             assert list(m2) == oracles.naive_m2(n, i, j)
             assert list(p2) == oracles.naive_p2(n, i, j)
             assert list(g2) == oracles.naive_g2(n, i, j)
+
+
+def test_g2_floor_sectors_against_oracle():
+    """The G2 sector with floor s: pairs ending at (s+j, s-j) whose lowest
+    agreement height is -(i-s)/2, for each s = i (mod 2) up to i. At j = 0
+    those of i >= s split the nested pairs ending at s: psi_s's codomain,
+    sector by sector, in floor_pair_bijection."""
+    for n in range(8):
+        by_floor = {}
+        for i, j in valid_ij(n):
+            for s in range(i % 2, i + 1, 2):
+                sector = _g2_sector(n, i, j, "tuple", s)
+                assert list(sector) == oracles.naive_g2(n, i, j, s)
+                if j == 0:
+                    by_floor.setdefault(s, []).extend(sector)
+        for s in range(n % 2, n + 1, 2):
+            assert sorted(by_floor[s]) == sorted(_nested_tuples(n, 2, False, s))
 
 
 def test_pair_ambient_enumeration_against_oracle():

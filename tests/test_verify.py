@@ -9,7 +9,7 @@ answers one domain input with the image of another input of the same
 sector, which keeps every output valid but breaks injectivity. Each closed
 form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
-six rows of checks as one sweep, in one shard per M2 sector, and every check
+seven rows of checks as one sweep, in one shard per M2 sector, and every check
 in worker processes; the last tests pin that it reports what the checks give
 on their own, in process and under spawn too, that the sweep makes each
 shared call once, that a row alone enumerates only the sets it reads, and
@@ -20,6 +20,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -97,6 +98,7 @@ SWEPT_CASES = {
     },
     ("phi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "phi conjugation fails: UD/DU"},
     ("psi_s", ("UD", "DU", 0), ("UD", "UD", 0)): {
+        "floor_pair_bijection": "n=2, i=0, j=0, s=0: roundtrip fails on ('UD', 'DU')",
         "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
     },
     ("psi_tilde_s", ("NS", 0), ("EW", 0)): {
@@ -177,11 +179,13 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
     """The sweep calls phi once per M2 pair, where phi_sector_bijection,
     flip_record_bounds and walk_conjugation each called it once, psi once,
     where psi_sector_bijection, composed_map_bijection and walk_conjugation
-    each did, and phi_inv once per P2 pair, where phi_sector_bijection and
-    composed_map_bijection each did; floor_pair_bijection calls phi_inv on
-    its own, on each P2 pair. There are 162 M2 pairs and 162 P2 pairs with
-    n <= 5, 81 of them at j = 0."""
-    calls = {"phi": 0, "psi": 0, "phi_inv": 0}
+    each did, and phi_inv once per P2 pair, where phi_sector_bijection,
+    composed_map_bijection and floor_pair_bijection each did. There are 162
+    M2 pairs and 162 P2 pairs with n <= 5. psi_s runs 259 times in
+    walk_conjugation, once per M2 pair and floor s, and 110 times in
+    floor_pair_bijection, once per pair of j = 0 and floor s, each round
+    trip undone by psi_s_inv."""
+    calls = dict.fromkeys(("phi", "psi", "phi_inv", "psi_s", "psi_s_inv"), 0)
     for name in calls:
         real = getattr(pathbij, name)
 
@@ -192,13 +196,32 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
         monkeypatch.setattr(pathbij, name, counted)
     got = verify._run_checks(verify._checks(5, 2), workers=1)
     assert all(r.passed for r in got)
-    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162 + 81}
+    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259 + 110, "psi_s_inv": 110}
+
+
+def test_a_swept_row_reads_the_time_of_its_own_step(monkeypatch):
+    """A swept row's seconds are its own step's, summed over its shards:
+    with flip_record_bounds sleeping 0.02 s in each sector, it reads at
+    least that much per sector, and no other row is charged for it."""
+    real = verify._flip_records
+
+    def slow(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_flip_records", slow)
+    rows = [entry for entry in verify._checks(3, 2) if entry[0] in verify._SWEPT]
+    slept = 0.02 * sum(len(pathbij.valid_ij(n)) for n in range(4))
+    got = {r.name: r.seconds for r in verify._run_checks(rows, workers=1)}
+    assert got.pop("flip_record_bounds") >= slept
+    assert len(got) == 6 and all(seconds < slept for seconds in got.values())
 
 
 def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     """A shard enumerates a sector's M2, P2 or G2 set when a row first
     reads it: hij_walks_vs_g2 alone maps G2 sectors and never builds M2,
-    and phi_sector_bijection alone never builds G2."""
+    phi_sector_bijection alone never builds G2, and floor_pair_bijection
+    alone builds P2 sectors and neither M2 nor G2."""
     real, seen = verify.enumerate_family, []
     recorded = lambda spec: seen.append(spec.family) or real(spec)  # noqa: E731
     monkeypatch.setattr(verify, "enumerate_family", recorded)
@@ -207,6 +230,9 @@ def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     seen.clear()
     assert verify._check_phi_sector(3) is None
     assert "M2" in seen and "G2" not in seen
+    seen.clear()
+    assert verify._check_floor_pairs(3) is None
+    assert "P2" in seen and "M2" not in seen and "G2" not in seen
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
@@ -292,8 +318,8 @@ def test_every_check_runs_in_a_spawned_worker():
 def test_a_dead_shard_fails_each_of_its_rows():
     """_run_checks gives each task whose worker died a failed result; the
     merge fails every row of that shard, and no other row. With n <= 9, a
-    sector of n = 9 holds the five rows that reach it, and not
-    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all six."""
+    sector of n = 9 holds the six rows that reach it, and not
+    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all seven."""
     table = [entry for entry in verify._checks(9, 2) if entry[0] in verify._SWEPT]
     tasks = verify._tasks(table)
     four = set(verify._SWEPT) - {"hij_walks_vs_g2"}
