@@ -10,7 +10,6 @@ non-integral residue is a hard error rather than a rounding.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._base import MAX_FORMULA_N, MAX_K, need, reject_unread, require
 
@@ -73,6 +72,7 @@ def count_macmahon(p: int, q: int, k: int) -> int:
     (i+j+k-1)/(i+j-1) over 1 <= i <= p, 1 <= j <= q."""
     if p < 0 or q < 0 or k < 0:
         raise ValueError("p, q, k must be nonnegative")
+    from fractions import Fraction  # on use, so the other counts run without it
     value = math.prod(
         Fraction(i + j + k - 1, i + j - 1) for i in range(1, p + 1) for j in range(1, q + 1)
     )

@@ -17,9 +17,11 @@ functions is the sweep run for its row alone.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
-independent, so verify_suite runs them in worker processes, one per
-available CPU, keeps each swept row's first failure over its shards in
-(n, i, j) order, and reports every check in table order.
+independent tasks, which verify_suite runs in worker processes, one per
+available CPU. Every task returns one record, by row its first failure
+or None and its seconds; one merge keeps each row's first failure over
+its tasks in (n, i, j) order, sums its seconds, and reports every check
+in table order.
 tests/test_acceptance.py gates on verify_suite(10, 3).
 """
 
@@ -48,10 +50,13 @@ from .walks import _DXY, shadow_contains
 class CheckResult(NamedTuple):
     name: str
     range_text: str
-    passed: bool
     counterexample: str | None = None
     seconds: float = 0.0
     pid: int = 0  # the process that ran the check; 0 if none did
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -264,14 +269,16 @@ def _check_conjugation(n_max):
 
 
 def _check_psi_tilde_s_union(n_max):
-    # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j)
+    # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j):
+    # for each s = i (mod 2) up to i, Qend(n,i,j) onto those of leftmost x -(i-s)/2 (_g2_sector)
     def classes():
         for n in range(n_max + 1):
-            for s in range(n + 1):
-                for j in range((n - s) % 2, n - s + 1, 2):
-                    columns = (FamilySpec("Qend", n, i=i, j=j) for i in range(s, n - j + 1, 2))
-                    domain = [w for column in columns for w in enumerate_family(column)]
-                    yield {"n": n, "s": s, "j": j}, domain, FamilySpec("Hend", n, i=s, j=j)
+            for i in range(n + 1):
+                for j in range((n - i) % 2, n - i + 1, 2):
+                    column = enumerate_family(FamilySpec("Qend", n, i=i, j=j))
+                    for s in range(i % 2, i + 1, 2):
+                        codomain = _g2_sector(n, i, j, "walk", s)
+                        yield {"n": n, "i": i, "j": j, "s": s}, column, codomain
 
     return _bijection(classes(), "psi_tilde_s")
 
@@ -358,7 +365,7 @@ def _conjugates(i, j, m2, made):
         if pb.psi_tilde_inv(wh) != w:
             return f"psi_tilde roundtrip fails: {w}"
         for s in range(i % 2, i + 1, 2):
-            if pb.psi_tilde_s(w, s) != pb.omega(*pb.psi_s(p, q, s)[:2]):
+            if pb.psi_tilde_s(w, s) != pb.omega(*_made(made if j == 0 else None, "psi_s", x, s)[0]):
                 return f"psi_s conjugation fails: {p}/{q}, s={s}"
     return None
 
@@ -367,34 +374,26 @@ def _sweep(n, i, j, rows):
     """Run the swept rows named in rows over the sector M2(n,i;j), each
     over the whole sector. side enumerates its M2, P2 or G2 set when a row
     first reads it, and that row pays for it. made keeps the sector's phi,
-    phi_inv and psi outputs for the next row that makes the call; one row
-    alone keeps none. Two rows map the phi_inv preimages of P2(n,i;0), at
-    j = 0 only. Returns, by row, its first failure or None (an error is a
-    failure) and the seconds it took."""
+    phi_inv and psi outputs, and psi_s's at j = 0, for the next row that
+    makes the call; one row alone keeps none. Two rows map the phi_inv
+    preimages of P2(n,i;0), at j = 0 only. Returns the shard's record: by
+    row, its first failure or None and its seconds (_timed)."""
     at, made = {"n": n, "i": i, "j": j}, {} if len(rows) > 1 else None
     side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
     preimages = cache(lambda: [_made(made, "phi_inv", pq, i, j)[0] for pq in side("P2")])
     psi = lambda x: _made(made, "psi", x)[0]  # noqa: E731
     floor = lambda s: ({**at, "s": s}, preimages(), _g2_sector(n, i, j, "tuple", s))  # noqa: E731
+    floors = range(i % 2, i + 1, 2) if j == 0 else ()
     table = (
         (_PHI, lambda: _bijection([(at, side("M2"), side("P2"))], "phi", made)),
         (_FLIP, lambda: _flip_records(n, i, j, side("M2"), made)),
         (_PSI, lambda: _bijection([(at, side("M2"), side("G2"))], "psi", made)),
         (_COMP, lambda: _bijection([(at, preimages(), side("G2"))] if j == 0 else [], psi)),
-        (_FLOOR, lambda: _bijection(map(floor, range(i % 2, i + 1, 2) if j == 0 else ()), "psi_s")),
+        (_FLOOR, lambda: _bijection(map(floor, floors), "psi_s", made)),
         (_CONJ, lambda: _conjugates(i, j, side("M2"), made)),
         (_HIJ, lambda: _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")),
     )
-    out = {}
-    for row, check in table:
-        if row in rows:
-            start = time.perf_counter()
-            try:
-                bad = check()
-            except Exception as exc:
-                bad = f"error: {exc}"
-            out[row] = bad, time.perf_counter() - start
-    return out
+    return {row: _timed(check) for row, check in table if row in rows}
 
 
 def _one_row(row, n_max):
@@ -504,53 +503,55 @@ def _checks(max_n: int, max_k: int) -> tuple:
     )
 
 
-def _run_check(entry) -> CheckResult:
-    """Run one table entry or shard (_tasks) and time it. A module-level
-    function, so that a worker process can receive it by name. A shard's
-    counterexample is _sweep's: by row, its failure and seconds."""
-    name, rng, fn, bounds = entry
+def _timed(check, *args):
+    """check(*args) and the seconds it took: its first failure or None, an
+    error counting as a failure."""
     start = time.perf_counter()
     try:
-        bad = fn(*bounds)
-    except Exception as exc:  # a crash inside a sweep is a failure, not an abort
+        bad = check(*args)
+    except Exception as exc:  # a crash inside a check is a failure, not an abort
         bad = f"error: {exc}"
-    return CheckResult(name, rng, bad is None, bad, time.perf_counter() - start, os.getpid())
+    return bad, time.perf_counter() - start
+
+
+def _entry(name, check, *bounds):
+    """One table entry, run: its one row's record."""
+    return {name: _timed(check, *bounds)}
 
 
 def _tasks(checks) -> list:
-    """The table's entries but the swept rows, in table order, then one
-    shard per M2 sector, largest n first, as entries of _sweep. A shard
-    holds the swept rows whose bound reaches its n."""
+    """The table's entries but the swept rows, in table order, as tasks of
+    _entry, then one task of _sweep per M2 sector, largest n first, holding
+    the swept rows whose bound reaches its n. A task is (order, rows,
+    function, arguments): order is () for an entry and (n, i, j) for a
+    shard, rows are the rows its record reports."""
     bounds = {name: b[0] for name, _, _, b in checks if name in _SWEPT}
-    tasks = [entry for entry in checks if entry[0] not in bounds]
+    tasks = [((), (name,), _entry, (name, f, *b)) for name, _, f, b in checks if name not in bounds]
     for n in range(max(bounds.values(), default=-1), -1, -1):
         rows = tuple(r for r in _SWEPT if n <= bounds.get(r, -1))
         for i, j in valid_ij(n):
-            tasks.append((f"sweep n={n}, i={i}, j={j}", "", _sweep, (n, i, j, rows)))
+            tasks.append(((n, i, j), rows, _sweep, (n, i, j, rows)))
     return tasks
 
 
-def _merge(checks, tasks, results) -> tuple[CheckResult, ...]:
-    """One result per table entry, in table order. A swept row's is the
-    failure of its first failing shard in (n, i, j) order, the order of
-    its own check, and the seconds its step took, summed over its shards;
-    a shard that crashed or whose worker died fails each of its rows there
-    and shares its time evenly among them."""
-    done = {r.name: r for task, r in zip(tasks, results) if task[2] is not _sweep}
-    shards = sorted((task[3], r) for task, r in zip(tasks, results) if task[2] is _sweep)
-    swept = {}
-    for (*_, rows), r in shards:
-        out = r.counterexample or {}
-        crashed = isinstance(out, str)
-        for row in rows:
-            bad, seconds = (out, r.seconds / len(rows)) if crashed else out.get(row, (None, 0.0))
-            first, total, pid = swept.get(row, (None, 0.0, 0))
-            swept[row] = (first or bad, total + seconds, pid or r.pid)
-    results = []
-    for name, rng, _, _ in checks:
-        first, seconds, pid = swept.get(name, (None, 0.0, 0))
-        results.append(done.get(name) or CheckResult(name, rng, first is None, first, seconds, pid))
-    return tuple(results)
+def _run_task(task):
+    """A task's record and the process that ran it. A module-level
+    function, so that a worker process can receive it by name."""
+    *_, function, arguments = task
+    return function(*arguments), os.getpid()
+
+
+def _merge(checks, tasks, records) -> tuple[CheckResult, ...]:
+    """One result per table entry, in table order, from the tasks' records
+    read in task order, shards in (n, i, j) order, the order of a swept
+    row's own check: a row's first failure, its seconds summed and the
+    first process that ran it."""
+    merged = {name: (None, 0.0, 0) for name, *_ in checks}
+    for _, (record, pid) in sorted(zip(tasks, records), key=lambda pair: pair[0][0]):
+        for row, (bad, seconds) in record.items():
+            first, total, first_pid = merged[row]
+            merged[row] = (first or bad, total + seconds, first_pid or pid)
+    return tuple(CheckResult(name, rng, *merged[name]) for name, rng, _, _ in checks)
 
 
 def _pool_size(jobs: int) -> int:
@@ -566,24 +567,22 @@ def _run_checks(checks, workers: int | None = None) -> tuple[CheckResult, ...]:
     """The table's results in table order (_merge). Its tasks (_tasks) run
     in worker processes, by default one per available CPU; with one worker,
     or when no pool can start, in this process. A task whose worker died
-    is a failed result."""
+    fails each row it reports."""
     tasks = _tasks(checks)
     workers = _pool_size(len(tasks)) if workers is None else workers
-    results: list[CheckResult] = []
+    records = []
     if workers > 1:
         try:
             with ProcessPoolExecutor(workers) as pool:
-                for result in pool.map(_run_check, tasks, chunksize=1):
-                    results.append(result)
+                for record in pool.map(_run_task, tasks, chunksize=1):
+                    records.append(record)
         except (OSError, NotImplementedError):
             pass  # no pool on this platform; the rest run below
         except BrokenProcessPool as exc:
-            results += [
-                CheckResult(name, rng, False, f"error: worker process died ({exc})")
-                for name, rng, _, _ in tasks[len(results):]
-            ]
-    results += map(_run_check, tasks[len(results):])
-    return _merge(checks, tasks, results)
+            died = f"error: worker process died ({exc})"
+            records += [({row: (died, 0.0) for row in task[1]}, 0) for task in tasks[len(records):]]
+    records += map(_run_task, tasks[len(records):])
+    return _merge(checks, tasks, records)
 
 
 def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:

@@ -220,7 +220,7 @@ def test_verify_failure_exit(capsys, monkeypatch):
     import pathbij.verify
 
     monkeypatch.setattr(
-        pathbij.verify, "verify_suite", lambda *a: (CheckResult("broken", "n <= 2", False, "x"),)
+        pathbij.verify, "verify_suite", lambda *a: (CheckResult("broken", "n <= 2", "x"),)
     )
     code, out, _ = run(capsys, "verify")
     assert code == 1

@@ -82,7 +82,7 @@ def test_each_call_loads_only_what_it_runs():
     assert "pathbij.counting" in loaded
     for name in ("families", "paths", "walks", "verify", "render"):
         assert f"pathbij.{name}" not in loaded, name
-    assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded and "fractions" not in loaded
     assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
 
     loaded = _loaded("apply", "--map", "xi", "--input", "UUDDUUDUUDDUUUDU")

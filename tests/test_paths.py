@@ -215,9 +215,12 @@ def test_g2_floor_sectors_against_oracle():
     """The G2 sector with floor s: pairs ending at (s+j, s-j) whose lowest
     agreement height is -(i-s)/2, for each s = i (mod 2) up to i. At j = 0
     those of i >= s split the nested pairs ending at s: psi_s's codomain,
-    sector by sector, in floor_pair_bijection."""
+    sector by sector, in floor_pair_bijection. As walks, i < j included,
+    the sector is the upper half-plane walks ending at (s, j) whose lowest x
+    is -(i-s)/2, and those of i >= s split the H walks ending at (s, j):
+    psi_tilde_s's codomains, column by column, in psi_tilde_s_union."""
     for n in range(8):
-        by_floor = {}
+        by_floor, walks_by_end = {}, {}
         for i, j in valid_ij(n):
             for s in range(i % 2, i + 1, 2):
                 sector = _g2_sector(n, i, j, "tuple", s)
@@ -226,6 +229,20 @@ def test_g2_floor_sectors_against_oracle():
                     by_floor.setdefault(s, []).extend(sector)
         for s in range(n % 2, n + 1, 2):
             assert sorted(by_floor[s]) == sorted(_nested_tuples(n, 2, False, s))
+        for i, j in itertools.product(range(n + 1), repeat=2):
+            if i + j > n or (n - i - j) % 2:
+                continue
+            for s in range(i % 2, i + 1, 2):
+
+                def keep(pts, end=(s, j), low=-((i - s) // 2)):
+                    xs, ys = zip(*pts)
+                    return pts[-1] == end and min(ys) >= 0 and min(xs) == low
+
+                sector = _g2_sector(n, i, j, "walk", s)
+                assert list(sector) == oracles.naive_walks(n, keep)
+                walks_by_end.setdefault((s, j), []).extend(sector)
+        for (s, j), walks in walks_by_end.items():
+            assert sorted(walks) == sorted(enumerate_family(FamilySpec("Hend", n, i=s, j=j)))
 
 
 def test_pair_ambient_enumeration_against_oracle():

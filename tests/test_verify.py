@@ -167,12 +167,12 @@ def test_a_row_reports_its_first_failure_over_its_shards(monkeypatch):
 
 
 def test_the_union_leads_with_its_class(monkeypatch):
-    """psi_tilde_s_union runs on its own, over classes (n, s, j) that each
-    gather every Qend column ending at height j."""
+    """psi_tilde_s_union runs on its own, over classes (n, i, j, s): each
+    Qend(n, i, j) column and one floor s = i (mod 2) up to i."""
     real = pathbij.psi_tilde_s
     victim, donor = ("NS", 0), ("EW", 0)
     monkeypatch.setattr(pathbij, "psi_tilde_s", lambda *a: real(*(donor if a == victim else a)))
-    assert verify._check_psi_tilde_s_union(2) == "n=2, s=0, j=0: roundtrip fails on NS"
+    assert verify._check_psi_tilde_s_union(2) == "n=2, i=0, j=0, s=0: roundtrip fails on NS"
 
 
 def test_each_shared_call_is_made_once_per_pair(monkeypatch):
@@ -181,10 +181,10 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
     where psi_sector_bijection, composed_map_bijection and walk_conjugation
     each did, and phi_inv once per P2 pair, where phi_sector_bijection,
     composed_map_bijection and floor_pair_bijection each did. There are 162
-    M2 pairs and 162 P2 pairs with n <= 5. psi_s runs 259 times in
-    walk_conjugation, once per M2 pair and floor s, and 110 times in
-    floor_pair_bijection, once per pair of j = 0 and floor s, each round
-    trip undone by psi_s_inv."""
+    M2 pairs and 162 P2 pairs with n <= 5. psi_s runs 259 times, once per
+    M2 pair and floor s: the 110 calls on the pairs of j = 0, which
+    floor_pair_bijection makes and psi_s_inv undoes, walk_conjugation
+    reads back, and it makes the other 149 itself."""
     calls = dict.fromkeys(("phi", "psi", "phi_inv", "psi_s", "psi_s_inv"), 0)
     for name in calls:
         real = getattr(pathbij, name)
@@ -196,7 +196,7 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
         monkeypatch.setattr(pathbij, name, counted)
     got = verify._run_checks(verify._checks(5, 2), workers=1)
     assert all(r.passed for r in got)
-    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259 + 110, "psi_s_inv": 110}
+    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259, "psi_s_inv": 110}
 
 
 def test_a_swept_row_reads_the_time_of_its_own_step(monkeypatch):
@@ -262,10 +262,10 @@ def test_check_catches_a_corrupted_closed_form(monkeypatch, key, name):
     """The closed form, patched in the one table that pathbij count and
     verify both read, answers every input with its value + 1."""
     check = {entry[0]: entry for entry in verify._checks(4, 2)}[name]
-    assert verify._run_check(check).passed
+    assert verify._run_checks([check], workers=1)[0].passed
     fn, reads = counting._FORMULAS[key]
     monkeypatch.setitem(counting._FORMULAS, key, (lambda *a: fn(*a) + 1, reads))
-    assert not verify._run_check(check).passed
+    assert not verify._run_checks([check], workers=1)[0].passed
 
 
 def test_range_texts_are_the_same_for_every_budget():
@@ -293,7 +293,7 @@ def test_parallel_suite_matches_the_checks_run_in_process():
     """verify_suite runs the table in worker processes; the report is the
     one the checks give when run one after another in this process."""
     table = verify._checks(2, 2)
-    expected = [verify._run_check(entry) for entry in table]
+    expected = [verify._run_checks([entry], workers=1)[0] for entry in table]
     got = verify.verify_suite(2, 2)
     assert len(got) == len(table) == 23
     fields = lambda r: (r.name, r.range_text, r.passed, r.counterexample)  # noqa: E731
@@ -304,30 +304,31 @@ def test_parallel_suite_matches_the_checks_run_in_process():
 def test_every_check_runs_in_a_spawned_worker():
     """Under spawn a worker imports pathbij afresh and receives each task,
     a table entry or a shard of the swept rows, and the worker function by
-    pickling, as on macOS and Windows."""
+    pickling, as on macOS and Windows; the records come back the same way."""
     table = verify._checks(1, 2)
     tasks = verify._tasks(table)
     assert any(task[2] is verify._sweep for task in tasks)
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=context) as pool:
-        got = verify._merge(table, tasks, list(pool.map(verify._run_check, tasks, chunksize=1)))
+        got = verify._merge(table, tasks, list(pool.map(verify._run_task, tasks, chunksize=1)))
     assert [r.name for r in got] == [entry[0] for entry in table]
     assert all(r.passed for r in got), [r.line() for r in got if not r.passed]
 
 
 def test_a_dead_shard_fails_each_of_its_rows():
-    """_run_checks gives each task whose worker died a failed result; the
-    merge fails every row of that shard, and no other row. With n <= 9, a
-    sector of n = 9 holds the six rows that reach it, and not
-    hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds all seven."""
+    """_run_checks gives each task whose worker died a record that fails
+    each of its rows; the merge fails every row of that shard, and no
+    other row. With n <= 9, a sector of n = 9 holds the six rows that reach
+    it, and not hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds
+    all seven."""
     table = [entry for entry in verify._checks(9, 2) if entry[0] in verify._SWEPT]
     tasks = verify._tasks(table)
     four = set(verify._SWEPT) - {"hij_walks_vs_g2"}
     for sector, failed in (((9, 5, 2), four), ((2, 1, 1), set(verify._SWEPT))):
-        results = [verify.CheckResult(task[0], "", True) for task in tasks]
+        records = [({row: (None, 0.0) for row in task[1]}, 1) for task in tasks]
         k = next(k for k, task in enumerate(tasks) if task[3][:3] == sector)
-        results[k] = verify.CheckResult(tasks[k][0], "", False, "error: worker process died (x)")
-        got = verify._merge(table, tasks, results)
+        records[k] = ({row: ("error: worker process died (x)", 0.0) for row in tasks[k][1]}, 0)
+        got = verify._merge(table, tasks, records)
         assert {r.name for r in got if not r.passed} == failed
         assert {r.counterexample for r in got if not r.passed} == {"error: worker process died (x)"}
 
@@ -336,7 +337,7 @@ def test_a_raising_check_is_a_failed_result():
     def crash(n):
         raise RuntimeError(f"sweep broke at n={n}")
 
-    result = verify._run_check(("crashes", "n <= 3", crash, (3,)))
+    result = verify._run_checks([("crashes", "n <= 3", crash, (3,))], workers=1)[0]
     assert not result.passed
     assert result.counterexample.startswith("error:")
     assert "sweep broke at n=3" in result.counterexample
