@@ -131,7 +131,7 @@ def valid_ij(n: int) -> tuple[tuple[int, int], ...]:
 
 def check_ij(n: int, i, j) -> tuple[int, int]:
     if i is None or j is None:
-        raise ValueError("this family needs both i and j")
+        raise ValueError(f"need both i and j, got i={i}, j={j}")
     if not (i >= j >= 0):
         raise ValueError(f"need i >= j >= 0, got i={i}, j={j}")
     if i + j > n:

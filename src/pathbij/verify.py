@@ -1,19 +1,20 @@
-"""The identity suite: one check per published identity, each defined once.
+"""The identity suite: one table, _checks, declares each identity once.
 
-Each _check_* function sweeps exactly the range its arguments give and
-returns None or the first counterexample. The bijection checks share one
-proof, _bijection, over classes that are data: a class is its coordinates
-(n=4, i=2, j=0), which name it in a failure and give each map the
-parameters it reads, and its domain and codomain, family specs that
-_bijection enumerates itself, or members already enumerated. The counting
-identities share another proof, _agree, over the counts of
-pathbij.counting.count, the ones `pathbij count` prints.
+A row of the table is its name, range text, check and bounds; a check
+sweeps exactly the range its bounds give and returns None or the first
+counterexample. The bijection checks share one proof, _bijection, over
+classes that are data: a class is its coordinates (n=4, i=2, j=0), which
+name it in a failure and give each map the parameters it reads, and its
+domain and codomain, family specs that _bijection enumerates itself, or
+members already enumerated. The counting identities share another proof,
+_agree, over the counts of pathbij.counting.count, as `pathbij count`.
 Seven rows, every call of phi, psi, psi_s and their inverses among them,
-read the M2 sectors or their P2 and G2 images. They run as one sweep,
-_sweep, one shard per sector M2(n,i;j): a shard enumerates each set a row
-reads once, runs and clocks each row over the whole sector, and makes each
-map call that several rows make once per pair. Each of the seven _check_*
-functions is the sweep run for its row alone.
+read the M2 sectors or their P2 and G2 images. The check of each is a
+step (_step) that proves its row on one sector M2(n,i;j), and they run as
+one sweep, _sweep, one shard per sector: a shard enumerates each set a
+step reads once, runs and clocks each step over the whole sector, and
+makes each map call that several rows make once per pair. _one_row runs
+any row alone, by its name, over given bounds.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
@@ -21,8 +22,7 @@ independent tasks, which verify_suite runs in worker processes, one per
 available CPU. Every task returns one record, by row its first failure
 or None and its seconds; one merge keeps each row's first failure over
 its tasks in (n, i, j) order, sums its seconds, and reports every check
-in table order.
-tests/test_acceptance.py gates on verify_suite(10, 3).
+in table order. tests/test_acceptance.py gates on verify_suite(10, 3).
 """
 
 from __future__ import annotations
@@ -107,10 +107,11 @@ def _bijection(classes, forward, made=None):
     family or is already enumerated. forward maps the domain onto the
     codomain one-to-one: the name of a map of pathbij._maps, whose inverse
     gives each x back, each reading its parameters by name from at, or a
-    function of x alone without an inverse. made, when given, holds the
-    outputs of both directions to reuse (_made). Returns None or the first
-    failure: the class's coordinates, then the element."""
+    function of x alone without an inverse. made, when given, is the map's
+    and the inverse's memo (_made), each None or kept for reuse. Returns
+    None or the first failure: the class's coordinates, then the element."""
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
+    made_there, made_back = made or (None, None)
     for at, *sides in classes:
         domain, codomain = (enumerate_family(s) if isinstance(s, FamilySpec) else s for s in sides)
         label = _fields(at.items())
@@ -121,8 +122,8 @@ def _bijection(classes, forward, made=None):
             if inverse is None:
                 y = forward(x)
             else:
-                y = _made(made, forward, x, *there)[0]
-                if _made(made, inverse, y, *back)[0] != x:
+                y = _made(made_there, forward, x, *there)[0]
+                if _made(made_back, inverse, y, *back)[0] != x:
                     return f"{label}: roundtrip fails on {x}"
             image.add(y)
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
@@ -179,11 +180,6 @@ def _check_nu(n_max):
     return _bijection(classes, "nu")
 
 
-def _check_phi_sector(n_max):
-    # nesting, the floor and the sector are membership in P2(n,i;j)
-    return _one_row(_PHI, n_max)
-
-
 def _check_flip_heights(n_max):
     for n in range(n_max + 1):
         for q in enumerate_family(FamilySpec("A", n)):
@@ -200,30 +196,6 @@ def _check_flip_heights(n_max):
             if pb.flip_below_inv(qp, rec.r) != q:
                 return f"flip_below roundtrip fails: {q}"
     return None
-
-
-def _check_flip_records(n_max):
-    return _one_row(_FLIP, n_max)
-
-
-def _check_psi_sector(n_max):
-    # the endpoints and the depth are membership in G2(n,i;j)
-    return _one_row(_PSI, n_max)
-
-
-def _check_composed_map(n_max):
-    # psi after phi_inv, with no inverse (the count gives injectivity), maps
-    # P2(n) onto G2(n), sector by sector: over i, those of j = 0 are the sets
-    return _one_row(_COMP, n_max)
-
-
-def _check_floor_pairs(n_max):
-    """psi_s after phi_inv maps {P2 : h(Q~) >= s} one-to-one onto the
-    nested pairs that both end at s, sector by sector: for each s = i (mod
-    2) up to i, the phi_inv preimages of P2(n,i;0) onto the pairs ending at
-    (s, s) with lowest agreement height -(i-s)/2, which over i >= s make up
-    those ending at s. A bijection is also the count identity."""
-    return _one_row(_FLOOR, n_max)
 
 
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
@@ -258,14 +230,6 @@ def _check_step_dictionary(n_max):
         return None
 
     return visit("", "", "", 0, 0, 0, 0)
-
-
-def _check_conjugation(n_max):
-    """The walk maps are omega's conjugates of the pair maps, and the walk
-    inverses undo them. phi_tilde_inv runs on the walk itself, so its round
-    trip tests an implementation independent of phi_inv, whose own round
-    trip phi_sector_bijection tests."""
-    return _one_row(_CONJ, n_max)
 
 
 def _check_psi_tilde_s_union(n_max):
@@ -305,17 +269,15 @@ def _check_shadow(xy_max):
     return None
 
 
-def _check_hij_g2(n_max):
-    # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
-    return _one_row(_HIJ, n_max)
-
-
-# The rows of the sweep, in report order. A shard is one sector M2(n, i; j)
-# and runs each row whose bound reaches its n.
-_SWEPT = _PHI, _FLIP, _PSI, _COMP, _FLOOR, _CONJ, _HIJ = (
-    "phi_sector_bijection", "flip_record_bounds", "psi_sector_bijection",
-    "composed_map_bijection", "floor_pair_bijection", "walk_conjugation", "hij_walks_vs_g2",
-)
+def _step(step):
+    """Declare step the check of a swept row, which runs in the sweep as
+    step(at, side, made, preimages) on each sector M2(n,i;j) its bound
+    reaches. at is {n, i, j}; side(family) enumerates the sector's M2, P2
+    or G2 set when a step first reads it, and that step pays for it; made is
+    the memo the sector's steps share (_made), None for a row alone; and
+    preimages() are the phi_inv preimages of P2(n,i;0), read at j = 0."""
+    step.per_sector = True
+    return step
 
 
 def _made(made, name, x, *params):
@@ -331,8 +293,17 @@ def _made(made, name, x, *params):
     return out
 
 
-def _flip_records(n, i, j, m2, made):
-    for x in m2:
+@_step
+def _phi_sector(at, side, made, preimages):
+    # nesting, the floor and the sector are membership in P2(n,i;j); of the
+    # inverse's outputs the memo keeps the preimages of j = 0, which two rows map
+    return _bijection([(at, side("M2"), side("P2"))], "phi", (made, made if at["j"] == 0 else None))
+
+
+@_step
+def _flip_records(at, side, made, preimages):
+    n, i, j = at.values()
+    for x in side("M2"):
         p, q = x
         qp, _ = pb.flip_below(q)
         rec = _made(made, "phi", x, i, j)[1]
@@ -350,8 +321,41 @@ def _flip_records(n, i, j, m2, made):
     return None
 
 
-def _conjugates(i, j, m2, made):
-    for x in m2:
+@_step
+def _psi_sector(at, side, made, preimages):
+    # the endpoints and the depth are membership in G2(n,i;j)
+    return _bijection([(at, side("M2"), side("G2"))], "psi", (made, None))
+
+
+@_step
+def _composed_map(at, side, made, preimages):
+    # psi after phi_inv, with no inverse (the count gives injectivity), maps
+    # P2(n) onto G2(n), sector by sector: over i, those of j = 0 are the sets
+    psi = lambda x: _made(made, "psi", x)[0]  # noqa: E731
+    return _bijection([(at, preimages(), side("G2"))] if at["j"] == 0 else [], psi)
+
+
+@_step
+def _floor_pairs(at, side, made, preimages):
+    """psi_s after phi_inv maps {P2 : h(Q~) >= s} one-to-one onto the
+    nested pairs that both end at s, sector by sector: for each s = i (mod
+    2) up to i, the phi_inv preimages of P2(n,i;0) onto the pairs ending at
+    (s, s) with lowest agreement height -(i-s)/2, which over i >= s make up
+    those ending at s. A bijection is also the count identity."""
+    n, i, j = at.values()
+    floors = range(i % 2, i + 1, 2) if j == 0 else ()
+    classes = (({**at, "s": s}, preimages(), _g2_sector(n, i, j, "tuple", s)) for s in floors)
+    return _bijection(classes, "psi_s", (made, None))
+
+
+@_step
+def _conjugation(at, side, made, preimages):
+    """The walk maps are omega's conjugates of the pair maps, and the walk
+    inverses undo them. phi_tilde_inv runs on the walk itself, so its round
+    trip tests an implementation independent of phi_inv, whose own round
+    trip phi_sector_bijection tests."""
+    _, i, j = at.values()
+    for x in side("M2"):
         p, q = x
         w = pb.omega(p, q)
         wf = pb.phi_tilde(w)
@@ -370,35 +374,21 @@ def _conjugates(i, j, m2, made):
     return None
 
 
-def _sweep(n, i, j, rows):
-    """Run the swept rows named in rows over the sector M2(n,i;j), each
-    over the whole sector. side enumerates its M2, P2 or G2 set when a row
-    first reads it, and that row pays for it. made keeps the sector's phi,
-    phi_inv and psi outputs, and psi_s's at j = 0, for the next row that
-    makes the call; one row alone keeps none. Two rows map the phi_inv
-    preimages of P2(n,i;0), at j = 0 only. Returns the shard's record: by
-    row, its first failure or None and its seconds (_timed)."""
-    at, made = {"n": n, "i": i, "j": j}, {} if len(rows) > 1 else None
+@_step
+def _hij_g2(at, side, made, preimages):
+    # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
+    return _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")
+
+
+def _sweep(n, i, j, steps):
+    """Run steps, by row, each over the whole sector M2(n,i;j) (_step), in
+    table order. Several rows share one memo: the sector's phi and psi
+    outputs, and phi_inv's and psi_s's at j = 0, which other rows read back.
+    Returns by row its first failure or None and its seconds (_timed)."""
+    at, made = {"n": n, "i": i, "j": j}, {} if len(steps) > 1 else None
     side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
     preimages = cache(lambda: [_made(made, "phi_inv", pq, i, j)[0] for pq in side("P2")])
-    psi = lambda x: _made(made, "psi", x)[0]  # noqa: E731
-    floor = lambda s: ({**at, "s": s}, preimages(), _g2_sector(n, i, j, "tuple", s))  # noqa: E731
-    floors = range(i % 2, i + 1, 2) if j == 0 else ()
-    table = (
-        (_PHI, lambda: _bijection([(at, side("M2"), side("P2"))], "phi", made)),
-        (_FLIP, lambda: _flip_records(n, i, j, side("M2"), made)),
-        (_PSI, lambda: _bijection([(at, side("M2"), side("G2"))], "psi", made)),
-        (_COMP, lambda: _bijection([(at, preimages(), side("G2"))] if j == 0 else [], psi)),
-        (_FLOOR, lambda: _bijection(map(floor, floors), "psi_s", made)),
-        (_CONJ, lambda: _conjugates(i, j, side("M2"), made)),
-        (_HIJ, lambda: _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")),
-    )
-    return {row: _timed(check) for row, check in table if row in rows}
-
-
-def _one_row(row, n_max):
-    """One swept row alone: its shards, run and merged in this process."""
-    return _run_checks([(row, "", None, (n_max,))], workers=1)[0].counterexample
+    return {row: _timed(step, at, side, made, preimages) for row, step in steps.items()}
 
 
 def _check_det_vs_box(n_max, k_max):
@@ -463,9 +453,9 @@ def _check_pp(pq_max, k_max, count_pq_max):
 
 
 def _checks(max_n: int, max_k: int) -> tuple:
-    """The suite's table: (name, range text, check, bounds) per identity,
-    in report order, every bound derived from the two budgets, which
-    verify_suite keeps within 10 and 3."""
+    """The suite's table, the one place a row is declared: (name, range
+    text, check, bounds) per identity in report order, every bound derived
+    from the budgets, at most 10 and 3. A swept row's check is a step."""
     n8, n9 = min(max_n, 8), min(max_n, 9)
     ncap, n2 = max_n + 2, 2 * max_n
     tuple_ns = {k: ncap if k <= 2 else n8 for k in range(1, max_k + 1)}
@@ -477,23 +467,23 @@ def _checks(max_n: int, max_k: int) -> tuple:
     pp_counted = f" ({pcount} counted)" if pcount > pmax else ""
     pp_text = f"p,q <= {pmax}{pp_counted}, k <= {kmax}"
     return (
-        ("families_sorted_counted", f"n <= {n8}", _check_families, (n8,)),
+        ("families_sorted_counted", f"n <= {max_n}", _check_families, (max_n,)),
         ("matching_structure", f"n <= {max_n}", _check_matching, (max_n,)),
         ("xi_bijection", f"n <= {max_n}", _check_xi, (max_n,)),
         ("xi_s_bijection", f"n <= {max_n}", _check_xi_s, (max_n,)),
         ("nu_bijection", f"n <= {max_n}", _check_nu, (max_n,)),
-        ("phi_sector_bijection", f"n <= {max_n}", _check_phi_sector, (max_n,)),
+        ("phi_sector_bijection", f"n <= {max_n}", _phi_sector, (max_n,)),
         ("flip_height_profile", f"n <= {ncap}", _check_flip_heights, (ncap,)),
-        ("flip_record_bounds", f"n <= {max_n}", _check_flip_records, (max_n,)),
-        ("psi_sector_bijection", f"n <= {max_n}", _check_psi_sector, (max_n,)),
-        ("composed_map_bijection", f"n <= {max_n}", _check_composed_map, (max_n,)),
-        ("floor_pair_bijection", f"n <= {max_n}", _check_floor_pairs, (max_n,)),
+        ("flip_record_bounds", f"n <= {max_n}", _flip_records, (max_n,)),
+        ("psi_sector_bijection", f"n <= {max_n}", _psi_sector, (max_n,)),
+        ("composed_map_bijection", f"n <= {max_n}", _composed_map, (max_n,)),
+        ("floor_pair_bijection", f"n <= {max_n}", _floor_pairs, (max_n,)),
         ("step_dictionary", f"n <= {max_n}", _check_step_dictionary, (max_n,)),
-        ("walk_conjugation", f"n <= {max_n}", _check_conjugation, (max_n,)),
+        ("walk_conjugation", f"n <= {max_n}", _conjugation, (max_n,)),
         ("psi_tilde_s_union", f"n <= {n9}", _check_psi_tilde_s_union, (n9,)),
         ("phi_tilde_axis_identity", f"n <= {max_n}", _check_phi_tilde_identity, (max_n,)),
         ("shadow_region", "|x|,|y| <= 12", _check_shadow, (12,)),
-        ("hij_walks_vs_g2", f"n <= {n8}", _check_hij_g2, (n8,)),
+        ("hij_walks_vs_g2", f"n <= {n8}", _hij_g2, (n8,)),
         ("det_vs_box_product", f"n <= {n2}, k <= {max_k + 2}", _check_det_vs_box, (n2, max_k + 2)),
         ("g2_sum_formula", f"n <= {n2}", _check_g2_sum, (n2,)),
         ("tuple_count_agreement", tuple_text, _check_tuple_counts, (tuple_ns,)),
@@ -521,16 +511,16 @@ def _entry(name, check, *bounds):
 
 def _tasks(checks) -> list:
     """The table's entries but the swept rows, in table order, as tasks of
-    _entry, then one task of _sweep per M2 sector, largest n first, holding
-    the swept rows whose bound reaches its n. A task is (order, rows,
-    function, arguments): order is () for an entry and (n, i, j) for a
-    shard, rows are the rows its record reports."""
-    bounds = {name: b[0] for name, _, _, b in checks if name in _SWEPT}
-    tasks = [((), (name,), _entry, (name, f, *b)) for name, _, f, b in checks if name not in bounds]
-    for n in range(max(bounds.values(), default=-1), -1, -1):
-        rows = tuple(r for r in _SWEPT if n <= bounds.get(r, -1))
+    _entry, then one task of _sweep per M2 sector, largest n first, handed
+    the steps of the swept rows whose bound reaches its n. A task is (order,
+    rows, function, arguments): order is () for an entry and (n, i, j) for
+    a shard, rows are the rows its record reports."""
+    swept = {name: (f, b[0]) for name, _, f, b in checks if getattr(f, "per_sector", False)}
+    tasks = [((), (name,), _entry, (name, f, *b)) for name, _, f, b in checks if name not in swept]
+    for n in range(max((b for _, b in swept.values()), default=-1), -1, -1):
+        steps = {row: step for row, (step, bound) in swept.items() if n <= bound}
         for i, j in valid_ij(n):
-            tasks.append(((n, i, j), rows, _sweep, (n, i, j, rows)))
+            tasks.append(((n, i, j), tuple(steps), _sweep, (n, i, j, steps)))
     return tasks
 
 
@@ -583,6 +573,13 @@ def _run_checks(checks, workers: int | None = None) -> tuple[CheckResult, ...]:
             records += [({row: (died, 0.0) for row in task[1]}, 0) for task in tasks[len(records):]]
     records += map(_run_task, tasks[len(records):])
     return _merge(checks, tasks, records)
+
+
+def _one_row(name, *bounds):
+    """The table's row name alone, its check (the same at every budget)
+    over bounds, run and merged in this process: its first failure or None."""
+    check = next(check for row, _, check, _ in _checks(0, 1) if row == name)
+    return _run_checks([(name, "", check, bounds)], workers=1)[0].counterexample
 
 
 def verify_suite(max_n: int, max_k: int = 2) -> tuple[CheckResult, ...]:

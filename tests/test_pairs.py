@@ -236,7 +236,7 @@ def test_composed_map_is_a_global_bijection():
     carries the full nested-prefix-pair family onto the grand-pair family:
     each P2(n,i;0) onto G2(n,i;0), sectors that over i make up P2(n) and
     G2(n)."""
-    assert verify._check_composed_map(12) is None
+    assert verify._one_row("composed_map_bijection", 12) is None
 
 
 @st.composite

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import pathbij
 from pathbij import (
     FamilySpec,
     WalkFamilySpec,
@@ -198,6 +199,23 @@ def test_check_ij_rejects_each_constraint():
         check_ij(4, 4, 2)  # i + j > n
     with pytest.raises(ValueError):
         check_ij(4, 2, 1)  # parity
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pathbij.phi("UU", "UU", i=2),
+        lambda: pathbij.phi_inv("UU", "UU", 2, None),
+        lambda: pathbij.phi_tilde_inv("EE", 2, None),
+        lambda: enumerate_family(FamilySpec("M2", 2, i=2)),
+    ],
+    ids=["phi", "phi_inv", "phi_tilde_inv", "M2"],
+)
+def test_check_ij_names_both_values_for_every_caller(call):
+    """A map that reads (i, j) and a family spec both reach check_ij, so its
+    message blames no family and names the two values it got."""
+    with pytest.raises(ValueError, match=r"^need both i and j, got i=2, j=None$"):
+        call()
 
 
 def test_pair_sector_enumeration_against_oracle():

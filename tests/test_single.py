@@ -55,7 +55,7 @@ def test_xi_is_a_bijection_onto_grand_paths():
     """xi maps the prefixes of each length n < 15 onto the grand paths and
     keeps every facing pair; the round trip on the whole domain and the
     image equal to the codomain make xi o xi_inv the identity there too."""
-    assert verify._check_xi(14) is None
+    assert verify._one_row("xi_bijection", 14) is None
 
 
 def test_xi_s_examples():
@@ -79,7 +79,7 @@ def test_xi_s_rejects_bad_targets():
 def test_xi_s_bijection_by_sector():
     """xi_s maps prefixes ending at i onto paths ending at s with minimum
     exactly -(i-s)/2, bijectively, for every valid pair (i, s), n < 13."""
-    assert verify._check_xi_s(12) is None
+    assert verify._one_row("xi_s_bijection", 12) is None
 
 
 def test_nu_examples():
@@ -104,7 +104,7 @@ def test_nu_inv_rejects_wrong_end_height():
 def test_nu_is_a_bijection():
     """Even lengths fold onto Grand Dyck paths; odd lengths end at -1;
     n < 15."""
-    assert verify._check_nu(14) is None
+    assert verify._one_row("nu_bijection", 14) is None
 
 
 @given(prefixes())
@@ -118,8 +118,8 @@ def test_random_prefix_roundtrips(p):
 
 @given(prefixes())
 def test_xi_preserves_facing_pairs(p):
-    """Random prefixes up to length 40; verify._check_xi sweeps every
-    prefix of length n < 15."""
+    """Random prefixes up to length 40; verify's xi_bijection row sweeps
+    every prefix of length n < 15."""
     assert match_faces(xi(p)).pairs == match_faces(p).pairs
 
 

@@ -12,10 +12,12 @@ corrupted in turn too, and a named counting check must fail. The suite runs
 seven rows of checks as one sweep, in one shard per M2 sector, and every check
 in worker processes; the last tests pin that it reports what the checks give
 on their own, in process and under spawn too, that the sweep makes each
-shared call once, that a row alone enumerates only the sets it reads, and
-that a crash or a dead worker is a failure.
+shared call once and keeps only the outputs another row reads back, that a
+row alone enumerates only the sets it reads, and that a crash or a dead
+worker is a failure.
 """
 
+import collections
 import hashlib
 import json
 import multiprocessing
@@ -28,42 +30,50 @@ import pytest
 import pathbij
 from pathbij import FamilySpec, counting, verify
 
-# (check, bound or tuple of bounds, map patched in pathbij, input to corrupt,
-#  input whose image it gets)
+# (case id, row, bound or tuple of bounds, map patched in pathbij, input to
+#  corrupt, input whose image it gets)
 CASES = [
-    (verify._check_xi, 2, "xi", ("UU",), ("UD",)),
-    (verify._check_nu, 2, "nu", ("UU",), ("UD",)),
-    (verify._check_phi_sector, 2, "phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)),
-    (verify._check_psi_sector, 2, "psi", ("UD", "DU"), ("UD", "UD")),
-    (verify._check_flip_records, 2, "phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)),
-    (verify._check_conjugation, 2, "phi_tilde", ("NS",), ("EW",)),
-    (verify._check_floor_pairs, 2, "psi_s", ("UD", "DU", 0), ("UD", "UD", 0)),
-    (verify._check_origin_walks, 1, "phi_tilde", ("NS",), ("EW",)),
-    (verify._check_psi_tilde_s_union, 2, "psi_tilde_s", ("NS", 0), ("EW", 0)),
-    (verify._check_step_dictionary, 2, "omega", ("U", "D"), ("D", "U")),
-    (verify._check_step_dictionary, 2, "omega_inv", ("NS",), ("EW",)),
-    (verify._check_xi_s, 2, "xi_s", ("UU", 0), ("UD", 0)),
-    (verify._check_conjugation, 2, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
-    (verify._check_origin_walks, 1, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
-    (verify._check_composed_map, 2, "psi", ("UD", "DU"), ("UD", "UD")),
-    (verify._check_hij_g2, 2, "omega", ("UD", "DU"), ("UD", "UD")),
-    (verify._check_pp, (1, 1, 1), "pp_to_tuple", (((1,),), 1, 2), (((0,),), 1, 2)),
-    (verify._check_flip_heights, 2, "flip_below", ("UD",), ("DU",)),
-    (verify._check_flip_heights, 2, "flip_below_inv", ("UU", 1), ("UD", 0)),
-    (verify._check_phi_tilde_identity, 2, "phi_tilde", ("EW",), ("EE",)),
+    ("_check_xi", "xi_bijection", 2, "xi", ("UU",), ("UD",)),
+    ("_check_nu", "nu_bijection", 2, "nu", ("UU",), ("UD",)),
+    ("_check_phi_sector", "phi_sector_bijection", 2, "phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)),
+    ("_check_psi_sector", "psi_sector_bijection", 2, "psi", ("UD", "DU"), ("UD", "UD")),
+    ("_check_flip_records", "flip_record_bounds", 2, "phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)),
+    ("_check_conjugation", "walk_conjugation", 2, "phi_tilde", ("NS",), ("EW",)),
+    ("_check_floor_pairs", "floor_pair_bijection", 2, "psi_s", ("UD", "DU", 0), ("UD", "UD", 0)),
+    ("_check_origin_walks", "origin_walk_bijection", 1, "phi_tilde", ("NS",), ("EW",)),
+    ("_check_psi_tilde_s_union", "psi_tilde_s_union", 2, "psi_tilde_s", ("NS", 0), ("EW", 0)),
+    ("_check_step_dictionary", "step_dictionary", 2, "omega", ("U", "D"), ("D", "U")),
+    ("_check_step_dictionary", "step_dictionary", 2, "omega_inv", ("NS",), ("EW",)),
+    ("_check_xi_s", "xi_s_bijection", 2, "xi_s", ("UU", 0), ("UD", 0)),
+    ("_check_conjugation", "walk_conjugation", 2, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
+    ("_check_origin_walks", "origin_walk_bijection", 1, "phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)),
+    ("_check_composed_map", "composed_map_bijection", 2, "psi", ("UD", "DU"), ("UD", "UD")),
+    ("_check_hij_g2", "hij_walks_vs_g2", 2, "omega", ("UD", "DU"), ("UD", "UD")),
+    ("_check_pp", "pp_box_roundtrip", (1, 1, 1), "pp_to_tuple", (((1,),), 1, 2), (((0,),), 1, 2)),
+    ("_check_flip_heights", "flip_height_profile", 2, "flip_below", ("UD",), ("DU",)),
+    ("_check_flip_heights", "flip_height_profile", 2, "flip_below_inv", ("UU", 1), ("UD", 0)),
+    ("_check_phi_tilde_identity", "phi_tilde_axis_identity", 2, "phi_tilde", ("EW",), ("EE",)),
 ]
-# a case against an inverse carries the map's name, since its check has a
+# a case against an inverse carries the map's name, since its row has a
 # case against the forward map too
-IDS = [c[0].__name__ + f"-{c[2]}" * c[2].endswith("_inv") for c in CASES]
+IDS = [c[0] + f"-{c[3]}" * c[3].endswith("_inv") for c in CASES]
 
 
-@pytest.mark.parametrize("check, bound, name, victim, donor", CASES, ids=IDS)
-def test_check_catches_a_corrupted_map(monkeypatch, check, bound, name, victim, donor):
+def swept(table):
+    """The entries of table that run as rows of the sweep: those whose check is a step."""
+    return [entry for entry in table if getattr(entry[2], "per_sector", False)]
+
+
+SWEPT = [entry[0] for entry in swept(verify._checks(2, 2))]
+
+
+@pytest.mark.parametrize("row, bound, name, victim, donor", [c[1:] for c in CASES], ids=IDS)
+def test_check_catches_a_corrupted_map(monkeypatch, row, bound, name, victim, donor):
     bounds = bound if isinstance(bound, tuple) else (bound,)
     real = getattr(pathbij, name)
-    assert check(*bounds) is None
+    assert verify._one_row(row, *bounds) is None
     monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
-    assert check(*bounds) is not None
+    assert verify._one_row(row, *bounds) is not None
 
 
 def test_a_bijection_failure_leads_with_its_class(monkeypatch):
@@ -79,7 +89,8 @@ def test_a_bijection_failure_leads_with_its_class(monkeypatch):
     real = pathbij.phi
     victim, donor = ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)
     monkeypatch.setattr(pathbij, "phi", lambda *a: real(*(donor if a == victim else a)))
-    assert verify._check_phi_sector(2) == "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')"
+    bad = "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')"
+    assert verify._one_row("phi_sector_bijection", 2) == bad
 
 
 # the first counterexample of each swept row, at n <= 2, under each
@@ -122,7 +133,7 @@ SWEPT_CASES = {
 
 
 # each corruption of CASES once: (map, input to corrupt, input whose image it gets)
-CORRUPTIONS = list(dict.fromkeys(case[2:] for case in CASES))
+CORRUPTIONS = list(dict.fromkeys(case[3:] for case in CASES))
 
 
 def test_every_swept_case_is_a_case():
@@ -138,10 +149,10 @@ def test_shards_keep_each_rows_counterexample(monkeypatch, case):
     name, victim, donor = case
     real = getattr(pathbij, name)
     monkeypatch.setattr(pathbij, name, lambda *a: real(*(donor if a == victim else a)))
-    rows = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
-    alone = {row: fn(*bounds) for row, _, fn, bounds in rows}
+    rows = swept(verify._checks(2, 2))
+    alone = {row: verify._one_row(row, *bounds) for row, _, _, bounds in rows}
     merged = {r.name: r.counterexample for r in verify._run_checks(rows, workers=1)}
-    expected = {row: SWEPT_CASES.get(case, {}).get(row) for row in verify._SWEPT}
+    expected = {row: SWEPT_CASES.get(case, {}).get(row) for row in SWEPT}
     assert alone == merged == expected
 
 
@@ -158,12 +169,13 @@ def test_a_row_reports_its_first_failure_over_its_shards(monkeypatch):
         return real(p, q, i, j)
 
     monkeypatch.setattr(pathbij, "phi", phi)
-    rows = [entry for entry in verify._checks(2, 2) if entry[0] in verify._SWEPT]
+    rows = swept(verify._checks(2, 2))
     assert [task[3][:3] for task in verify._tasks(rows)][-2:] == [(1, 1, 0), (0, 0, 0)]
     got = {r.name: r.counterexample for r in verify._run_checks(rows, workers=1)}
-    for row, _, fn, bounds in rows:
+    for row, _, _, bounds in rows:
         calls_phi = row in ("phi_sector_bijection", "flip_record_bounds", "walk_conjugation")
-        assert got[row] == fn(*bounds) == ("error: refused at n=1, i=1, j=0" if calls_phi else None)
+        refused = "error: refused at n=1, i=1, j=0" if calls_phi else None
+        assert got[row] == verify._one_row(row, *bounds) == refused
 
 
 def test_the_union_leads_with_its_class(monkeypatch):
@@ -172,7 +184,7 @@ def test_the_union_leads_with_its_class(monkeypatch):
     real = pathbij.psi_tilde_s
     victim, donor = ("NS", 0), ("EW", 0)
     monkeypatch.setattr(pathbij, "psi_tilde_s", lambda *a: real(*(donor if a == victim else a)))
-    assert verify._check_psi_tilde_s_union(2) == "n=2, i=0, j=0, s=0: roundtrip fails on NS"
+    assert verify._one_row("psi_tilde_s_union", 2) == "n=2, i=0, j=0, s=0: roundtrip fails on NS"
 
 
 def test_each_shared_call_is_made_once_per_pair(monkeypatch):
@@ -199,18 +211,42 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
     assert calls == {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259, "psi_s_inv": 110}
 
 
-def test_a_swept_row_reads_the_time_of_its_own_step(monkeypatch):
+def test_the_memo_keeps_only_what_another_row_reads(monkeypatch):
+    """A sector's memo keeps an output only where another row makes the
+    same call: phi's and psi's, phi_inv's at j = 0, whose outputs are the
+    preimages that the composed and floor rows map, and psi_s's, made at
+    j = 0 alone. It keeps no psi_inv or psi_s_inv output and no phi_inv
+    output at j > 0: with n <= 5, 162 phi, 162 psi, 110 psi_s and 81
+    phi_inv outputs."""
+    real, memos = verify._made, {}
+
+    def seen(made, *call):
+        if made is not None:
+            memos[id(made)] = made
+        return real(made, *call)
+
+    monkeypatch.setattr(verify, "_made", seen)
+    assert all(r.passed for r in verify._run_checks(verify._checks(5, 2), workers=1))
+    kept = collections.Counter(key[0] for made in memos.values() for key in made)
+    assert kept == {"phi": 162, "psi": 162, "psi_s": 110, "phi_inv": 81}
+    phi_inv_js = {key[-1] for made in memos.values() for key in made if key[0] == "phi_inv"}
+    assert phi_inv_js == {0}
+
+
+def test_a_swept_row_reads_the_time_of_its_own_step():
     """A swept row's seconds are its own step's, summed over its shards:
     with flip_record_bounds sleeping 0.02 s in each sector, it reads at
     least that much per sector, and no other row is charged for it."""
-    real = verify._flip_records
 
-    def slow(*args):
+    @verify._step
+    def slow(*shard):
         time.sleep(0.02)
-        return real(*args)
+        return verify._flip_records(*shard)
 
-    monkeypatch.setattr(verify, "_flip_records", slow)
-    rows = [entry for entry in verify._checks(3, 2) if entry[0] in verify._SWEPT]
+    rows = [
+        (row, text, slow if row == "flip_record_bounds" else step, bounds)
+        for row, text, step, bounds in swept(verify._checks(3, 2))
+    ]
     slept = 0.02 * sum(len(pathbij.valid_ij(n)) for n in range(4))
     got = {r.name: r.seconds for r in verify._run_checks(rows, workers=1)}
     assert got.pop("flip_record_bounds") >= slept
@@ -225,13 +261,13 @@ def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     real, seen = verify.enumerate_family, []
     recorded = lambda spec: seen.append(spec.family) or real(spec)  # noqa: E731
     monkeypatch.setattr(verify, "enumerate_family", recorded)
-    assert verify._check_hij_g2(3) is None
+    assert verify._one_row("hij_walks_vs_g2", 3) is None
     assert "G2" in seen and "M2" not in seen
     seen.clear()
-    assert verify._check_phi_sector(3) is None
+    assert verify._one_row("phi_sector_bijection", 3) is None
     assert "M2" in seen and "G2" not in seen
     seen.clear()
-    assert verify._check_floor_pairs(3) is None
+    assert verify._one_row("floor_pair_bijection", 3) is None
     assert "P2" in seen and "M2" not in seen and "G2" not in seen
 
 
@@ -271,12 +307,13 @@ def test_check_catches_a_corrupted_closed_form(monkeypatch, key, name):
 def test_range_texts_are_the_same_for_every_budget():
     """verify_suite holds the budget bound, 10 and 3, so no check caps its
     own range below it: every range text of _checks(n, k), n <= 10, k <= 3,
-    is as it was when the checks did (the digest of their JSON list)."""
+    is as it was when the checks did (the digest of their JSON list), but
+    families_sorted_counted's, which runs to max_n, not to 8."""
     texts = [[e[1] for e in verify._checks(n, k)] for n in range(11) for k in range(1, 4)]
     digest = hashlib.sha256(json.dumps(texts).encode()).hexdigest()
-    assert digest == "6327c9c9459e8b1a16f1c5ad6ab8a86130beeeac3db6d2d0c25a2a65596529af"
+    assert digest == "44f703dcd005e6b93d600bc48b56a9ad51cf3ba8309c6eaf685478b1598a4311"
     assert [e[1] for e in verify._checks(10, 3)] == [
-        "n <= 8", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 12",
+        "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 12",
         "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 9",
         "n <= 10", "|x|,|y| <= 12", "n <= 8", "n <= 20, k <= 5", "n <= 20",
         "k <= 3, n <= 12 (8 for k>2)", "n <= 11", "m <= 5", "p,q <= 3 (4 counted), k <= 3",
@@ -321,10 +358,10 @@ def test_a_dead_shard_fails_each_of_its_rows():
     other row. With n <= 9, a sector of n = 9 holds the six rows that reach
     it, and not hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds
     all seven."""
-    table = [entry for entry in verify._checks(9, 2) if entry[0] in verify._SWEPT]
+    table = swept(verify._checks(9, 2))
     tasks = verify._tasks(table)
-    four = set(verify._SWEPT) - {"hij_walks_vs_g2"}
-    for sector, failed in (((9, 5, 2), four), ((2, 1, 1), set(verify._SWEPT))):
+    six = set(SWEPT) - {"hij_walks_vs_g2"}
+    for sector, failed in (((9, 5, 2), six), ((2, 1, 1), set(SWEPT))):
         records = [({row: (None, 0.0) for row in task[1]}, 1) for task in tasks]
         k = next(k for k, task in enumerate(tasks) if task[3][:3] == sector)
         records[k] = ({row: ("error: worker process died (x)", 0.0) for row in tasks[k][1]}, 0)
