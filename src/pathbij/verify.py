@@ -8,13 +8,13 @@ name it in a failure and give each map the parameters it reads, and its
 domain and codomain, family specs that _bijection enumerates itself, or
 members already enumerated. The counting identities share another proof,
 _agree, over the counts of pathbij.counting.count, as `pathbij count`.
-Seven rows, every call of phi, psi, psi_s and their inverses among them,
-read the M2 sectors or their P2 and G2 images. The check of each is a
-step (_step) that proves its row on one sector M2(n,i;j), and they run as
-one sweep, _sweep, one shard per sector: a shard enumerates each set a
-step reads once, runs and clocks each step over the whole sector, and
-makes each map call that several rows make once per pair. _one_row runs
-any row alone, by its name, over given bounds.
+Eight rows, every call of phi, psi, psi_s and their inverses among them,
+read the M2 sectors, their P2 and G2 images or their walks. The check of
+each is a step (_step) that proves its row on one sector M2(n,i;j), and
+they run as one sweep, _sweep, one shard per sector: a shard enumerates
+each set a step reads once, runs and clocks each step over the whole
+sector, and makes each map call that several rows make once per pair.
+_one_row runs any row alone, by its name, over given bounds.
 verify_suite(max_n, max_k) derives every bound from its two budgets, at
 most 10 and 3: element sweeps run to max_n, counting identities a little
 beyond, arithmetic ones to 2 * max_n. The other checks and the shards are
@@ -232,21 +232,6 @@ def _check_step_dictionary(n_max):
     return visit("", "", "", 0, 0, 0, 0)
 
 
-def _check_psi_tilde_s_union(n_max):
-    # psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H walks ending at (s, j):
-    # for each s = i (mod 2) up to i, Qend(n,i,j) onto those of leftmost x -(i-s)/2 (_g2_sector)
-    def classes():
-        for n in range(n_max + 1):
-            for i in range(n + 1):
-                for j in range((n - i) % 2, n - i + 1, 2):
-                    column = enumerate_family(FamilySpec("Qend", n, i=i, j=j))
-                    for s in range(i % 2, i + 1, 2):
-                        codomain = _g2_sector(n, i, j, "walk", s)
-                        yield {"n": n, "i": i, "j": j, "s": s}, column, codomain
-
-    return _bijection(classes(), "psi_tilde_s")
-
-
 def _check_phi_tilde_identity(n_max):
     for n in range(n_max + 1):
         for w in enumerate_family(FamilySpec("Ox", n)):
@@ -272,17 +257,17 @@ def _check_shadow(xy_max):
 def _step(step):
     """Declare step the check of a swept row, which runs in the sweep as
     step(at, side, made, preimages) on each sector M2(n,i;j) its bound
-    reaches. at is {n, i, j}; side(family) enumerates the sector's M2, P2
-    or G2 set when a step first reads it, and that step pays for it; made is
-    the memo the sector's steps share (_made), None for a row alone; and
-    preimages() are the phi_inv preimages of P2(n,i;0), read at j = 0."""
+    reaches. at is {n, i, j}; side(family) enumerates the sector's M2, P2,
+    G2, Qend, Osh or Hij set when a step first reads it, and that step pays
+    for it; made is the memo the sector's steps share (_made), None for a
+    row alone; and preimages() are the phi_inv preimages of P2(n,i;0)."""
     step.per_sector = True
     return step
 
 
 def _made(made, name, x, *params):
     """call(name, x, *params), made once: made keeps each output for the
-    next row that makes the identical call, and None keeps nothing. A call
+    next check that makes the identical call, and None keeps nothing. A call
     that raised is kept by no one, so the next row raises it again."""
     if made is None:
         return call(name, x, *params)
@@ -291,6 +276,12 @@ def _made(made, name, x, *params):
     if out is None:
         out = made[key] = call(name, x, *params)
     return out
+
+
+def _floors(at, domain, form):
+    # a class per floor s = i (mod 2) up to i: domain onto _g2_sector(n, i, j, form, s)
+    n, i, j = at.values()
+    return (({**at, "s": s}, domain, _g2_sector(n, i, j, form, s)) for s in range(i % 2, i + 1, 2))
 
 
 @_step
@@ -342,48 +333,58 @@ def _floor_pairs(at, side, made, preimages):
     2) up to i, the phi_inv preimages of P2(n,i;0) onto the pairs ending at
     (s, s) with lowest agreement height -(i-s)/2, which over i >= s make up
     those ending at s. A bijection is also the count identity."""
-    n, i, j = at.values()
-    floors = range(i % 2, i + 1, 2) if j == 0 else ()
-    classes = (({**at, "s": s}, preimages(), _g2_sector(n, i, j, "tuple", s)) for s in floors)
+    classes = _floors(at, preimages(), "tuple") if at["j"] == 0 else []
     return _bijection(classes, "psi_s", (made, None))
 
 
 @_step
 def _conjugation(at, side, made, preimages):
     """The walk maps are omega's conjugates of the pair maps, and the walk
-    inverses undo them. phi_tilde_inv runs on the walk itself, so its round
-    trip tests an implementation independent of phi_inv, whose own round
-    trip phi_sector_bijection tests."""
+    inverses undo them: phi_tilde maps Qend(n,i,j) onto Osh(n,i,j) and
+    psi_tilde onto Hij(n,i,j). phi_tilde_inv runs on the walk itself, so its
+    round trip tests an implementation independent of phi_inv, whose own
+    round trip phi_sector_bijection tests."""
     _, i, j = at.values()
     for x in side("M2"):
         p, q = x
         w = pb.omega(p, q)
-        wf = pb.phi_tilde(w)
-        if wf != pb.omega(*_made(made, "phi", x, i, j)[0]):
+        if _made(made, "phi_tilde", w)[0] != pb.omega(*_made(made, "phi", x, i, j)[0]):
             return f"phi conjugation fails: {p}/{q}"
-        if pb.phi_tilde_inv(wf, i, j) != w:
-            return f"phi_tilde roundtrip fails: {w}"
-        wh = pb.psi_tilde(w)
-        if wh != pb.omega(*_made(made, "psi", x)[0]):
+        if _made(made, "psi_tilde", w)[0] != pb.omega(*_made(made, "psi", x)[0]):
             return f"psi conjugation fails: {p}/{q}"
-        if pb.psi_tilde_inv(wh) != w:
-            return f"psi_tilde roundtrip fails: {w}"
         for s in range(i % 2, i + 1, 2):
-            if pb.psi_tilde_s(w, s) != pb.omega(*_made(made if j == 0 else None, "psi_s", x, s)[0]):
+            wh = _made(made, "psi_tilde_s", w, s)[0]
+            if wh != pb.omega(*_made(made if j == 0 else None, "psi_s", x, s)[0]):
                 return f"psi_s conjugation fails: {p}/{q}, s={s}"
-    return None
+    walks = side("Qend")
+    bad = _bijection([(at, walks, side("Osh"))], "phi_tilde", (made, None))
+    return bad or _bijection([(at, walks, side("Hij"))], "psi_tilde", (made, None))
+
+
+@_step
+def _union(at, side, made, preimages):
+    """psi_tilde_s maps the Q walks ending at (i, j), all i >= s, onto the H
+    walks ending at (s, j): per floor s (_floors), the column Qend(n,i,j)
+    onto those whose leftmost x is -(i-s)/2. A sector maps its own column
+    and, for i > j, Qend(n,j,i), no sector, whose images no other row reads."""
+    own = _bijection(_floors(at, side("Qend"), "walk"), "psi_tilde_s", (made, None))
+    if own or at["i"] == at["j"]:
+        return own
+    transposed = {**at, "i": at["j"], "j": at["i"]}
+    walks = enumerate_family(FamilySpec("Qend", **transposed))
+    return _bijection(_floors(transposed, walks, "walk"), "psi_tilde_s")
 
 
 @_step
 def _hij_g2(at, side, made, preimages):
     # omega maps each G2 sector onto the walks Hij(n, i, j), and omega_inv undoes it
-    return _bijection([(at, side("G2"), FamilySpec("Hij", **at))], "omega")
+    return _bijection([(at, side("G2"), side("Hij"))], "omega")
 
 
 def _sweep(n, i, j, steps):
     """Run steps, by row, each over the whole sector M2(n,i;j) (_step), in
-    table order. Several rows share one memo: the sector's phi and psi
-    outputs, and phi_inv's and psi_s's at j = 0, which other rows read back.
+    table order. Several rows share one memo: the sector's phi, psi and walk
+    images, and phi_inv's and psi_s's at j = 0, which a later check reads.
     Returns by row its first failure or None and its seconds (_timed)."""
     at, made = {"n": n, "i": i, "j": j}, {} if len(steps) > 1 else None
     side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
@@ -456,8 +457,7 @@ def _checks(max_n: int, max_k: int) -> tuple:
     """The suite's table, the one place a row is declared: (name, range
     text, check, bounds) per identity in report order, every bound derived
     from the budgets, at most 10 and 3. A swept row's check is a step."""
-    n8, n9 = min(max_n, 8), min(max_n, 9)
-    ncap, n2 = max_n + 2, 2 * max_n
+    n8, ncap, n2 = min(max_n, 8), max_n + 2, 2 * max_n
     tuple_ns = {k: ncap if k <= 2 else n8 for k in range(1, max_k + 1)}
     tuple_text = f"k <= {max_k}, n <= {ncap}" + (f" ({n8} for k>2)" if max_k > 2 else "")
     n_octant, m_origin = max_n + 1, max_n // 2
@@ -480,10 +480,10 @@ def _checks(max_n: int, max_k: int) -> tuple:
         ("floor_pair_bijection", f"n <= {max_n}", _floor_pairs, (max_n,)),
         ("step_dictionary", f"n <= {max_n}", _check_step_dictionary, (max_n,)),
         ("walk_conjugation", f"n <= {max_n}", _conjugation, (max_n,)),
-        ("psi_tilde_s_union", f"n <= {n9}", _check_psi_tilde_s_union, (n9,)),
+        ("psi_tilde_s_union", f"n <= {max_n}", _union, (max_n,)),
         ("phi_tilde_axis_identity", f"n <= {max_n}", _check_phi_tilde_identity, (max_n,)),
         ("shadow_region", "|x|,|y| <= 12", _check_shadow, (12,)),
-        ("hij_walks_vs_g2", f"n <= {n8}", _hij_g2, (n8,)),
+        ("hij_walks_vs_g2", f"n <= {max_n}", _hij_g2, (max_n,)),
         ("det_vs_box_product", f"n <= {n2}, k <= {max_k + 2}", _check_det_vs_box, (n2, max_k + 2)),
         ("g2_sum_formula", f"n <= {n2}", _check_g2_sum, (n2,)),
         ("tuple_count_agreement", tuple_text, _check_tuple_counts, (tuple_ns,)),

@@ -9,10 +9,10 @@ answers one domain input with the image of another input of the same
 sector, which keeps every output valid but breaks injectivity. Each closed
 form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
-seven rows of checks as one sweep, in one shard per M2 sector, and every check
+eight rows of checks as one sweep, in one shard per M2 sector, and every check
 in worker processes; the last tests pin that it reports what the checks give
 on their own, in process and under spawn too, that the sweep makes each
-shared call once and keeps only the outputs another row reads back, that a
+shared call once and keeps only the outputs a later check reads back, that a
 row alone enumerates only the sets it reads, and that a crash or a dead
 worker is a failure.
 """
@@ -53,10 +53,12 @@ CASES = [
     ("_check_flip_heights", "flip_height_profile", 2, "flip_below", ("UD",), ("DU",)),
     ("_check_flip_heights", "flip_height_profile", 2, "flip_below_inv", ("UU", 1), ("UD", 0)),
     ("_check_phi_tilde_identity", "phi_tilde_axis_identity", 2, "phi_tilde", ("EW",), ("EE",)),
+    ("_check_conjugation", "walk_conjugation", 2, "psi_tilde", ("NS",), ("EW",)),
+    ("_check_conjugation", "walk_conjugation", 2, "psi_tilde_inv", ("NS",), ("EW",)),
+    ("_check_psi_tilde_s_union", "psi_tilde_s_union", 2, "psi_tilde_s_inv", ("NS",), ("EW",)),
 ]
-# a case against an inverse carries the map's name, since its row has a
-# case against the forward map too
-IDS = [c[0] + f"-{c[3]}" * c[3].endswith("_inv") for c in CASES]
+# a case after the first of its row carries the map's name
+IDS = [c[0] + f"-{c[3]}" * (c[0] in [d[0] for d in CASES[:k]]) for k, c in enumerate(CASES)]
 
 
 def swept(table):
@@ -94,8 +96,7 @@ def test_a_bijection_failure_leads_with_its_class(monkeypatch):
 
 
 # the first counterexample of each swept row, at n <= 2, under each
-# corruption of CASES that one of them catches, as the rows gave them when
-# each ran its own loop
+# corruption of CASES that one of them catches, as each row gives it alone
 SWEPT_CASES = {
     ("phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)): {
         "phi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
@@ -114,12 +115,13 @@ SWEPT_CASES = {
     },
     ("psi_tilde_s", ("NS", 0), ("EW", 0)): {
         "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
+        "psi_tilde_s_union": "n=2, i=0, j=0, s=0: roundtrip fails on NS",
     },
     ("omega_inv", ("NS",), ("EW",)): {
         "hij_walks_vs_g2": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
     },
     ("phi_tilde_inv", ("EN", 0, 0), ("EW", 0, 0)): {
-        "walk_conjugation": "phi_tilde roundtrip fails: NS",
+        "walk_conjugation": "n=2, i=0, j=0: roundtrip fails on NS",
     },
     ("omega", ("UD", "DU"), ("UD", "UD")): {
         "walk_conjugation": "phi conjugation fails: UD/DU",
@@ -129,6 +131,13 @@ SWEPT_CASES = {
         "flip_record_bounds": "flip prefix identity fails: UD/UD at a=2",
     },
     ("phi_tilde", ("EW",), ("EE",)): {"walk_conjugation": "phi conjugation fails: UD/UD"},
+    ("psi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "psi conjugation fails: UD/DU"},
+    ("psi_tilde_inv", ("NS",), ("EW",)): {
+        "walk_conjugation": "n=2, i=0, j=0: roundtrip fails on NS",
+    },
+    ("psi_tilde_s_inv", ("NS",), ("EW",)): {
+        "psi_tilde_s_union": "n=2, i=0, j=0, s=0: roundtrip fails on NS",
+    },
 }
 
 
@@ -178,13 +187,17 @@ def test_a_row_reports_its_first_failure_over_its_shards(monkeypatch):
         assert got[row] == verify._one_row(row, *bounds) == refused
 
 
-def test_the_union_leads_with_its_class(monkeypatch):
-    """psi_tilde_s_union runs on its own, over classes (n, i, j, s): each
-    Qend(n, i, j) column and one floor s = i (mod 2) up to i."""
+def test_a_transposed_column_fails_in_the_shard_of_its_transpose(monkeypatch):
+    """psi_tilde_s_union maps each column Qend(n, i, j) with i < j, which is
+    no sector, in the shard of its transpose (n, j, i). With a failure in
+    the column (2, 0, 2) and one in the sector column (2, 1, 1), the row
+    reports the one of the earlier shard, named by its column."""
     real = pathbij.psi_tilde_s
-    victim, donor = ("NS", 0), ("EW", 0)
-    monkeypatch.setattr(pathbij, "psi_tilde_s", lambda *a: real(*(donor if a == victim else a)))
-    assert verify._one_row("psi_tilde_s_union", 2) == "n=2, i=0, j=0, s=0: roundtrip fails on NS"
+    swaps = {("NN", 0): ("EE", 0), ("EN", 1): ("NE", 1)}
+    monkeypatch.setattr(pathbij, "psi_tilde_s", lambda *a: real(*swaps.get(a, a)))
+    assert verify._one_row("psi_tilde_s_union", 2) == "n=2, i=1, j=1, s=1: roundtrip fails on EN"
+    del swaps[("EN", 1)]
+    assert verify._one_row("psi_tilde_s_union", 2) == "n=2, i=0, j=2, s=0: roundtrip fails on NN"
 
 
 def test_each_shared_call_is_made_once_per_pair(monkeypatch):
@@ -196,8 +209,11 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
     M2 pairs and 162 P2 pairs with n <= 5. psi_s runs 259 times, once per
     M2 pair and floor s: the 110 calls on the pairs of j = 0, which
     floor_pair_bijection makes and psi_s_inv undoes, walk_conjugation
-    reads back, and it makes the other 149 itself."""
-    calls = dict.fromkeys(("phi", "psi", "phi_inv", "psi_s", "psi_s_inv"), 0)
+    reads back, and it makes the other 149 itself. psi_tilde_s runs 394
+    times, once per column walk and floor: walk_conjugation makes the 259
+    on the sectors' own walks, which psi_tilde_s_union reads back, and the
+    union makes the 135 on the transposed columns itself."""
+    calls = dict.fromkeys(("phi", "psi", "phi_inv", "psi_s", "psi_s_inv", "psi_tilde_s"), 0)
     for name in calls:
         real = getattr(pathbij, name)
 
@@ -208,16 +224,19 @@ def test_each_shared_call_is_made_once_per_pair(monkeypatch):
         monkeypatch.setattr(pathbij, name, counted)
     got = verify._run_checks(verify._checks(5, 2), workers=1)
     assert all(r.passed for r in got)
-    assert calls == {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259, "psi_s_inv": 110}
+    pairs = {"phi": 162, "psi": 162, "phi_inv": 162, "psi_s": 259, "psi_s_inv": 110}
+    assert calls == {**pairs, "psi_tilde_s": 394}
 
 
 def test_the_memo_keeps_only_what_another_row_reads(monkeypatch):
-    """A sector's memo keeps an output only where another row makes the
-    same call: phi's and psi's, phi_inv's at j = 0, whose outputs are the
-    preimages that the composed and floor rows map, and psi_s's, made at
-    j = 0 alone. It keeps no psi_inv or psi_s_inv output and no phi_inv
-    output at j > 0: with n <= 5, 162 phi, 162 psi, 110 psi_s and 81
-    phi_inv outputs."""
+    """A sector's memo keeps an output only where another row, or a round
+    trip of walk_conjugation's own, makes the same call: phi's and psi's,
+    phi_inv's at j = 0, whose outputs are the preimages that the composed
+    and floor rows map, psi_s's, made at j = 0 alone, and the images of the
+    sector's own walks under phi_tilde, psi_tilde and psi_tilde_s. It keeps
+    no inverse's output but phi_inv's at j = 0, and no image of a
+    transposed column: with n <= 5, 162 phi, 162 psi, 110 psi_s, 81
+    phi_inv, 162 phi_tilde, 162 psi_tilde and 259 psi_tilde_s outputs."""
     real, memos = verify._made, {}
 
     def seen(made, *call):
@@ -228,7 +247,8 @@ def test_the_memo_keeps_only_what_another_row_reads(monkeypatch):
     monkeypatch.setattr(verify, "_made", seen)
     assert all(r.passed for r in verify._run_checks(verify._checks(5, 2), workers=1))
     kept = collections.Counter(key[0] for made in memos.values() for key in made)
-    assert kept == {"phi": 162, "psi": 162, "psi_s": 110, "phi_inv": 81}
+    pairs = {"phi": 162, "psi": 162, "psi_s": 110, "phi_inv": 81}
+    assert kept == {**pairs, "phi_tilde": 162, "psi_tilde": 162, "psi_tilde_s": 259}
     phi_inv_js = {key[-1] for made in memos.values() for key in made if key[0] == "phi_inv"}
     assert phi_inv_js == {0}
 
@@ -250,14 +270,15 @@ def test_a_swept_row_reads_the_time_of_its_own_step():
     slept = 0.02 * sum(len(pathbij.valid_ij(n)) for n in range(4))
     got = {r.name: r.seconds for r in verify._run_checks(rows, workers=1)}
     assert got.pop("flip_record_bounds") >= slept
-    assert len(got) == 6 and all(seconds < slept for seconds in got.values())
+    assert len(got) == 7 and all(seconds < slept for seconds in got.values())
 
 
 def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
-    """A shard enumerates a sector's M2, P2 or G2 set when a row first
-    reads it: hij_walks_vs_g2 alone maps G2 sectors and never builds M2,
-    phi_sector_bijection alone never builds G2, and floor_pair_bijection
-    alone builds P2 sectors and neither M2 nor G2."""
+    """A shard enumerates a sector's M2, P2 or G2 set, or its walks, when a
+    row first reads it: hij_walks_vs_g2 alone maps G2 sectors and never
+    builds M2, phi_sector_bijection alone never builds G2,
+    floor_pair_bijection alone builds P2 sectors and neither M2 nor G2, and
+    psi_tilde_s_union alone maps Qend columns and builds no pair set."""
     real, seen = verify.enumerate_family, []
     recorded = lambda spec: seen.append(spec.family) or real(spec)  # noqa: E731
     monkeypatch.setattr(verify, "enumerate_family", recorded)
@@ -269,6 +290,9 @@ def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     seen.clear()
     assert verify._one_row("floor_pair_bijection", 3) is None
     assert "P2" in seen and "M2" not in seen and "G2" not in seen
+    seen.clear()
+    assert verify._one_row("psi_tilde_s_union", 3) is None
+    assert "Qend" in seen and not {"M2", "P2", "G2"} & set(seen)
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
@@ -308,14 +332,15 @@ def test_range_texts_are_the_same_for_every_budget():
     """verify_suite holds the budget bound, 10 and 3, so no check caps its
     own range below it: every range text of _checks(n, k), n <= 10, k <= 3,
     is as it was when the checks did (the digest of their JSON list), but
-    families_sorted_counted's, which runs to max_n, not to 8."""
+    those of families_sorted_counted, psi_tilde_s_union and
+    hij_walks_vs_g2, which run to max_n, not to 8, 9 and 8."""
     texts = [[e[1] for e in verify._checks(n, k)] for n in range(11) for k in range(1, 4)]
     digest = hashlib.sha256(json.dumps(texts).encode()).hexdigest()
-    assert digest == "44f703dcd005e6b93d600bc48b56a9ad51cf3ba8309c6eaf685478b1598a4311"
+    assert digest == "d7921d488488b93c27593019afbae38b6003cae89322fcc3ac80cd221332ff6d"
     assert [e[1] for e in verify._checks(10, 3)] == [
         "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 12",
-        "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 9",
-        "n <= 10", "|x|,|y| <= 12", "n <= 8", "n <= 20, k <= 5", "n <= 20",
+        "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10", "n <= 10",
+        "n <= 10", "|x|,|y| <= 12", "n <= 10", "n <= 20, k <= 5", "n <= 20",
         "k <= 3, n <= 12 (8 for k>2)", "n <= 11", "m <= 5", "p,q <= 3 (4 counted), k <= 3",
     ]
 
@@ -355,18 +380,15 @@ def test_every_check_runs_in_a_spawned_worker():
 def test_a_dead_shard_fails_each_of_its_rows():
     """_run_checks gives each task whose worker died a record that fails
     each of its rows; the merge fails every row of that shard, and no
-    other row. With n <= 9, a sector of n = 9 holds the six rows that reach
-    it, and not hij_walks_vs_g2, whose bound is 8; a sector of n = 2 holds
-    all seven."""
+    other row. With n <= 9, every sector holds all eight swept rows."""
     table = swept(verify._checks(9, 2))
     tasks = verify._tasks(table)
-    six = set(SWEPT) - {"hij_walks_vs_g2"}
-    for sector, failed in (((9, 5, 2), six), ((2, 1, 1), set(SWEPT))):
+    for sector in ((9, 5, 2), (2, 1, 1)):
         records = [({row: (None, 0.0) for row in task[1]}, 1) for task in tasks]
         k = next(k for k, task in enumerate(tasks) if task[3][:3] == sector)
         records[k] = ({row: ("error: worker process died (x)", 0.0) for row in tasks[k][1]}, 0)
         got = verify._merge(table, tasks, records)
-        assert {r.name for r in got if not r.passed} == failed
+        assert {r.name for r in got if not r.passed} == set(SWEPT)
         assert {r.counterexample for r in got if not r.passed} == {"error: worker process died (x)"}
 
 
