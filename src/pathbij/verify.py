@@ -2,12 +2,13 @@
 
 A row of the table is its name, range text, check and bounds; a check
 sweeps exactly the range its bounds give and returns None or the first
-counterexample. The bijection checks share one proof, _bijection, over
-classes that are data: a class is its coordinates (n=4, i=2, j=0), which
-name it in a failure and give each map the parameters it reads, and its
-domain and codomain, family specs that _bijection enumerates itself, or
-members already enumerated. The counting identities share another proof,
-_agree, over the counts of pathbij.counting.count, as `pathbij count`.
+counterexample. The checks share three proofs. _bijection proves a map
+bijective over classes that are data: a class is its coordinates
+(n=4, i=2, j=0), which name it in a failure and give each map the
+parameters it reads, and its domain and codomain, each a family spec,
+which the proof enumerates, or the members themselves. _each proves a
+property of each member over classes (at, members), and _agree a counting
+identity over the counts of pathbij.counting.count, as `pathbij count`.
 Eight rows, every call of phi, psi, psi_s and their inverses among them,
 read the M2 sectors, their P2 and G2 images or their walks. The check of
 each is a step (_step) that proves its row on one sector M2(n,i;j), and
@@ -69,35 +70,29 @@ def format_report(results) -> str:
 
 
 def _check_families(n_max):
-    for n in range(n_max + 1):
-        for fam in "ADGP":
-            members = enumerate_family(FamilySpec(fam, n))
-            keys = [lexkey(p) for p in members]
-            if keys != sorted(keys) or len(set(members)) != len(members):
-                return f"family {fam}, n={n}: unsorted or duplicated"
-    return _agree(
-        [(spec, "brute"), (spec, "formula")]
-        for n in range(n_max + 1)
-        for spec in (FamilySpec(fam, n) for fam in "ADGP")
-    )
+    # each member's key strictly below the next one's: sorted, with no repeat
+    specs = [FamilySpec(fam, n) for n in range(n_max + 1) for fam in "ADGP"]
+    classes = ((s._asdict(), itertools.pairwise(map(lexkey, enumerate_family(s)))) for s in specs)
+    ordered = lambda ab, at: None if ab[0] < ab[1] else "unsorted or duplicated"  # noqa: E731
+    return _each(classes, ordered) or _agree([(s, "brute"), (s, "formula")] for s in specs)
 
 
 def _check_matching(n_max):
     """The leftover steps of match_faces come in order, their D steps are
     the new minima, and the flip kernel, a separate scan, finds the same
     ones, on every U/D/H word."""
-    for n in range(n_max + 1):
-        for t in itertools.product("UDH", repeat=n):
-            w = "".join(t)
-            m = match_faces(w)
-            if unmatched_steps(w) != (m.unmatched_d, m.unmatched_u):
-                return f"flip kernel differs from match_faces: {w}"
-            if m.unmatched_d and m.unmatched_u and m.unmatched_d[-1] >= m.unmatched_u[0]:
-                return f"leftover word out of order: {w}"
-            low = min(tri_heights(w) + (0,))
-            if len(m.unmatched_d) != -low:
-                return f"unmatched D count wrong: {w}"
-    return None
+
+    def holds(w, at):
+        m = match_faces(w)
+        if unmatched_steps(w) != (m.unmatched_d, m.unmatched_u):
+            return f"flip kernel differs from match_faces: {w}"
+        if m.unmatched_d and m.unmatched_u and m.unmatched_d[-1] >= m.unmatched_u[0]:
+            return f"leftover word out of order: {w}"
+        if len(m.unmatched_d) != -min(tri_heights(w) + (0,)):
+            return f"unmatched D count wrong: {w}"
+
+    words = lambda n: map("".join, itertools.product("UDH", repeat=n))  # noqa: E731
+    return _each((({"n": n}, words(n)) for n in range(n_max + 1)), holds)
 
 
 def _bijection(classes, forward, made=None):
@@ -113,7 +108,7 @@ def _bijection(classes, forward, made=None):
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
     made_there, made_back = made or (None, None)
     for at, *sides in classes:
-        domain, codomain = (enumerate_family(s) if isinstance(s, FamilySpec) else s for s in sides)
+        domain, codomain = map(_members, sides)
         label = _fields(at.items())
         if inverse is not None:
             there, back = ([at[c] for c in MAPS[m].reads] for m in (forward, inverse))
@@ -129,6 +124,24 @@ def _bijection(classes, forward, made=None):
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
             return f"{label}: image is not the codomain"
     return None
+
+
+def _each(classes, holds):
+    """The proof the per-element checks share. A class is (at, members):
+    at as _bijection's, the members a side as its domain is. holds(x, at)
+    gives None when x passes, else the failure. Returns None or the first
+    failure: the class's coordinates, then holds's text."""
+    for at, members in classes:
+        for x in _members(members):
+            bad = holds(x, at)
+            if bad:
+                return f"{_fields(at.items())}: {bad}"
+    return None
+
+
+def _members(side):
+    # a side of a class: a family spec, enumerated here, or its members
+    return enumerate_family(side) if isinstance(side, FamilySpec) else side
 
 
 def _agree(cases):
@@ -153,12 +166,12 @@ def _label(spec):
 
 
 def _check_xi(n_max):
-    for n in range(n_max + 1):
-        for p in enumerate_family(FamilySpec("P", n)):
-            if match_faces(pb.xi(p)).pairs != match_faces(p).pairs:
-                return f"xi breaks facing pairs: {p}"
-    classes = (({"n": n}, FamilySpec("P", n), FamilySpec("G", n)) for n in range(n_max + 1))
-    return _bijection(classes, "xi")
+    def faces(p, at):
+        if match_faces(pb.xi(p)).pairs != match_faces(p).pairs:
+            return f"xi breaks facing pairs: {p}"
+
+    classes = [({"n": n}, FamilySpec("P", n), FamilySpec("G", n)) for n in range(n_max + 1)]
+    return _each((c[:2] for c in classes), faces) or _bijection(classes, "xi")
 
 
 def _check_xi_s(n_max):
@@ -181,21 +194,19 @@ def _check_nu(n_max):
 
 
 def _check_flip_heights(n_max):
-    for n in range(n_max + 1):
-        for q in enumerate_family(FamilySpec("A", n)):
-            if end_height(q) < 0:
-                continue
-            qp, rec = pb.flip_below(q)
-            hq, hqp = heights(q), heights(qp)
-            gained = 0
-            for a in range(1, n + 1):
-                if a in rec.lower_returns:
-                    gained += 1
-                if hqp[a - 1] != abs(hq[a - 1]) + 2 * gained:
-                    return f"height profile wrong after flips: {q} at a={a}"
-            if pb.flip_below_inv(qp, rec.r) != q:
-                return f"flip_below roundtrip fails: {q}"
-    return None
+    def holds(q, at):
+        if end_height(q) < 0:
+            return None
+        qp, rec = pb.flip_below(q)
+        hq, hqp = heights(q), heights(qp)
+        gained = 0
+        for a in range(1, len(q) + 1):
+            gained += a in rec.lower_returns
+            if hqp[a - 1] != abs(hq[a - 1]) + 2 * gained:
+                return f"height profile wrong after flips: {q} at a={a}"
+        return None if pb.flip_below_inv(qp, rec.r) == q else f"flip_below roundtrip fails: {q}"
+
+    return _each((({"n": n}, FamilySpec("A", n)) for n in range(n_max + 1)), holds)
 
 
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
@@ -233,11 +244,11 @@ def _check_step_dictionary(n_max):
 
 
 def _check_phi_tilde_identity(n_max):
-    for n in range(n_max + 1):
-        for w in enumerate_family(FamilySpec("Ox", n)):
-            if pb.phi_tilde(w) != w:
-                return f"phi_tilde moves an axis octant walk: {w}"
-    return None
+    def fixed(w, at):
+        if pb.phi_tilde(w) != w:
+            return f"phi_tilde moves an axis octant walk: {w}"
+
+    return _each((({"n": n}, FamilySpec("Ox", n)) for n in range(n_max + 1)), fixed)
 
 
 # the (i, j) whose regions sh(i,j) _check_shadow probes
@@ -245,13 +256,13 @@ _SHADOW_PROBES = ((0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (4, 0), (4, 2))
 
 
 def _check_shadow(xy_max):
-    for i, j in _SHADOW_PROBES:
-        for x in range(-xy_max, xy_max + 1):
-            for y in range(-xy_max, xy_max + 1):
-                expected = i - j <= x - y <= i + j <= x + y
-                if shadow_contains(i, j, x, y) != expected:
-                    return f"shadow wrong at ({i},{j}) vs ({x},{y})"
-    return None
+    def holds(xy, at):
+        (i, j), (x, y) = at.values(), xy
+        if shadow_contains(i, j, x, y) != (i - j <= x - y <= i + j <= x + y):
+            return f"shadow wrong at ({i},{j}) vs ({x},{y})"
+
+    grid = list(itertools.product(range(-xy_max, xy_max + 1), repeat=2))
+    return _each((({"i": i, "j": j}, grid) for i, j in _SHADOW_PROBES), holds)
 
 
 def _step(step):
@@ -293,9 +304,8 @@ def _phi_sector(at, side, made, preimages):
 
 @_step
 def _flip_records(at, side, made, preimages):
-    n, i, j = at.values()
-    for x in side("M2"):
-        p, q = x
+    def holds(x, at):
+        (n, i, j), (p, q) = at.values(), x
         qp, _ = pb.flip_below(q)
         rec = _made(made, "phi", x, i, j)[1]
         if not (rec.r - j <= len(rec.chi) <= rec.r):
@@ -309,7 +319,8 @@ def _flip_records(at, side, made, preimages):
             ret_seen += a in rec.lower_returns
             if 2 * chi_seen != running or running > 2 * ret_seen:
                 return f"flip prefix identity fails: {p}/{q} at a={a}"
-    return None
+
+    return _each([(at, side("M2"))], holds)
 
 
 @_step
@@ -344,9 +355,9 @@ def _conjugation(at, side, made, preimages):
     psi_tilde onto Hij(n,i,j). phi_tilde_inv runs on the walk itself, so its
     round trip tests an implementation independent of phi_inv, whose own
     round trip phi_sector_bijection tests."""
-    _, i, j = at.values()
-    for x in side("M2"):
-        p, q = x
+
+    def conjugate(x, at):
+        (_, i, j), (p, q) = at.values(), x
         w = pb.omega(p, q)
         if _made(made, "phi_tilde", w)[0] != pb.omega(*_made(made, "phi", x, i, j)[0]):
             return f"phi conjugation fails: {p}/{q}"
@@ -356,9 +367,10 @@ def _conjugation(at, side, made, preimages):
             wh = _made(made, "psi_tilde_s", w, s)[0]
             if wh != pb.omega(*_made(made if j == 0 else None, "psi_s", x, s)[0]):
                 return f"psi_s conjugation fails: {p}/{q}, s={s}"
-    walks = side("Qend")
-    bad = _bijection([(at, walks, side("Osh"))], "phi_tilde", (made, None))
-    return bad or _bijection([(at, walks, side("Hij"))], "psi_tilde", (made, None))
+
+    bad = _each([(at, side("M2"))], conjugate)
+    bad = bad or _bijection([(at, side("Qend"), side("Osh"))], "phi_tilde", (made, None))
+    return bad or _bijection([(at, side("Qend"), side("Hij"))], "psi_tilde", (made, None))
 
 
 @_step

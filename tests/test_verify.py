@@ -6,8 +6,10 @@ omega_inv; the flip heights against flip_below and flip_below_inv; the walk
 conjugation and the origin walks against phi_tilde and phi_tilde_inv): the
 map, patched in the package namespace where every check looks it up,
 answers one domain input with the image of another input of the same
-sector, which keeps every output valid but breaks injectivity. Each closed
-form of pathbij.counting, the table that `pathbij count` prints from, is
+sector, which keeps every output valid but breaks injectivity. The three
+rows whose check calls a helper that verify imports itself, the flip
+kernel, the shadow region and the enumerator, are run against that helper
+patched in verify. Each closed form of pathbij.counting, the table that `pathbij count` prints from, is
 corrupted in turn too, and a named counting check must fail. The suite runs
 eight rows of checks as one sweep, in one shard per M2 sector, and every check
 in worker processes; the last tests pin that it reports what the checks give
@@ -95,26 +97,77 @@ def test_a_bijection_failure_leads_with_its_class(monkeypatch):
     assert verify._one_row("phi_sector_bijection", 2) == bad
 
 
+def test_an_each_failure_leads_with_its_class(monkeypatch):
+    """A class of a per-element check is its coordinates and its members: a
+    family spec, which the proof enumerates, or a list of members. The
+    first failing class in class order names the failure by its
+    coordinates, in the field format of the counting checks, then the
+    text of the element's failure."""
+
+    def holds(pair, at):
+        if pair[1][0] != "U":
+            return f"starts low: {pair}"
+
+    m2, m3 = FamilySpec("M2", 2, i=0, j=0), FamilySpec("M2", 3, i=1, j=0)
+    assert verify._each([({"n": 1}, [("U", "U")])], holds) is None
+    assert verify._each([({"n": 2, "i": 0, "j": 0}, m2)], holds) == (
+        "n=2, i=0, j=0: starts low: ('UD', 'DU')"
+    )
+    listed = [({"p": 1}, [("U", "U"), ("U", "D")])]
+    assert verify._each(listed, holds) == "p=1: starts low: ('U', 'D')"
+    classes = [({"n": 1}, [("U", "U")]), ({"n": 3, "i": 1, "j": 0}, m3), ({"n": 2}, m2)]
+    assert verify._each(classes, holds) == "n=3, i=1, j=0: starts low: ('UUD', 'DUU')"
+    real = pathbij.phi_tilde
+    monkeypatch.setattr(pathbij, "phi_tilde", lambda w: real("EE" if w == "EW" else w))
+    bad = "n=2: phi_tilde moves an axis octant walk: EW"
+    assert verify._one_row("phi_tilde_axis_identity", 2) == bad
+
+
+# rows whose check calls a name that verify imports itself, not through the
+# package namespace: (row, bound, name patched in verify, input to corrupt,
+# the answer it gets)
+LOCAL_CASES = [
+    ("matching_structure", 2, "unmatched_steps", ("DU",), ((), ())),
+    ("shadow_region", 1, "shadow_contains", (0, 0, 0, 0), False),
+    ("families_sorted_counted", 2, "enumerate_family", (FamilySpec("A", 2),), ("UU", "UU")),
+]
+
+
+@pytest.mark.parametrize(
+    "row, bound, name, victim, answer", LOCAL_CASES, ids=[c[0] for c in LOCAL_CASES]
+)
+def test_check_catches_a_corrupted_helper(monkeypatch, row, bound, name, victim, answer):
+    """The helper answers one input wrongly: the flip kernel finds no
+    leftover step in DU, the region sh(0,0) leaves out the origin,
+    and the A paths of length 2 come back as one path twice."""
+    real = getattr(verify, name)
+    assert verify._one_row(row, bound) is None
+    monkeypatch.setattr(verify, name, lambda *a: answer if a == victim else real(*a))
+    assert verify._one_row(row, bound) is not None
+
+
 # the first counterexample of each swept row, at n <= 2, under each
 # corruption of CASES that one of them catches, as each row gives it alone
 SWEPT_CASES = {
     ("phi", ("UD", "DU", 0, 0), ("UD", "UD", 0, 0)): {
         "phi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
-        "flip_record_bounds": "flip prefix identity fails: UD/DU at a=2",
-        "walk_conjugation": "phi conjugation fails: UD/DU",
+        "flip_record_bounds": "n=2, i=0, j=0: flip prefix identity fails: UD/DU at a=2",
+        "walk_conjugation": "n=2, i=0, j=0: phi conjugation fails: UD/DU",
     },
     ("psi", ("UD", "DU"), ("UD", "UD")): {
         "psi_sector_bijection": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
         "composed_map_bijection": "n=2, i=0, j=0: image is not the codomain",
-        "walk_conjugation": "psi conjugation fails: UD/DU",
+        "walk_conjugation": "n=2, i=0, j=0: psi conjugation fails: UD/DU",
     },
-    ("phi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "phi conjugation fails: UD/DU"},
+    ("phi_tilde", ("NS",), ("EW",)): {
+        "walk_conjugation": "n=2, i=0, j=0: phi conjugation fails: UD/DU",
+    },
     ("psi_s", ("UD", "DU", 0), ("UD", "UD", 0)): {
         "floor_pair_bijection": "n=2, i=0, j=0, s=0: roundtrip fails on ('UD', 'DU')",
-        "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
+        "walk_conjugation": "n=2, i=0, j=0: psi_s conjugation fails: UD/DU, s=0",
     },
     ("psi_tilde_s", ("NS", 0), ("EW", 0)): {
-        "walk_conjugation": "psi_s conjugation fails: UD/DU, s=0",
+        "walk_conjugation": "n=2, i=0, j=0: psi_s conjugation fails: UD/DU, s=0",
         "psi_tilde_s_union": "n=2, i=0, j=0, s=0: roundtrip fails on NS",
     },
     ("omega_inv", ("NS",), ("EW",)): {
@@ -124,14 +177,18 @@ SWEPT_CASES = {
         "walk_conjugation": "n=2, i=0, j=0: roundtrip fails on NS",
     },
     ("omega", ("UD", "DU"), ("UD", "UD")): {
-        "walk_conjugation": "phi conjugation fails: UD/DU",
+        "walk_conjugation": "n=2, i=0, j=0: phi conjugation fails: UD/DU",
         "hij_walks_vs_g2": "n=2, i=0, j=0: roundtrip fails on ('UD', 'DU')",
     },
     ("flip_below", ("UD",), ("DU",)): {
-        "flip_record_bounds": "flip prefix identity fails: UD/UD at a=2",
+        "flip_record_bounds": "n=2, i=0, j=0: flip prefix identity fails: UD/UD at a=2",
     },
-    ("phi_tilde", ("EW",), ("EE",)): {"walk_conjugation": "phi conjugation fails: UD/UD"},
-    ("psi_tilde", ("NS",), ("EW",)): {"walk_conjugation": "psi conjugation fails: UD/DU"},
+    ("phi_tilde", ("EW",), ("EE",)): {
+        "walk_conjugation": "n=2, i=0, j=0: phi conjugation fails: UD/UD",
+    },
+    ("psi_tilde", ("NS",), ("EW",)): {
+        "walk_conjugation": "n=2, i=0, j=0: psi conjugation fails: UD/DU",
+    },
     ("psi_tilde_inv", ("NS",), ("EW",)): {
         "walk_conjugation": "n=2, i=0, j=0: roundtrip fails on NS",
     },
