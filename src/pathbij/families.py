@@ -6,7 +6,8 @@ layers, and a plane walk two layers read through omega (UU -> E, UD -> N,
 DU -> S, DD -> W), which puts the walk at x+y on the top layer and at x-y
 on the bottom one. So the octant is the floor 0 under the bottom layer, the
 quadrant the floor -(top layer), the upper half-plane nesting alone, and the
-lowest x of a walk is the lowest agreement height of its pair.
+lowest x of a walk is the lowest agreement height of its pair. A pair sector
+M2, P2 or G2 is its walk row Qend, Osh or Hij read as pairs.
 
 One generator, _grow, builds every family level by level: a frontier maps
 each state to the words that reach it, each step extends all the words of
@@ -166,6 +167,8 @@ _REGIONS = {
     **dict.fromkeys(("Q", "Qend", "Qx"), {"mirror": True}),
     **dict.fromkeys(("H", "Hend", "Hij"), {}),
 }
+# each pair sector's walk row: omega maps M2(n,i;j) onto Qend(n,i,j), and so on
+_SECTORS = {"M2": "Qend", "P2": "Osh", "G2": "Hij"}
 # the fields besides n that each family reads; any other field set is an
 # error. _READS has a key for every family tag
 _READS = dict.fromkeys(("A", "D", "G", "P", *_REGIONS), "")
@@ -187,7 +190,7 @@ def enumerate_family(spec: FamilySpec):
         raise ValueError(f"unknown family tag: {spec.family!r}")
     reject_unread(spec, "kijs", _READS[f], f"family {f}")
     if f in _REGIONS:
-        return _walks(f, n, spec.i, spec.j)
+        return _walks(f, n, spec.i, spec.j, "walk")
     if f == "A":
         return _grow(n, 1, "path")
     if f == "D":
@@ -212,39 +215,31 @@ def enumerate_family(spec: FamilySpec):
     if f in ("Ak", "Pk", "Gk"):
         require(spec.k is not None, "family {} needs k", f)
         return _nested_tuples(n, spec.k, f == "Pk", n % 2 if f == "Gk" else None)
-    if f == "M2":
-        i, j = check_ij(n, spec.i, spec.j)
-        return _grow(n, 2, mirror=True, ends=((i + j, i + j), (i - j, i - j)))
-    if f == "G2":
-        if spec.i is None and spec.j is None:
-            return _nested_tuples(n, 2, False, n % 2)
-        i, j = check_ij(n, spec.i, spec.j)
-        return _g2_sector(n, i, j, "tuple")
-    # f == "P2"
-    if spec.i is None and spec.j is None:
-        return _nested_tuples(n, 2, True, None)
+    # a pair tag: the full union P2 or G2, else the sector's walk row read as pairs
+    if f != "M2" and spec.i is None and spec.j is None:
+        return _nested_tuples(n, 2, f == "P2", n % 2 if f == "G2" else None)
     i, j = check_ij(n, spec.i, spec.j)
-    return _grow(n, 2, floor=0, ends=((i + j, None), (i - j, i + j)))
+    return _walks(_SECTORS[f], n, i, j, "tuple")
 
 
-def _walks(f: str, n: int, i, j) -> tuple[str, ...]:
-    # the walk family f: the pairs of its region, each read as one walk
+def _walks(f: str, n: int, i, j, form: str):
+    # the walk family f: the pairs of its region, as walks, or as pairs in form "tuple"
     region = _REGIONS[f]
     if f in ("O", "Q", "H"):
-        return _grow(n, 2, "walk", **region)
+        return _grow(n, 2, form, **region)
     if f in ("Ox", "Qx"):
-        return _grow(n, 2, "walk", **region, meet=True)
+        return _grow(n, 2, form, **region, meet=True)
     if f == "Odiag":
-        return _grow(n, 2, "walk", **region, ends=((None, None), (0, 0)))
+        return _grow(n, 2, form, **region, ends=((None, None), (0, 0)))
     if i is None or j is None:
         raise ValueError(f"walk family {f} needs both i and j")
     if f == "Osh":
         require(i >= j >= 0, "need i >= j >= 0, got i={}, j={}", i, j)
-        return _grow(n, 2, "walk", **region, ends=((i + j, None), (i - j, i + j)))
+        return _grow(n, 2, form, **region, ends=((i + j, None), (i - j, i + j)))
     if f == "Hij":
         require(i >= 0 and j >= 0, "need i, j >= 0, got i={}, j={}", i, j)
-        return _g2_sector(n, i, j, "walk")
-    return _grow(n, 2, "walk", **region, ends=((i + j, i + j), (i - j, i - j)))
+        return _g2_sector(n, i, j, form)
+    return _grow(n, 2, form, **region, ends=((i + j, i + j), (i - j, i - j)))
 
 
 # the names the walk families had when they had their own record and

@@ -95,18 +95,18 @@ def _check_matching(n_max):
     return _each((({"n": n}, words(n)) for n in range(n_max + 1)), holds)
 
 
-def _bijection(classes, forward, made=None):
+def _bijection(classes, forward, made=(call, call)):
     """The proof the bijection checks share. A class is (at, domain,
     codomain): at maps each coordinate of the class to its value, and a
     side is a family spec, or the members themselves where the set is no
     family or is already enumerated. forward maps the domain onto the
     codomain one-to-one: the name of a map of pathbij._maps, whose inverse
     gives each x back, each reading its parameters by name from at, or a
-    function of x alone without an inverse. made, when given, is the map's
-    and the inverse's memo (_made), each None or kept for reuse. Returns
+    function of x alone without an inverse. made makes the map's and the
+    inverse's calls: each is call or a sector's memo of it (_sweep). Returns
     None or the first failure: the class's coordinates, then the element."""
     inverse = MAPS[forward].inverse if isinstance(forward, str) else None
-    made_there, made_back = made or (None, None)
+    made_there, made_back = made
     for at, *sides in classes:
         domain, codomain = map(_members, sides)
         label = _fields(at.items())
@@ -117,8 +117,8 @@ def _bijection(classes, forward, made=None):
             if inverse is None:
                 y = forward(x)
             else:
-                y = _made(made_there, forward, x, *there)[0]
-                if _made(made_back, inverse, y, *back)[0] != x:
+                y = made_there(forward, x, *there)[0]
+                if made_back(inverse, y, *back)[0] != x:
                     return f"{label}: roundtrip fails on {x}"
             image.add(y)
         if not len(domain) == len(image) == len(codomain) or image != set(codomain):
@@ -170,7 +170,9 @@ def _check_xi(n_max):
         if match_faces(pb.xi(p)).pairs != match_faces(p).pairs:
             return f"xi breaks facing pairs: {p}"
 
-    classes = [({"n": n}, FamilySpec("P", n), FamilySpec("G", n)) for n in range(n_max + 1)]
+    # each P(n) is enumerated once, for both proofs
+    ps = [enumerate_family(FamilySpec("P", n)) for n in range(n_max + 1)]
+    classes = [({"n": n}, p, FamilySpec("G", n)) for n, p in enumerate(ps)]
     return _each((c[:2] for c in classes), faces) or _bijection(classes, "xi")
 
 
@@ -270,23 +272,10 @@ def _step(step):
     step(at, side, made, preimages) on each sector M2(n,i;j) its bound
     reaches. at is {n, i, j}; side(family) enumerates the sector's M2, P2,
     G2, Qend, Osh or Hij set when a step first reads it, and that step pays
-    for it; made is the memo the sector's steps share (_made), None for a
-    row alone; and preimages() are the phi_inv preimages of P2(n,i;0)."""
+    for it; made is the memo the sector's steps share, cache(call), or call
+    for a row alone; and preimages() are the phi_inv preimages of P2(n,i;0)."""
     step.per_sector = True
     return step
-
-
-def _made(made, name, x, *params):
-    """call(name, x, *params), made once: made keeps each output for the
-    next check that makes the identical call, and None keeps nothing. A call
-    that raised is kept by no one, so the next row raises it again."""
-    if made is None:
-        return call(name, x, *params)
-    key = (name, x, *params)
-    out = made.get(key)
-    if out is None:
-        out = made[key] = call(name, x, *params)
-    return out
 
 
 def _floors(at, domain, form):
@@ -299,7 +288,7 @@ def _floors(at, domain, form):
 def _phi_sector(at, side, made, preimages):
     # nesting, the floor and the sector are membership in P2(n,i;j); of the
     # inverse's outputs the memo keeps the preimages of j = 0, which two rows map
-    return _bijection([(at, side("M2"), side("P2"))], "phi", (made, made if at["j"] == 0 else None))
+    return _bijection([(at, side("M2"), side("P2"))], "phi", (made, made if at["j"] == 0 else call))
 
 
 @_step
@@ -307,7 +296,7 @@ def _flip_records(at, side, made, preimages):
     def holds(x, at):
         (n, i, j), (p, q) = at.values(), x
         qp, _ = pb.flip_below(q)
-        rec = _made(made, "phi", x, i, j)[1]
+        rec = made("phi", x, i, j)[1]
         if not (rec.r - j <= len(rec.chi) <= rec.r):
             return f"flip count outside bounds: {p}/{q}"
         hp = (0,) + heights(p)
@@ -326,14 +315,14 @@ def _flip_records(at, side, made, preimages):
 @_step
 def _psi_sector(at, side, made, preimages):
     # the endpoints and the depth are membership in G2(n,i;j)
-    return _bijection([(at, side("M2"), side("G2"))], "psi", (made, None))
+    return _bijection([(at, side("M2"), side("G2"))], "psi", (made, call))
 
 
 @_step
 def _composed_map(at, side, made, preimages):
     # psi after phi_inv, with no inverse (the count gives injectivity), maps
     # P2(n) onto G2(n), sector by sector: over i, those of j = 0 are the sets
-    psi = lambda x: _made(made, "psi", x)[0]  # noqa: E731
+    psi = lambda x: made("psi", x)[0]  # noqa: E731
     return _bijection([(at, preimages(), side("G2"))] if at["j"] == 0 else [], psi)
 
 
@@ -345,7 +334,7 @@ def _floor_pairs(at, side, made, preimages):
     (s, s) with lowest agreement height -(i-s)/2, which over i >= s make up
     those ending at s. A bijection is also the count identity."""
     classes = _floors(at, preimages(), "tuple") if at["j"] == 0 else []
-    return _bijection(classes, "psi_s", (made, None))
+    return _bijection(classes, "psi_s", (made, call))
 
 
 @_step
@@ -359,18 +348,18 @@ def _conjugation(at, side, made, preimages):
     def conjugate(x, at):
         (_, i, j), (p, q) = at.values(), x
         w = pb.omega(p, q)
-        if _made(made, "phi_tilde", w)[0] != pb.omega(*_made(made, "phi", x, i, j)[0]):
+        if made("phi_tilde", w)[0] != pb.omega(*made("phi", x, i, j)[0]):
             return f"phi conjugation fails: {p}/{q}"
-        if _made(made, "psi_tilde", w)[0] != pb.omega(*_made(made, "psi", x)[0]):
+        if made("psi_tilde", w)[0] != pb.omega(*made("psi", x)[0]):
             return f"psi conjugation fails: {p}/{q}"
         for s in range(i % 2, i + 1, 2):
-            wh = _made(made, "psi_tilde_s", w, s)[0]
-            if wh != pb.omega(*_made(made if j == 0 else None, "psi_s", x, s)[0]):
+            wh = made("psi_tilde_s", w, s)[0]
+            if wh != pb.omega(*(made if j == 0 else call)("psi_s", x, s)[0]):
                 return f"psi_s conjugation fails: {p}/{q}, s={s}"
 
     bad = _each([(at, side("M2"))], conjugate)
-    bad = bad or _bijection([(at, side("Qend"), side("Osh"))], "phi_tilde", (made, None))
-    return bad or _bijection([(at, side("Qend"), side("Hij"))], "psi_tilde", (made, None))
+    bad = bad or _bijection([(at, side("Qend"), side("Osh"))], "phi_tilde", (made, call))
+    return bad or _bijection([(at, side("Qend"), side("Hij"))], "psi_tilde", (made, call))
 
 
 @_step
@@ -379,7 +368,7 @@ def _union(at, side, made, preimages):
     walks ending at (s, j): per floor s (_floors), the column Qend(n,i,j)
     onto those whose leftmost x is -(i-s)/2. A sector maps its own column
     and, for i > j, Qend(n,j,i), no sector, whose images no other row reads."""
-    own = _bijection(_floors(at, side("Qend"), "walk"), "psi_tilde_s", (made, None))
+    own = _bijection(_floors(at, side("Qend"), "walk"), "psi_tilde_s", (made, call))
     if own or at["i"] == at["j"]:
         return own
     transposed = {**at, "i": at["j"], "j": at["i"]}
@@ -395,12 +384,13 @@ def _hij_g2(at, side, made, preimages):
 
 def _sweep(n, i, j, steps):
     """Run steps, by row, each over the whole sector M2(n,i;j) (_step), in
-    table order. Several rows share one memo: the sector's phi, psi and walk
-    images, and phi_inv's and psi_s's at j = 0, which a later check reads.
+    table order. Several rows share one memo, functools.cache(call): the
+    sector's phi, psi and walk images, and phi_inv's and psi_s's at j = 0,
+    which a later check reads. A shard of one row keeps none.
     Returns by row its first failure or None and its seconds (_timed)."""
-    at, made = {"n": n, "i": i, "j": j}, {} if len(steps) > 1 else None
+    at, made = {"n": n, "i": i, "j": j}, cache(call) if len(steps) > 1 else call
     side = cache(lambda family: enumerate_family(FamilySpec(family, **at)))
-    preimages = cache(lambda: [_made(made, "phi_inv", pq, i, j)[0] for pq in side("P2")])
+    preimages = cache(lambda: [made("phi_inv", pq, i, j)[0] for pq in side("P2")])
     return {row: _timed(step, at, side, made, preimages) for row, step in steps.items()}
 
 

@@ -208,8 +208,10 @@ def test_check_ij_rejects_each_constraint():
         lambda: pathbij.phi_inv("UU", "UU", 2, None),
         lambda: pathbij.phi_tilde_inv("EE", 2, None),
         lambda: enumerate_family(FamilySpec("M2", 2, i=2)),
+        lambda: enumerate_family(FamilySpec("P2", 2, i=2)),
+        lambda: enumerate_family(FamilySpec("G2", 2, i=2)),
     ],
-    ids=["phi", "phi_inv", "phi_tilde_inv", "M2"],
+    ids=["phi", "phi_inv", "phi_tilde_inv", "M2", "P2", "G2"],
 )
 def test_check_ij_names_both_values_for_every_caller(call):
     """A map that reads (i, j) and a family spec both reach check_ij, so its

@@ -293,20 +293,24 @@ def test_the_memo_keeps_only_what_another_row_reads(monkeypatch):
     sector's own walks under phi_tilde, psi_tilde and psi_tilde_s. It keeps
     no inverse's output but phi_inv's at j = 0, and no image of a
     transposed column: with n <= 5, 162 phi, 162 psi, 110 psi_s, 81
-    phi_inv, 162 phi_tilde, 162 psi_tilde and 259 psi_tilde_s outputs."""
-    real, memos = verify._made, {}
+    phi_inv, 162 phi_tilde, 162 psi_tilde and 259 psi_tilde_s outputs.
+    The memo is functools.cache(call); each call it stores is recorded."""
+    real, memos = verify.cache, []
 
-    def seen(made, *call):
-        if made is not None:
-            memos[id(made)] = made
-        return real(made, *call)
+    def recorded(function):
+        if function is not verify.call:
+            return real(function)
+        memo = []
+        memos.append(memo)
+        # the cache runs this once per call it stores
+        return real(lambda *key: memo.append(key) or verify.call(*key))
 
-    monkeypatch.setattr(verify, "_made", seen)
+    monkeypatch.setattr(verify, "cache", recorded)
     assert all(r.passed for r in verify._run_checks(verify._checks(5, 2), workers=1))
-    kept = collections.Counter(key[0] for made in memos.values() for key in made)
+    kept = collections.Counter(key[0] for memo in memos for key in memo)
     pairs = {"phi": 162, "psi": 162, "psi_s": 110, "phi_inv": 81}
     assert kept == {**pairs, "phi_tilde": 162, "psi_tilde": 162, "psi_tilde_s": 259}
-    phi_inv_js = {key[-1] for made in memos.values() for key in made if key[0] == "phi_inv"}
+    phi_inv_js = {key[-1] for memo in memos for key in memo if key[0] == "phi_inv"}
     assert phi_inv_js == {0}
 
 
@@ -334,8 +338,10 @@ def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     """A shard enumerates a sector's M2, P2 or G2 set, or its walks, when a
     row first reads it: hij_walks_vs_g2 alone maps G2 sectors and never
     builds M2, phi_sector_bijection alone never builds G2,
-    floor_pair_bijection alone builds P2 sectors and neither M2 nor G2, and
-    psi_tilde_s_union alone maps Qend columns and builds no pair set."""
+    floor_pair_bijection alone builds P2 sectors and neither M2 nor G2,
+    psi_tilde_s_union alone maps Qend columns and builds no pair set, and
+    xi_bijection builds each P(n) once for both its proofs, and each G(n):
+    22 sets at n <= 10."""
     real, seen = verify.enumerate_family, []
     recorded = lambda spec: seen.append(spec.family) or real(spec)  # noqa: E731
     monkeypatch.setattr(verify, "enumerate_family", recorded)
@@ -350,6 +356,9 @@ def test_a_row_alone_enumerates_only_its_own_sides(monkeypatch):
     seen.clear()
     assert verify._one_row("psi_tilde_s_union", 3) is None
     assert "Qend" in seen and not {"M2", "P2", "G2"} & set(seen)
+    seen.clear()
+    assert verify._one_row("xi_bijection", 10) is None
+    assert collections.Counter(seen) == {"P": 11, "G": 11}
 
 
 # each closed form of pathbij.counting, and a check of verify._checks(4, 2)
