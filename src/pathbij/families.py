@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from ._base import MAX_K, reject_unread, require
-from .paths import check_ij, lexkey
+from .paths import check_ij
 
 # the walk step of each joint step UU, UD, DU, DD of the two layers
 _WALK_STEPS = ("E", "N", "S", "W")
@@ -56,10 +56,6 @@ class FamilySpec(NamedTuple):
     i: int | None = None
     j: int | None = None
     s: int | None = None
-
-
-def _tuple_key(paths: tuple[str, ...]) -> str:
-    return lexkey("".join(paths))
 
 
 def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, meet=False):
@@ -144,7 +140,9 @@ def _grow(n, k, form="tuple", floor=None, mirror=False, ends=None, low=None, mee
                 # is interned
                 words = [tuple([sys.intern(w[cut]) for cut in cuts]) for w in words]
             out += words
-    out.sort(key={"path": lexkey, "tuple": _tuple_key}.get(form))
+    # the members have one length, so on U/D words and tuples of them the
+    # reverse of ASCII order (D < U) is the U < D order; E < N < S < W is ASCII's
+    out.sort(reverse=form != "walk")
     return tuple(out)
 
 

@@ -21,12 +21,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._base import CACHE_SIZE, require
-
-_STEP = {"U": 1, "D": -1, "H": 0}
+from .paths import _SIGNED
 
 
 def check_tripath(t: str) -> str:
-    if t.strip("UDH"):
+    if t.encode("ascii", "replace").translate(None, b"UDH"):
         raise ValueError(f"not a U/D/H path: {t!r}")
     return t
 
@@ -35,7 +34,7 @@ def check_tripath(t: str) -> str:
 def tri_heights(t: str) -> tuple[int, ...]:
     """Running heights with U = +1, D = -1, H = 0."""
     check_tripath(t)
-    return tuple(itertools.accumulate(map(_STEP.__getitem__, t)))
+    return tuple(itertools.accumulate(memoryview(t.encode().translate(_SIGNED)).cast("b")))
 
 
 class Matching(NamedTuple):

@@ -192,7 +192,8 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
     ep, eq = _end(hp), _end(hq)
     if i is None and j is None:
         i, j = read_ij(ep, eq)
-    _check_m2(n, ep, eq, i, j, _below(hq, hp), _below(map(operator.neg, hp), hq))
+    # -P <= Q: no height of P + Q is below 0
+    _check_m2(n, ep, eq, i, j, _below(hq, hp), min(map(operator.add, hp, hq), default=0) >= 0)
     qp, returns = _flip_below(q, hq)
     chi = unmatched_steps(_disagreement(p, qp))[0]
     return flip_steps(p, chi), flip_steps(qp, chi), FlipRecord(chi, returns, len(returns))

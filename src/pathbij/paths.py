@@ -18,13 +18,15 @@ DOWN = "D"
 
 _NEGATE = str.maketrans("UD", "DU")
 _LEXKEY = str.maketrans("UD", "01")
-_STEP = {UP: 1, DOWN: -1}
+# each step's height as a signed byte, U +1, D -1 (0xff) and H 0, for the
+# profiles of paths and tripaths: a memoryview cast to "b" reads it back
+_SIGNED = bytes.maketrans(b"UDH", b"\x01\xff\x00")
 
 
 def check_path(path: str) -> str:
     """Validate the U/D text encoding and return the path unchanged."""
-    # strip stops at the first foreign character from either side
-    if path.strip("UD"):
+    # "replace" makes any non-ASCII character, a lone surrogate too, a "?"
+    if path.encode("ascii", "replace").translate(None, b"UD"):
         raise ValueError(f"not a U/D path: {path!r}")
     return path
 
@@ -33,7 +35,7 @@ def check_path(path: str) -> str:
 def heights(path: str) -> tuple[int, ...]:
     """Height profile (h_1(P), ..., h_n(P)): running sum of +1 per U, -1 per D."""
     check_path(path)
-    return tuple(itertools.accumulate(map(_STEP.__getitem__, path)))
+    return tuple(itertools.accumulate(memoryview(path.encode().translate(_SIGNED)).cast("b")))
 
 
 def end_height(path: str) -> int:

@@ -30,7 +30,7 @@ _AGREEMENT = str.maketrans("ENSW", "UHHD")
 
 
 def check_walk(w: str) -> str:
-    if w.strip("NSEW"):
+    if w.encode("ascii", "replace").translate(None, b"NSEW"):
         raise ValueError(f"not an N/S/E/W walk: {w!r}")
     return w
 

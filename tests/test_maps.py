@@ -5,9 +5,13 @@ input, valid or not, each map's image or error text is pinned."""
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathbij import _maps, cli, end_height, enumerate_pp, omega_inv
+from pathbij import _maps, cli, end_height, enumerate_pp, match_faces, omega_inv, xi
+from pathbij.matching import check_tripath
+from pathbij.paths import check_path
+from pathbij.walks import check_walk
 
 import oracles
 from oracles import quadrant_walks
@@ -136,3 +140,36 @@ def test_every_map_keeps_its_outputs_and_error_texts():
         294420,
         "7cee0ecb0351c4711398eb4acfd10ededf51d6fd349761d4fedf8ffb342abb84",
     )
+
+
+# each alphabet's check, a map that runs it and its error text's head
+_CHECKS = (
+    (check_path, xi, "not a U/D path"),
+    (check_tripath, match_faces, "not a U/D/H path"),
+    (check_walk, omega_inv, "not an N/S/E/W walk"),
+)
+# foreign ASCII letters, NUL, non-ASCII letters, and the lone surrogate that
+# a command line's byte 0xFF becomes, each with its repr in the error text
+_FOREIGN = (
+    ("UXD", "'UXD'"),
+    ("NEx", "'NEx'"),
+    ("\x00", "'\\x00'"),
+    ("U\x00D", "'U\\x00D'"),
+    ("UÜD", "'UÜD'"),
+    ("ΝΕ", "'ΝΕ'"),
+    ("U\udcffD", "'U\\udcffD'"),
+    ("\ud800", "'\\ud800'"),
+)
+
+
+@pytest.mark.parametrize("check, through, head", _CHECKS)
+@pytest.mark.parametrize("x, shown", _FOREIGN)
+def test_a_foreign_character_fails_with_the_alphabets_text(check, through, head, x, shown):
+    """The three alphabet checks, alone and inside a map, raise a plain
+    ValueError with the same text for every character outside the
+    alphabet, non-ASCII ones and lone surrogates included."""
+    for f in (check, through):
+        with pytest.raises(ValueError) as caught:
+            f(x)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{head}: {shown}"
