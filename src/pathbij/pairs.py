@@ -24,6 +24,7 @@ from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
 from .paths import (
     _NEGATE,
+    _flip_below,
     _swap_fragments,
     check_ij,
     check_path,
@@ -113,46 +114,15 @@ class FlipRecord(NamedTuple):
     r: int
 
 
-def _axis_points(h: tuple[int, ...]) -> list[int]:
-    """The points of a path on the x-axis, the start left out."""
-    points = []
-    a = 0
-    for _ in range(h.count(0)):
-        a = h.index(0, a) + 1
-        points.append(a)
-    return points
-
-
-def _flip_below(q: str, h: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
-    """Q' and the lower returns of Q, from the profile of Q.
-
-    Between two points on the axis Q stays on one side of it. It is below
-    when it leaves by a D step; then every step but the last, a lower
-    return, ends below the axis. Q ends at h(Q) >= 0, so after its last
-    point on the axis it stays above.
-    """
-    end = _end(h)
-    require(end >= 0, "flip_below needs h(Q) >= 0, got {}", end)
-    pieces: list[str] = []
-    returns: list[int] = []
-    done = start = 0
-    for stop in _axis_points(h):
-        if q[start] == "D":
-            pieces += (q[done:start], q[start:stop - 1].translate(_NEGATE))
-            done = stop - 1
-            returns.append(stop)
-        start = stop
-    pieces.append(q[done:])
-    return "".join(pieces), tuple(returns)
-
-
 def flip_below(q: str) -> tuple[str, FlipRecord]:
     """Flip the steps of Q that end strictly below the x-axis.
 
     Requires h(Q) >= 0. The result is a prefix with h = h(Q) + 2r, where the
     r lower returns of Q are its U steps ending at height 0 exactly.
     """
-    qp, returns = _flip_below(q, heights(q))
+    h = heights(q)
+    require(_end(h) >= 0, "flip_below needs h(Q) >= 0, got {}", _end(h))
+    qp, returns = _flip_below(q, h, _NEGATE)
     return qp, FlipRecord((), returns, len(returns))
 
 
@@ -194,7 +164,7 @@ def phi(p: str, q: str, i: int | None = None, j: int | None = None):
         i, j = read_ij(ep, eq)
     # -P <= Q: no height of P + Q is below 0
     _check_m2(n, ep, eq, i, j, _below(hq, hp), min(map(operator.add, hp, hq), default=0) >= 0)
-    qp, returns = _flip_below(q, hq)
+    qp, returns = _flip_below(q, hq, _NEGATE)
     chi = unmatched_steps(_disagreement(p, qp))[0]
     return flip_steps(p, chi), flip_steps(qp, chi), FlipRecord(chi, returns, len(returns))
 

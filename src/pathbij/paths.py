@@ -85,6 +85,30 @@ def flip_steps(word: str, positions, swap: str = "UD") -> str:
     return steps.decode()
 
 
+def _flip_below(word: str, h: tuple[int, ...], table) -> tuple[str, tuple[int, ...]]:
+    """Translate by table the steps of word that end strictly below 0 on
+    the profile h, which must end at or above 0, and return the 1-based
+    positions of the lower returns, the steps that rise back to 0; the
+    inverse of swap_fragments with r the number of lower returns.
+
+    Between two points at 0 the profile stays on one side of 0. It is
+    below when its first step ends below 0; then every step but the last,
+    a lower return, ends below 0. After its last point at 0 it stays above.
+    """
+    pieces: list[str] = []
+    returns: list[int] = []
+    done = start = 0
+    for _ in range(h.count(0)):
+        stop = h.index(0, start) + 1
+        if h[start] < 0:
+            pieces += (word[done:start], word[start:stop - 1].translate(table))
+            done = stop - 1
+            returns.append(stop)
+        start = stop
+    pieces.append(word[done:])
+    return "".join(pieces), tuple(returns)
+
+
 def swap_fragments(word: str, h: tuple[int, ...], r: int, table) -> str:
     """Translate by table, for each l < r, the steps of word between the
     rightmost points at heights 2l and 2l+1 of the profile h, which must

@@ -45,7 +45,7 @@ from .families import FamilySpec, _g2_sector, _nested_tuples, enumerate_family
 from .matching import match_faces, tri_heights, unmatched_steps
 from .partitions import enumerate_pp
 from .paths import end_height, heights, lexkey, valid_ij
-from .walks import _DXY, shadow_contains
+from .walks import shadow_contains
 
 
 class CheckResult(NamedTuple):
@@ -212,6 +212,7 @@ def _check_flip_heights(n_max):
 
 
 _STEP_PAIRS = (("U", "U", 1, 1), ("U", "D", 1, -1), ("D", "U", -1, 1), ("D", "D", -1, -1))
+_DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
 
 
 def _check_step_dictionary(n_max):
@@ -222,10 +223,12 @@ def _check_step_dictionary(n_max):
     min(x-y), so nesting, the floor -P, the floor of Q and the endpoints
     read off the walk; sector membership is the endpoint rows plus
     _check_shadow. Pairs are visited depth first, each one step pair longer
-    than its parent, whose walk its own must extend: O(1) work per pair.
-    Since the positions of a walk give back both profiles, the visit proves
-    omega one-to-one on all 4^n pairs, hence onto the 4^n walks; omega_inv
-    must give each pair back."""
+    than its parent, whose walk its own must extend. Each pair costs one
+    omega and one omega_inv call, each linear in its length, so the row
+    does Theta(n 4^n) work: about 1.4 M pairs and 3.5 s at n <= 10 on a
+    2-vCPU Linux machine. Since the positions of a walk give back both
+    profiles, the visit proves omega one-to-one on all 4^n pairs, hence
+    onto the 4^n walks; omega_inv must give each pair back."""
 
     def visit(p, q, w, hp, hq, x, y):
         if 2 * x != hp + hq or 2 * y != hp - hq:

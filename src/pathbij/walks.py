@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from ._base import map_step_pairs, require, step_pair_table
 from .matching import _up_flips, unmatched_steps
-from .paths import check_ij, check_path, flip_steps, heights, same_length, swap_fragments
+from .paths import _flip_below, check_ij, check_path, flip_steps, heights, same_length, swap_fragments
 
 _PAIR_TO_STEP = step_pair_table({"UU": "E", "UD": "N", "DU": "S", "DD": "W"})
 _STEP_TO_P = str.maketrans("ENSW", "UUDD")
 _STEP_TO_Q = str.maketrans("ENSW", "UDUD")
-_DXY = {"E": (1, 0), "N": (0, 1), "S": (0, -1), "W": (-1, 0)}
 # swapping N with E and S with W is a flip of Q alone
-_SWAP_DIAG = {"N": "E", "E": "N", "S": "W", "W": "S"}
-_SWAP_DIAG_TABLE = str.maketrans(_SWAP_DIAG)
+_FLIP_Q = str.maketrans("NESW", "ENWS")
 # the derived words of the pair omega_inv(w), read on w itself: the y-walk
 # is the disagreement path (P-Q)/2 and the agreement path is (P+Q)/2
 _Y_WALK = str.maketrans("NSEW", "UDHH")
@@ -49,35 +47,36 @@ def omega_inv(w: str) -> tuple[str, str]:
     return w.translate(_STEP_TO_P), w.translate(_STEP_TO_Q)
 
 
+def _quadrant(w: str) -> tuple[str, int, int]:
+    """The agreement path of a quadrant walk and the walk's end (x, y).
+
+    The agreement path is the walk's x-coordinate and the y-walk its
+    y-coordinate, so the walk stays in the quadrant when neither has an
+    unmatched D step, and then ends at x and y = their unmatched U steps.
+    """
+    agree = check_walk(w).translate(_AGREEMENT)
+    left, rights = unmatched_steps(agree)
+    below, ups = unmatched_steps(w.translate(_Y_WALK))
+    require(not left and not below, "walk leaves the first quadrant")
+    return agree, len(rights), len(ups)
+
+
 def phi_tilde(w: str) -> str:
     """Walk-level phi: octant image of a quadrant walk.
 
-    Step 1 swaps N with E and S with W on every step ending strictly above
-    the diagonal, positions taken in the original walk. Step 2 turns the S
-    steps of the result that reach a new minimum y-coordinate into N steps.
-    Both steps run in one pass. The walk must end weakly below the
-    diagonal, where the map is injective and phi_tilde_inv undoes it.
+    phi read on the walk. Step 1 swaps N with E and S with W on every step
+    ending strictly above the diagonal: a flip of Q alone on the steps where
+    its height, x - y, is below 0, as flip_below does to Q. Step 2 turns
+    the S steps of the result that reach a new minimum y-coordinate, the
+    unmatched D steps of its y-walk, into N steps. The walk must end weakly
+    below the diagonal, where the map is injective and phi_tilde_inv undoes
+    it.
     """
-    check_walk(w)
-    out = []
-    x = y = 0  # position in w
-    y1 = min_y1 = 0  # height in the step-1 walk
-    for c in w:
-        dx, dy = _DXY[c]
-        x += dx
-        y += dy
-        if x < 0 or y < 0:
-            raise ValueError("walk leaves the first quadrant")
-        if y > x:
-            c = _SWAP_DIAG[c]
-        y1 += _DXY[c][1]
-        if y1 < min_y1:  # only an S step reaches a new minimum
-            min_y1 = y1
-            c = "N"
-        out.append(c)
+    _, x, y = _quadrant(w)
     # above the diagonal step 1 would not be injective: phi_tilde("N") would be "E"
     require(x >= y, "walk must end weakly below the diagonal, got ({}, {})", x, y)
-    return "".join(out)
+    w1 = _flip_below(w, heights(w.translate(_STEP_TO_Q)), _FLIP_Q)[0]
+    return flip_steps(w1, unmatched_steps(w1.translate(_Y_WALK))[0], "NS")
 
 
 def phi_tilde_inv(w2: str, i: int, j: int) -> str:
@@ -101,23 +100,16 @@ def phi_tilde_inv(w2: str, i: int, j: int) -> str:
     require(shadow_contains(i, j, x, y), "walk must end in sh({}, {}), got ({}, {})", i, j, x, y)
     # x - y <= i+j, so the y-walk has y >= (x+y-i-j)/2 unmatched N steps
     w1 = flip_steps(w2, ups[: (x + y - i - j) // 2], "NS")
-    return swap_fragments(w1, heights(w1.translate(_STEP_TO_Q)), x - i, _SWAP_DIAG_TABLE)
+    return swap_fragments(w1, heights(w1.translate(_STEP_TO_Q)), x - i, _FLIP_Q)
 
 
 def _psi_tilde_s(w: str, s: int | None) -> str:
     """psi_tilde_s, and psi_tilde when s is None: the flip kernel on the
     agreement path of a quadrant walk, E as U, W as D, N and S as H; a flip
-    there turns E into W in place.
-
-    The agreement path is the walk's x-coordinate and the y-walk its
-    y-coordinate, so the walk stays in the quadrant when neither has an
-    unmatched D step. The flips leave the y-walk as it is, so the inverse
-    finds its kernel in the cache.
+    there turns E into W in place. The flips leave the y-walk as it is, so
+    the inverse finds its kernel in the cache.
     """
-    agree = check_walk(w).translate(_AGREEMENT)
-    quadrant = not unmatched_steps(agree)[0] and not unmatched_steps(w.translate(_Y_WALK))[0]
-    require(quadrant, "walk leaves the first quadrant")
-    return flip_steps(w, _up_flips(agree, s), "EW")
+    return flip_steps(w, _up_flips(_quadrant(w)[0], s), "EW")
 
 
 def _psi_tilde_s_inv(wh: str, bottom: bool) -> str:

@@ -18,7 +18,8 @@ from pathbij import (
 )
 from pathbij.counting import binom, catalan
 from pathbij.families import _g2_sector, _nested_tuples
-from pathbij.paths import check_ij, check_path, flip_steps, lexkey, swap_fragments
+from pathbij.paths import _NEGATE, _flip_below, check_ij, check_path, flip_steps, lexkey, swap_fragments
+from pathbij.walks import _FLIP_Q, _STEP_TO_Q
 
 import oracles
 
@@ -110,6 +111,25 @@ def test_swap_fragments_against_a_scan(p, data):
     last = {v: a for a, v in enumerate([0, *h])}
     flips = [a for l in range(r) for a in range(last[2 * l] + 1, last[2 * l + 1] + 1)]
     assert swap_fragments(p, h, r, str.maketrans("UD", "DU")) == flip_steps(p, flips)
+
+
+@given(paths, st.text(alphabet="ENSW", max_size=40))
+def test_flip_below_against_a_scan(p, w):
+    """The fragment flip on a U/D path's profile and on a walk's x - y
+    profile: it translates exactly the steps that end below 0, returns the
+    steps that rise back to 0, and swap_fragments undoes it."""
+    for word, table, profile in (
+        (p, _NEGATE, heights),
+        (w, _FLIP_Q, lambda v: heights(v.translate(_STEP_TO_Q))),
+    ):
+        if profile(word)[-1:] < (0,):
+            word = word.translate(table)  # the profile must end at or above 0
+        h = profile(word)
+        flipped, returns = _flip_below(word, h, table)
+        assert flipped == "".join(c.translate(table) if v < 0 else c for c, v in zip(word, h))
+        points = [0, *h]
+        assert returns == tuple(a for a in range(1, len(points)) if points[a] == 0 > points[a - 1])
+        assert swap_fragments(flipped, profile(flipped), len(returns), table) == word
 
 
 def test_nesting_is_a_partial_order():
